@@ -12,11 +12,14 @@ independent Fourier-space evolution.
 
 from .analysis import (
     ConvergenceTrace,
+    fourier_mass,
+    fourier_moment,
     limit_moment,
     localized_mass,
     mass_trace,
     moment,
     rescaled_cdf_distance,
+    tau_sweep,
 )
 from .coin import (
     CoinSet,
@@ -49,6 +52,7 @@ from .limits import (
 )
 from .spectral import (
     FourierState,
+    Propagator,
     SpectralPair,
     asymptotic_amplitude,
     eigensystem,
@@ -65,6 +69,7 @@ __all__ = [
     "LimitDensity",
     "LimitMass",
     "NormalizationError",
+    "Propagator",
     "Schedule",
     "ScheduleKind",
     "SpectralPair",
@@ -77,6 +82,8 @@ __all__ = [
     "eigensystem",
     "evolve",
     "fourier_coin",
+    "fourier_mass",
+    "fourier_moment",
     "fourier_transform",
     "initial_state",
     "limit_cdf",
@@ -90,6 +97,7 @@ __all__ = [
     "shift_matrix",
     "spectral_evolve",
     "step",
+    "tau_sweep",
     "theorem1_limit",
     "theorem2_density",
 ]

@@ -4,23 +4,30 @@ Everything here is exact arithmetic on exact distributions: traces of a
 point probability across growing half-times, the Kolmogorov distance
 between the rescaled walk and its weak limit, and moments of ``X_t/t``
 against the limit moments.  No sampling is involved anywhere.
+
+Traces over tau run through :func:`tau_sweep`, which jumps to each
+measurement time with the closed-form momentum-space propagator instead
+of re-stepping the walk from ``t = 0`` for every tau.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .coin import Schedule, WalkParams
-from .dynamics import Distribution, distribution, evolve
+from .dynamics import Distribution, distribution, evolve, max_time_cap
 from .limits import LimitDensity
+from .spectral import FourierState, Propagator
 
 __all__ = [
     "ConvergenceTrace",
     "mass_trace",
+    "tau_sweep",
+    "fourier_mass",
+    "fourier_moment",
     "rescaled_cdf_distance",
     "moment",
     "limit_moment",
@@ -45,6 +52,62 @@ class ConvergenceTrace:
             raise ValueError("taus must be strictly increasing")
 
 
+def tau_sweep(
+    params: WalkParams,
+    schedule: Schedule,
+    parity: str,
+    taus: Iterable[int],
+) -> Iterator[tuple[int, FourierState]]:
+    """Transformed state at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau.
+
+    ``params.tau`` is replaced by each entry of ``taus``, in the given
+    order (repeats allowed).  One :class:`qwalk.spectral.Propagator`,
+    whose grid is sized for the largest ``t``, serves every tau, and each
+    state comes straight from it, so an extra tau costs O(n) on that
+    grid.  The arguments are checked at once; the ``(t, state)`` pairs
+    are computed one at a time as they are iterated, so memory stays O(n).
+
+    Raises
+    ------
+    ValueError
+        For an unknown parity, a negative tau, or a largest ``t`` above
+        the ``QWALK_MAX_T`` cap that :func:`qwalk.dynamics.evolve` uses.
+    """
+    if parity not in _PARITY_STEP:
+        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    taus = [int(tau) for tau in taus]
+    if any(tau < 0 for tau in taus):
+        raise ValueError(f"taus must be non-negative, got {min(taus)}")
+    times = [2 * tau + _PARITY_STEP[parity] for tau in taus]
+    t_max = max(times, default=0)
+    cap = max_time_cap()
+    if t_max > cap:
+        raise ValueError(f"t={t_max} exceeds the configured cap {cap}")
+    propagator = Propagator(params, t_max)
+    return ((t, propagator.state(schedule, t, tau)) for tau, t in zip(taus, times))
+
+
+def fourier_mass(state: FourierState, t: int, x: int) -> float:
+    """``P(X_t = x)`` from a transformed state: one DFT row, O(n)."""
+    if abs(x) > t or (x + t) % 2:
+        return 0.0
+    row = np.exp(1j * x * state.grid)
+    amps = row @ state.values / len(state.grid)
+    return float(np.sum(np.abs(amps) ** 2))
+
+
+def fourier_moment(state: FourierState, t: int, r: int) -> float:
+    """r-th moment of ``X_t/t`` from a transformed state, by one inverse FFT."""
+    if r < 0:
+        raise ValueError(f"moment order must be non-negative, got {r}")
+    if t == 0:
+        return 1.0 if r == 0 else 0.0
+    xs = np.arange(-t, t + 1, 2)  # the other parity holds exact zeros
+    amps = np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]
+    ps = np.sum(np.abs(amps) ** 2, axis=1)
+    return float(np.sum((xs / t) ** r * ps))
+
+
 def mass_trace(
     params: WalkParams,
     x: int,
@@ -55,16 +118,12 @@ def mass_trace(
 
     ``params.tau`` serves as a template and is replaced by each entry of
     ``taus``; the values approach the stationary point mass as tau grows.
+    Each value is read off the closed-form momentum-space state of
+    :func:`tau_sweep` (half-time schedule), not stepped with ``evolve``.
     """
-    if parity not in _PARITY_STEP:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    schedule = Schedule.half_time()
     taus = tuple(int(tau) for tau in taus)
-    values = []
-    for tau in taus:
-        p = dataclasses.replace(params, tau=tau)
-        state = evolve(p, schedule, 2 * tau + _PARITY_STEP[parity])
-        values.append(distribution(state).probs.get(x, 0.0))
+    states = tau_sweep(params, Schedule.half_time(), parity, taus)
+    values = [fourier_mass(state, t, x) for t, state in states]
     return ConvergenceTrace(
         taus=taus,
         observable=f"mass(x={x}, {parity})",

@@ -9,7 +9,6 @@ error, 2 tolerance failure in check-style commands.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -19,11 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
+    fourier_mass,
+    fourier_moment,
     limit_moment,
     localized_mass,
-    mass_trace,
     moment,
     rescaled_cdf_distance,
+    tau_sweep,
 )
 from .coin import Schedule, WalkParams
 from .dynamics import (
@@ -308,16 +309,6 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _trace_point(job) -> float:
-    observable, params, schedule, tau, t, x, r = job
-    p = dataclasses.replace(params, tau=tau)
-    if observable == "mass":
-        return distribution(evolve(p, schedule, t)).probs.get(x, 0.0)
-    if observable == "moment":
-        return moment(distribution(evolve(p, schedule, t)), r)
-    return rescaled_cdf_distance(p, t)
-
-
 def _cmd_trace(args) -> int:
     params, schedule = _resolve_walk(args)
     if not args.taus:
@@ -325,15 +316,17 @@ def _cmd_trace(args) -> int:
     if args.observable == "mass" and args.x is None:
         raise ValueError("--x is required for the mass observable")
     offset = 1 if args.parity == "odd" else 2
-    jobs = [
-        (args.observable, params, schedule, tau, 2 * tau + offset, args.x, args.r)
-        for tau in args.taus
-    ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(_trace_point, jobs))
+    if args.observable == "ks":
+        values = [
+            rescaled_cdf_distance(dataclasses.replace(params, tau=tau), 2 * tau + offset)
+            for tau in args.taus
+        ]
     else:
-        values = [_trace_point(job) for job in jobs]
+        states = tau_sweep(params, schedule, args.parity, args.taus)
+        if args.observable == "mass":
+            values = [fourier_mass(state, t, args.x) for t, state in states]
+        else:
+            values = [fourier_moment(state, t, args.r) for t, state in states]
     rows = [
         {"tau": tau, "t": 2 * tau + offset, "value": value}
         for tau, value in zip(args.taus, values)
@@ -386,17 +379,14 @@ def _fig_spacetime(init: str, theta1: float, tau: int,
 
 
 def _fig_mass_trace(positions: Sequence[int], parity: str, tau_max: int = 250):
+    # every position is read off the same state, so each tau propagates once
     taus = range(tau_max + 1)
-    offset = 1 if parity == "odd" else 2
-    traces = {
-        x: mass_trace(_figure_params("symmetric", 0.0, 0), x, parity, taus)
-        for x in positions
-    }
+    states = tau_sweep(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
+                       parity, taus)
     rows = []
-    for i, tau in enumerate(taus):
-        for x in positions:
-            rows.append({"tau": tau, "t": 2 * tau + offset, "x": x,
-                         "prob": traces[x].values[i]})
+    for tau, (t, state) in zip(taus, states):
+        rows.extend({"tau": tau, "t": t, "x": x, "prob": fourier_mass(state, t, x)}
+                    for x in positions)
     return rows, None
 
 
@@ -489,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", type=_parse_int_list, required=True,
                    metavar="T1,T2,...")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across taus")
+                   help="accepted for compatibility and ignored: a trace "
+                        "costs O(n) per tau and runs in-process")
 
     p = add("compare", _cmd_compare, "simulation vs limit-law report",
             default_format="json")

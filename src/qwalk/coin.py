@@ -243,3 +243,11 @@ class Schedule:
         if self.kind is ScheduleKind.HALF_TIME:
             return t == tau
         return t in self.steps
+
+    def swaps_before(self, t: int, tau: int) -> list[int]:
+        """Sorted steps below ``t`` whose transition uses ``(P1, Q1)``."""
+        if self.kind is ScheduleKind.USUAL:
+            return []
+        if self.kind is ScheduleKind.HALF_TIME:
+            return [tau] if tau < t else []
+        return sorted(step for step in self.steps if step < t)

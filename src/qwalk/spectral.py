@@ -7,6 +7,21 @@ rather than an approximate quadrature.  Evolving pointwise in ``k`` and
 transforming back must reproduce the position-space evolution to
 roundoff; any disagreement is a bug in one of the two routes.
 
+Besides the per-step route (:func:`spectral_evolve`), :class:`Propagator`
+jumps to any time in closed form.  ``V(k) = -i U(k)`` has determinant 1 and trace ``2x`` with
+``x = c sin k``, so Cayley-Hamilton gives
+
+    U(k)^m = i^m [U_{m-1}(x) V(k) - U_{m-2}(x) I]
+
+with ``U_j`` the Chebyshev polynomials of the second kind; no
+eigenvectors and no branch choice are involved.  They are evaluated as
+``U_{m-1}(x) = sgn(x)^{m-1} sin(m w) / sin w`` with
+``sin w = hypot(s, c cos k)`` and ``w = atan2(sin w, |x|)`` in
+``[0, pi/2]``.  Both choices matter near the excluded angles:
+``sqrt(1 - x^2)`` cancels when ``|x|`` is close to 1 (theta near 0 or
+pi), and an unfolded ``w = acos(x)`` near pi carries an absolute
+rounding error that the ratio ``sin(m w) / sin w`` magnifies.
+
 It also evaluates the large-time amplitude limits at fixed positions,
 whose squared norms are a second, independent route to the stationary
 point masses of :func:`qwalk.limits.theorem1_limit`.
@@ -28,6 +43,7 @@ __all__ = [
     "eigensystem",
     "fourier_transform",
     "spectral_evolve",
+    "Propagator",
     "asymptotic_amplitude",
 ]
 
@@ -172,6 +188,78 @@ def spectral_evolve(
     amps[:, 0] = signs * pos0[xs % n]
     amps[:, 1] = signs * pos1[xs % n]
     return StateVector(time=t_final, offset=-t_final, amps=amps)
+
+
+#: ``i**m`` by ``m % 4``, exact.
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
+
+class Propagator:
+    """Closed-form momentum-space evolution for one main coin on one grid.
+
+    Each constant-coin stretch of a schedule is one closed-form power of
+    ``U(k)`` (see the module docstring) and each swap step one
+    application of the swap coin, so a state costs
+    ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.  Everything that
+    depends only on ``theta`` and the grid is computed once here and
+    shared by every :meth:`state` call, which is what makes a sweep over
+    many times cheap.
+
+    The grid has ``2*t_max + 2`` points, so it holds every time up to
+    ``t_max`` exactly.
+    """
+
+    def __init__(self, params: WalkParams, t_max: int) -> None:
+        if t_max < 0:
+            raise ValueError(f"t_max must be non-negative, got {t_max}")
+        self.params = params
+        self.t_max = t_max
+        self.grid = _wavenumber_grid(2 * t_max + 2)
+        self.grid.flags.writeable = False
+        self._eik = np.exp(1j * self.grid)
+        self._emk = np.conj(self._eik)
+        x = params.c * np.sin(self.grid)
+        self._sin_w = np.hypot(params.s, params.c * np.cos(self.grid))
+        self._w = np.arctan2(self._sin_w, np.abs(x))
+        self._sign = np.where(x < 0, -1.0, 1.0)
+
+    def _coin(self, g0, g1, a, b):
+        return self._eik * (a * g0 + b * g1), self._emk * (b * g0 - a * g1)
+
+    def _power(self, g0, g1, m):
+        # U^m g = i^(m-1) U_{m-1}(x) (U g) - i^m U_{m-2}(x) g
+        if m == 0:
+            return g0, g1
+        cheb1 = np.sin(m * self._w) / self._sin_w
+        cheb2 = np.sin((m - 1) * self._w) / self._sin_w
+        if m % 2:
+            cheb2 *= self._sign
+        else:
+            cheb1 *= self._sign
+        a = _I_POWERS[(m - 1) % 4] * cheb1
+        b = _I_POWERS[m % 4] * cheb2
+        u0, u1 = self._coin(g0, g1, self.params.c, self.params.s)
+        return a * u0 - b * g0, a * u1 - b * g1
+
+    def state(self, schedule: Schedule, t_final: int, tau: int) -> FourierState:
+        """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
+
+        The values are ``sum_x e^{-ikx} psi(x)`` for the state that
+        :func:`spectral_evolve` steps to; the inverse DFT recovers
+        ``psi`` exactly (to roundoff).
+        """
+        if not 0 <= t_final <= self.t_max:
+            raise ValueError(f"t_final={t_final} is outside 0..{self.t_max} of this grid")
+        p = self.params
+        n = self.grid.shape[0]
+        g0 = np.full(n, p.alpha, dtype=np.complex128)
+        g1 = np.full(n, p.beta, dtype=np.complex128)
+        done = 0
+        for swap in schedule.swaps_before(t_final, tau):
+            g0, g1 = self._coin(*self._power(g0, g1, swap - done), p.c1, p.s1)
+            done = swap + 1
+        g0, g1 = self._power(g0, g1, t_final - done)
+        return FourierState(grid=self.grid, values=np.stack([g0, g1], axis=1))
 
 
 def _parity_index(parity: str) -> int:

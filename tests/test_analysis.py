@@ -3,21 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_probability, origin_mass_even_trace, sample_params
 from qwalk import (
     ConvergenceTrace,
+    ExcludedAngleError,
     Schedule,
     WalkParams,
     delta_mass,
     distribution,
     evolve,
+    fourier_mass,
+    fourier_moment,
     initial_state,
     limit_moment,
     localized_mass,
     mass_trace,
     moment,
     rescaled_cdf_distance,
+    tau_sweep,
     theorem1_limit,
 )
 
@@ -27,6 +33,21 @@ KS_401 = 0.015827834742873081
 KS_1601 = 0.0079467753472979297
 USUAL_KS_2001 = 0.014261118286455394
 CESARO_2000 = 0.087054088392341716
+
+EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
+               math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
+SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({5, 17}))
+SWEEP_POSITIONS = (-2, -1, 0, 1, 2)
+
+
+def assert_sweep_matches_evolve(params, schedule, parity, taus, tol):
+    """Masses and moments of tau_sweep against position-space evolve."""
+    for tau, (t, state) in zip(taus, tau_sweep(params, schedule, parity, taus)):
+        dist = distribution(evolve(dataclasses.replace(params, tau=tau), schedule, t))
+        for x in SWEEP_POSITIONS:
+            assert abs(fourier_mass(state, t, x) - dist.probs.get(x, 0.0)) <= tol
+        for r in range(5):
+            assert abs(fourier_moment(state, t, r) - moment(dist, r)) <= tol
 
 
 def test_trace_container_validation():
@@ -169,3 +190,69 @@ def test_limit_moment_symmetric_weight_kills_odd_orders():
 def test_limit_moment_normalization():
     for params in sample_params(seed=53, n=10):
         assert abs(limit_moment(params, 0) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_sweep_matches_evolve(schedule):
+    for params in sample_params(seed=54, n=4):
+        for parity in ("odd", "even"):
+            assert_sweep_matches_evolve(params, schedule, parity, (0, 3, 12, 40), 1e-13)
+
+
+@pytest.mark.parametrize("theta", EDGE_THETAS)
+def test_sweep_at_edge_angles_to_tau_1000(theta):
+    params = WalkParams(theta=theta, theta1=0.9, tau=0, alpha=0.6, beta=0.8j)
+    for parity in ("odd", "even"):
+        assert_sweep_matches_evolve(params, Schedule.half_time(), parity, (1000, 7), 1e-12)
+    assert_sweep_matches_evolve(params, Schedule.multi({5, 17}), "even", (1000,), 1e-12)
+
+
+# any angle WalkParams accepts: uniform over two turns and over a wide
+# range, plus offsets from 2e-9 to 1e-3 rad around each multiple of pi/2
+ANGLES = st.one_of(
+    st.floats(-2 * math.pi, 2 * math.pi),
+    st.floats(-1e4, 1e4),
+    st.builds(lambda q, e: q * math.pi / 2 + e, st.integers(-4, 4),
+              st.sampled_from((-1.0, 1.0)).flatmap(
+                  lambda sign: st.floats(-8.7, -3.0).map(lambda p: sign * 10 ** p))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=ANGLES, theta1=st.floats(0.0, 2 * math.pi),
+       tau=st.integers(0, 60), parity=st.sampled_from(("odd", "even")),
+       schedule=st.sampled_from(SCHEDULES))
+def test_sweep_matches_evolve_over_accepted_angles(theta, theta1, tau, parity, schedule):
+    try:
+        params = WalkParams(theta=theta, theta1=theta1, tau=0,
+                            alpha=0.6, beta=0.8j)
+    except ExcludedAngleError:
+        assume(False)
+    assert_sweep_matches_evolve(params, schedule, parity, (tau,), 1e-12)
+
+
+def test_sweep_keeps_order_and_repeats(example_params):
+    taus = (9, 2, 9, 0)
+    swept = [fourier_mass(state, t, 1)
+             for t, state in tau_sweep(example_params, Schedule.half_time(), "odd", taus)]
+    assert swept[0] == swept[2]
+    trace = mass_trace(example_params, 1, "odd", (0, 2, 9))
+    assert swept[1] == trace.values[1] and swept[3] == trace.values[0]
+    assert list(tau_sweep(example_params, Schedule.half_time(), "odd", ())) == []
+
+
+def test_sweep_validation(example_params, monkeypatch):
+    schedule = Schedule.half_time()
+    with pytest.raises(ValueError):
+        tau_sweep(example_params, schedule, "both", (1,))
+    with pytest.raises(ValueError):
+        tau_sweep(example_params, schedule, "odd", (3, -1))
+    monkeypatch.setenv("QWALK_MAX_T", "10")
+    with pytest.raises(ValueError, match="cap"):
+        tau_sweep(example_params, schedule, "odd", (1, 5))
+    tau_sweep(example_params, schedule, "odd", (1, 4))
+    (t, state), = tau_sweep(example_params, schedule, "even", (2,))
+    with pytest.raises(ValueError):
+        fourier_moment(state, t, -1)
+    assert fourier_mass(state, t, 1) == 0.0  # wrong parity
+    assert fourier_mass(state, t, 8) == 0.0  # beyond the light cone

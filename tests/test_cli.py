@@ -310,7 +310,40 @@ def test_trace_observables_ks_and_moment(tmp_path, example_params):
                  "--taus", "5", "--parity", "even", "--out", str(out)]) == 0
     _, rows = read_table(out)
     dist = distribution(evolve(p, Schedule.half_time(), 12))
-    assert rows[0]["value"] == moment(dist, 2)
+    # the trace reads the moment off the closed-form k-space state, so it
+    # matches the position-space route to roundoff, not bit for bit
+    assert abs(rows[0]["value"] - moment(dist, 2)) <= 1e-13
+
+
+def test_trace_unsorted_and_repeated_taus(tmp_path):
+    out = tmp_path / "trace.csv"
+    for observable in (["mass", "--x", "-2"], ["moment", "--r", "3"]):
+        args = ["trace", *WALK, "--observable", *observable, "--parity", "even"]
+        assert main([*args, "--taus", "7,2,7,0", "--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert [int(r["tau"]) for r in rows] == [7, 2, 7, 0]
+        assert rows[0] == rows[2]
+        # same largest tau, so the same grid: identical rows
+        assert main([*args, "--taus", "0,2,7", "--out", str(out)]) == 0
+        _, ordered = read_table(out)
+        assert [rows[3], rows[1], rows[0]] == ordered
+        # one tau per call: a smaller grid, equal to roundoff
+        for row in ordered:
+            assert main([*args, "--taus", str(int(row["tau"])), "--out", str(out)]) == 0
+            _, (single,) = read_table(out)
+            assert single["t"] == row["t"]
+            assert abs(single["value"] - row["value"]) <= 1e-13
+
+
+def test_trace_respects_time_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QWALK_MAX_T", "10")
+    out = str(tmp_path / "trace.csv")
+    for observable in (["mass", "--x", "1"], ["moment"]):
+        args = ["trace", *WALK, "--observable", *observable, "--parity", "odd"]
+        assert main([*args, "--taus", "5", "--out", out]) == 1  # t = 11
+        assert "cap" in capsys.readouterr().err
+        assert main([*args, "--taus", "4", "--out", out]) == 0  # t = 9
+        assert main([*args, "--taus", "4,0,5", "--out", out]) == 1
 
 
 def test_trace_flag_validation(capsys):

@@ -163,6 +163,14 @@ def test_schedule_swap_steps():
         assert multi.swaps_at(t, tau=4) == (t in (3, 5))
 
 
+def test_schedule_swaps_before_lists_swaps_at():
+    for schedule in (Schedule.usual(), Schedule.half_time(), Schedule.multi([7, 0, 3])):
+        for tau in (0, 3, 8):
+            for t in range(10):
+                expected = [s for s in range(t) if schedule.swaps_at(s, tau)]
+                assert schedule.swaps_before(t, tau) == expected
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind=ScheduleKind.USUAL, steps=frozenset({3}))

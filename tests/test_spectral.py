@@ -18,10 +18,17 @@ from qwalk import (
     evolve,
     fourier_coin,
     fourier_transform,
+    Propagator,
     initial_state,
     spectral_evolve,
     theorem1_limit,
 )
+
+#: Angles within 1e-6..1e-8 of the excluded multiples of pi/2, where the
+#: closed-form powers of the momentum-space coin are most delicate.
+EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
+               math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
+SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 
 
 def stepping_matrix(params, k):
@@ -182,3 +189,50 @@ def test_amplitude_norms_sum_to_delta():
                 for x in range(-200, 201)
             )
             assert abs(total - expected) < 1e-10
+
+
+def positions_of(state, t):
+    """Inverse DFT of a transformed state back to the window ``-t..t``."""
+    xs = np.arange(-t, t + 1)
+    signs = np.where(xs % 2 == 0, 1.0, -1.0)
+    return signs[:, None] * np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_propagate_matches_evolve(schedule):
+    for params in sample_params(seed=37, n=6):
+        for tau in (0, 4, 23):
+            p = dataclasses.replace(params, tau=tau)
+            for t in (2 * tau + 1, 2 * tau + 2):
+                direct = evolve(p, schedule, t).amps
+                # the grid of t and the larger grid of a longer sweep
+                for t_max in (t, t + 5):
+                    got = positions_of(Propagator(p, t_max).state(schedule, t, tau), t)
+                    assert float(np.max(np.abs(got - direct))) < 1e-12
+
+
+@pytest.mark.parametrize("theta", EDGE_THETAS)
+def test_propagate_at_edge_angles(theta):
+    for schedule in SCHEDULES:
+        p = WalkParams(theta=theta, theta1=0.9, tau=150, alpha=0.6, beta=0.8j)
+        for t in (301, 302):
+            direct = evolve(p, schedule, t).amps
+            got = positions_of(Propagator(p, t).state(schedule, t, p.tau), t)
+            assert float(np.max(np.abs(got - direct))) <= 1e-12
+
+
+def test_propagate_time_zero_and_norm(example_params):
+    state = Propagator(example_params, 3).state(Schedule.half_time(), 0, 2)
+    assert np.array_equal(state.values, np.tile(example_params.spinor, (8, 1)))
+    state = Propagator(example_params, 900).state(Schedule.half_time(), 900, 40)
+    assert abs(state.norm_sq() - 1.0) < 1e-12
+
+
+def test_propagator_grid_validation(example_params):
+    with pytest.raises(ValueError):
+        Propagator(example_params, -1)
+    propagator = Propagator(example_params, 10)
+    with pytest.raises(ValueError):
+        propagator.state(Schedule.usual(), 11, 0)
+    with pytest.raises(ValueError):
+        propagator.state(Schedule.usual(), -1, 0)
