@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .coin import Schedule, WalkParams
-from .dynamics import Distribution, distribution, evolve, max_time_cap
+from .dynamics import Distribution, check_time, distribution, evolve
 from .limits import LimitDensity
 from .spectral import FourierState, Propagator
 
@@ -70,8 +70,8 @@ def tau_sweep(
     Raises
     ------
     ValueError
-        For an unknown parity, a negative tau, or a largest ``t`` above
-        the ``QWALK_MAX_T`` cap that :func:`qwalk.dynamics.evolve` uses.
+        For an unknown parity, a negative tau, or a largest ``t`` that
+        :func:`qwalk.dynamics.check_time` rejects.
     """
     if parity not in _PARITY_STEP:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
@@ -80,10 +80,8 @@ def tau_sweep(
         raise ValueError(f"taus must be non-negative, got {min(taus)}")
     times = [2 * tau + _PARITY_STEP[parity] for tau in taus]
     t_max = max(times, default=0)
-    cap = max_time_cap()
-    if t_max > cap:
-        raise ValueError(f"t={t_max} exceeds the configured cap {cap}")
-    propagator = Propagator(params, t_max)
+    check_time(t_max)
+    propagator = Propagator(params, 2 * t_max + 2)
     return ((t, propagator.state(schedule, t, tau)) for tau, t in zip(taus, times))
 
 
@@ -103,9 +101,9 @@ def fourier_moment(state: FourierState, t: int, r: int) -> float:
     if t == 0:
         return 1.0 if r == 0 else 0.0
     xs = np.arange(-t, t + 1, 2)  # the other parity holds exact zeros
-    amps = np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]
-    ps = np.sum(np.abs(amps) ** 2, axis=1)
-    return float(np.sum((xs / t) ** r * ps))
+    index, _ = FourierState.slots(xs, len(state.grid))  # |psi|^2 drops the sign
+    sq = np.abs(np.fft.ifft(state.values, axis=0)[index]) ** 2
+    return float(np.sum((xs / t) ** r * (sq[:, 0] + sq[:, 1])))
 
 
 def mass_trace(

@@ -26,15 +26,8 @@ from .analysis import (
     rescaled_cdf_distance,
     tau_sweep,
 )
-from .coin import Schedule, WalkParams
-from .dynamics import (
-    StateVector,
-    distribution,
-    evolve,
-    initial_state,
-    max_time_cap,
-    step,
-)
+from .coin import Schedule, ScheduleKind, WalkParams
+from .dynamics import StateVector, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
 from .spectral import eigensystem, spectral_evolve
 
@@ -217,24 +210,10 @@ def _state_rows(state: StateVector) -> list[dict]:
     return rows
 
 
-def _evolve_snapshots(params: WalkParams, schedule: Schedule,
-                      times: Sequence[int]) -> dict[int, StateVector]:
-    want = sorted(set(times))
-    if want[0] < 0:
-        raise ValueError(f"times must be non-negative, got {want[0]}")
-    cap = max_time_cap()
-    if want[-1] > cap:
-        raise ValueError(f"t={want[-1]} exceeds the configured cap {cap}")
-    remaining = set(want)
-    out: dict[int, StateVector] = {}
-    state = initial_state(params)
-    if 0 in remaining:
-        out[0] = state
-    for t in range(1, want[-1] + 1):
-        state = step(state, params, schedule)
-        if t in remaining:
-            out[t] = state
-    return out
+def _require_half_time(schedule: Schedule, what: str) -> None:
+    if schedule.kind is not ScheduleKind.HALF_TIME:
+        raise ValueError(f"{what} needs --schedule half-time: the limit law "
+                         "exists only for the half-time walk")
 
 
 def _timed_path(path: str | None, t: int) -> str | None:
@@ -254,8 +233,8 @@ def _cmd_simulate(args) -> int:
         state = evolve(params, schedule, args.t)
         emit(_state_rows(state), args.format, args.out)
         return 0
-    for t, state in sorted(_evolve_snapshots(params, schedule, args.times).items()):
-        emit(_state_rows(state), args.format, _timed_path(args.out, t))
+    for state in snapshots(params, schedule, args.times):
+        emit(_state_rows(state), args.format, _timed_path(args.out, state.time))
     return 0
 
 
@@ -317,6 +296,7 @@ def _cmd_trace(args) -> int:
         raise ValueError("--x is required for the mass observable")
     offset = 1 if args.parity == "odd" else 2
     if args.observable == "ks":
+        _require_half_time(schedule, "trace --observable ks")
         values = [
             rescaled_cdf_distance(dataclasses.replace(params, tau=tau), 2 * tau + offset)
             for tau in args.taus
@@ -338,6 +318,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_compare(args) -> int:
     params, schedule = _resolve_walk(args)
+    _require_half_time(schedule, "compare")
     dist = distribution(evolve(params, schedule, args.t))
     report = {
         "ks_distance": rescaled_cdf_distance(params, args.t),
@@ -369,11 +350,10 @@ def _fig_distribution(init: str, theta1: float, tau: int,
 def _fig_spacetime(init: str, theta1: float, tau: int,
                    schedule: Schedule, t_max: int = 100):
     params = _figure_params(init, theta1, tau)
-    snapshots = _evolve_snapshots(params, schedule, range(t_max + 1))
     rows = []
-    for t in range(t_max + 1):
-        xs, ps = distribution(snapshots[t]).as_arrays()
-        rows.extend({"t": t, "x": int(x), "prob": float(p)}
+    for state in snapshots(params, schedule, range(t_max + 1)):
+        xs, ps = distribution(state).as_arrays()
+        rows.extend({"t": state.time, "x": int(x), "prob": float(p)}
                     for x, p in zip(xs, ps))
     return rows, None
 
@@ -446,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
             "compare position-space and Fourier-space evolutions")
     p.add_argument("--t", type=int, required=True, help="final time")
     p.add_argument("--n-grid", type=int, default=None,
-                   help="wavenumber grid size (default 2t+2)")
+                   help="wavenumber grid size, at least 2t+2 (default 2t+2)")
     p.add_argument("--tol", type=float, default=SPECTRAL_CHECK_TOL,
                    help="max allowed entrywise deviation")
 
@@ -482,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: a trace "
                         "costs O(n) per tau and runs in-process")
 
-    p = add("compare", _cmd_compare, "simulation vs limit-law report",
+    p = add("compare", _cmd_compare, "simulation vs limit-law report (half-time only)",
             default_format="json")
     p.add_argument("--t", type=int, required=True,
                    help="measurement time (2*tau+1 or 2*tau+2)")

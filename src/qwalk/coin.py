@@ -67,15 +67,15 @@ class WalkParams:
     Parameters
     ----------
     theta:
-        Angle of the main coin ``U`` (radians).  Must stay at least
+        Angle of the main coin ``U`` (radians, finite).  Must stay at least
         ``angle_tol`` away from {0, pi/2, pi, 3*pi/2} (mod 2*pi).
     theta1:
-        Angle of the swap coin ``H`` (radians, unrestricted).
+        Angle of the swap coin ``H`` (radians, any finite value).
     tau:
         Half-time: the step index at which a half-time schedule applies
         ``H`` instead of ``U``.  Non-negative integer.
     alpha, beta:
-        Initial spinor at the origin.  ``|alpha|**2 + |beta|**2`` must be
+        Initial spinor at the origin, finite.  ``|alpha|**2 + |beta|**2`` must be
         1 within ``SPINOR_NORM_TOL`` of unit norm; if so the pair is
         renormalized exactly, otherwise :class:`NormalizationError` is
         raised (silent renormalization of grossly wrong input would mask
@@ -96,6 +96,9 @@ class WalkParams:
             raise ValueError(f"tau must be an integer, got {self.tau!r}")
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
+        for name in ("theta", "theta1", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if _distance_to_quarter_turn(float(self.theta)) < self.angle_tol:
             raise ExcludedAngleError(
                 f"theta={self.theta!r} is within {self.angle_tol} rad of an "

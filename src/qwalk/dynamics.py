@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "initial_state",
     "step",
     "evolve",
+    "snapshots",
+    "check_time",
     "distribution",
     "DEFAULT_MAX_T",
     "max_time_cap",
@@ -135,29 +138,45 @@ def step(state: StateVector, params: WalkParams, schedule: Schedule) -> StateVec
     return StateVector(time=state.time + 1, offset=state.offset - 1, amps=new)
 
 
-def evolve(
-    params: WalkParams,
-    schedule: Schedule,
-    t_final: int,
-    max_t: int | None = None,
-) -> StateVector:
+def check_time(t: int) -> None:
+    """Reject an evolution time that is negative or above :func:`max_time_cap`."""
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    cap = max_time_cap()
+    if t > cap:
+        raise ValueError(f"t={t} exceeds the configured cap {cap}")
+
+
+def snapshots(params: WalkParams, schedule: Schedule,
+              times: Iterable[int]) -> Iterator[StateVector]:
+    """States at each of ``times``, in increasing order, from one stepping loop.
+
+    Repeated times yield once.  Every time is checked by :func:`check_time`
+    before the first state is yielded.
+    """
+    want = sorted(set(times))
+    if want:
+        check_time(want[0])
+        check_time(want[-1])
+    amps = initial_state(params).amps
+    done = 0
+    for t in want:
+        for s in range(done, t):
+            amps = _advance(amps, _coin_rows(params, schedule.swaps_at(s, params.tau)))
+        done = t
+        yield StateVector(time=t, offset=-t, amps=amps)
+
+
+def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:
     """Evolve from the initial state to time ``t_final``.
 
     Raises
     ------
     ValueError
         If ``t_final`` is negative or exceeds the resource cap
-        (``max_t`` argument, else ``QWALK_MAX_T``, else 10**6).
+        (``QWALK_MAX_T``, else 10**6).
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
-    cap = max_time_cap() if max_t is None else max_t
-    if t_final > cap:
-        raise ValueError(f"t_final={t_final} exceeds the configured cap {cap}")
-    amps = initial_state(params).amps
-    for t in range(t_final):
-        amps = _advance(amps, _coin_rows(params, schedule.swaps_at(t, params.tau)))
-    return StateVector(time=t_final, offset=-t_final, amps=amps)
+    return next(snapshots(params, schedule, (t_final,)))
 
 
 def _clamp_probability(p: float) -> float:

@@ -3,12 +3,12 @@
 This module is the independent oracle for :mod:`qwalk.dynamics`: the
 walk has bounded support ``|x| <= t``, so on a wavenumber grid of at
 least ``2*t + 2`` points the inverse transform is an *exact* finite DFT
-rather than an approximate quadrature.  Evolving pointwise in ``k`` and
-transforming back must reproduce the position-space evolution to
-roundoff; any disagreement is a bug in one of the two routes.
+rather than an approximate quadrature.  Evolving in ``k`` and transforming
+back (:func:`spectral_evolve`) must reproduce the position-space evolution
+to roundoff; any disagreement is a bug in one of the two routes.
 
-Besides the per-step route (:func:`spectral_evolve`), :class:`Propagator`
-jumps to any time in closed form.  ``V(k) = -i U(k)`` has determinant 1 and trace ``2x`` with
+The evolution in ``k`` is :class:`Propagator`, which jumps to any time in
+closed form.  ``V(k) = -i U(k)`` has determinant 1 and trace ``2x`` with
 ``x = c sin k``, so Cayley-Hamilton gives
 
     U(k)^m = i^m [U_{m-1}(x) V(k) - U_{m-2}(x) I]
@@ -137,16 +137,28 @@ class FourierState:
         """Grid average of the squared spinor norm (Plancherel mass)."""
         return float(np.mean(np.sum(np.abs(self.values) ** 2, axis=1)))
 
+    @staticmethod
+    def slots(xs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Slot ``x mod n`` and sign ``(-1)^x`` of each position in a plain DFT.
+
+        The sign is ``e^{-ikx}`` at the first grid point, ``k = -pi``.
+        """
+        return xs % n, np.where(xs % 2 == 0, 1.0, -1.0)
+
 
 def _wavenumber_grid(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
 def fourier_transform(state: StateVector, n_grid: int) -> FourierState:
-    """Forward transform ``sum_x e^{-ikx} psi(x)`` sampled on ``n_grid`` points."""
-    ks = _wavenumber_grid(n_grid)
-    phases = np.exp(-1j * np.outer(ks, state.positions))
-    return FourierState(grid=ks, values=phases @ state.amps)
+    """Forward transform ``sum_x e^{-ikx} psi(x)`` sampled on ``n_grid`` points.
+
+    One FFT; on a grid smaller than the window, positions sharing a slot alias.
+    """
+    index, sign = FourierState.slots(state.positions, n_grid)
+    folded = np.zeros((n_grid, 2), dtype=np.complex128)
+    np.add.at(folded, index, sign[:, None] * state.amps)
+    return FourierState(grid=_wavenumber_grid(n_grid), values=np.fft.fft(folded, axis=0))
 
 
 def spectral_evolve(
@@ -157,36 +169,18 @@ def spectral_evolve(
 ) -> StateVector:
     """Evolve in momentum space and inverse-DFT back to positions.
 
-    The transformed state advances by a pointwise 2x2 multiplication per
-    step; on a grid of ``n_grid >= 2*t_final + 2`` points the inverse
-    DFT recovers the position amplitudes exactly (to roundoff), making
-    this an independent check of the position-space stepping.
+    The transformed state is the closed-form :class:`Propagator` state at
+    ``t_final``; on a grid of ``n_grid >= 2*t_final + 2`` points (default
+    ``2*t_final + 2``) the inverse DFT recovers the position amplitudes
+    exactly (to roundoff), making this an independent check of the
+    position-space stepping.
     """
     if t_final < 0:
         raise ValueError(f"t_final must be non-negative, got {t_final}")
     n = 2 * t_final + 2 if n_grid is None else n_grid
-    if n < 2 * t_final + 2:
-        raise ValueError(
-            f"grid too small: n_grid={n} < 2*t_final+2 = {2 * t_final + 2}"
-        )
-    ks = _wavenumber_grid(n)
-    eik = np.exp(1j * ks)
-    emk = np.conj(eik)
-    g0 = np.full(n, params.alpha, dtype=np.complex128)
-    g1 = np.full(n, params.beta, dtype=np.complex128)
-    for t in range(t_final):
-        if schedule.swaps_at(t, params.tau):
-            a, b = params.c1, params.s1
-        else:
-            a, b = params.c, params.s
-        g0, g1 = eik * (a * g0 + b * g1), emk * (b * g0 - a * g1)
-    pos0 = np.fft.ifft(g0)
-    pos1 = np.fft.ifft(g1)
-    xs = np.arange(-t_final, t_final + 1)
-    signs = np.where(xs % 2 == 0, 1.0, -1.0)  # e^{-i pi x} for the grid offset
-    amps = np.empty((2 * t_final + 1, 2), dtype=np.complex128)
-    amps[:, 0] = signs * pos0[xs % n]
-    amps[:, 1] = signs * pos1[xs % n]
+    state = Propagator(params, n).state(schedule, t_final, params.tau)
+    index, sign = FourierState.slots(np.arange(-t_final, t_final + 1), n)
+    amps = sign[:, None] * np.fft.ifft(state.values, axis=0)[index]
     return StateVector(time=t_final, offset=-t_final, amps=amps)
 
 
@@ -205,16 +199,15 @@ class Propagator:
     shared by every :meth:`state` call, which is what makes a sweep over
     many times cheap.
 
-    The grid has ``2*t_max + 2`` points, so it holds every time up to
-    ``t_max`` exactly.
+    The grid has ``n_grid`` points, so it holds every time ``t`` with
+    ``2*t + 2 <= n_grid`` exactly.
     """
 
-    def __init__(self, params: WalkParams, t_max: int) -> None:
-        if t_max < 0:
-            raise ValueError(f"t_max must be non-negative, got {t_max}")
+    def __init__(self, params: WalkParams, n_grid: int) -> None:
+        if n_grid < 2:
+            raise ValueError(f"the grid needs at least 2 points, got {n_grid}")
         self.params = params
-        self.t_max = t_max
-        self.grid = _wavenumber_grid(2 * t_max + 2)
+        self.grid = _wavenumber_grid(n_grid)
         self.grid.flags.writeable = False
         self._eik = np.exp(1j * self.grid)
         self._emk = np.conj(self._eik)
@@ -245,13 +238,14 @@ class Propagator:
         """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
 
         The values are ``sum_x e^{-ikx} psi(x)`` for the state that
-        :func:`spectral_evolve` steps to; the inverse DFT recovers
+        :func:`qwalk.dynamics.evolve` steps to; the inverse DFT recovers
         ``psi`` exactly (to roundoff).
         """
-        if not 0 <= t_final <= self.t_max:
-            raise ValueError(f"t_final={t_final} is outside 0..{self.t_max} of this grid")
         p = self.params
         n = self.grid.shape[0]
+        if not 0 <= t_final <= (n - 2) // 2:
+            raise ValueError(f"t_final={t_final} is outside 0..{(n - 2) // 2} "
+                             f"of a {n}-point grid (2*t_final+2 <= {n})")
         g0 = np.full(n, p.alpha, dtype=np.complex128)
         g1 = np.full(n, p.beta, dtype=np.complex128)
         done = 0

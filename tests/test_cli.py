@@ -111,6 +111,9 @@ def test_simulate_times_writes_one_file_each(tmp_path):
     for t in (2, 4):
         _, rows = read_table(tmp_path / f"dist_t{t}.csv")
         assert len(rows) == 2 * t + 1
+        single = tmp_path / f"single_t{t}.csv"
+        assert main(["simulate", *WALK, "--t", str(t), "--out", str(single)]) == 0
+        assert filecmp.cmp(tmp_path / f"dist_t{t}.csv", single, shallow=False)
 
 
 def test_simulate_rejects_negative_times(capsys):
@@ -118,16 +121,32 @@ def test_simulate_rejects_negative_times(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-def test_time_cap_env_respected(monkeypatch, capsys):
+def test_time_cap_env_respected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QWALK_MAX_T", "10")
     assert main(["simulate", *WALK, "--t", "20"]) == 1
     assert "cap" in capsys.readouterr().err
     assert main(["simulate", *WALK, "--t", "10"]) == 0
+    # every time is checked before the first file is written
+    out = tmp_path / "dist.csv"
+    assert main(["simulate", *WALK, "--times", "2,20", "--out", str(out)]) == 1
+    assert "cap" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_excluded_angle_exits_1(capsys):
     assert main(["simulate", "--theta", "0", "--theta1", "0", "--t", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("walk", [
+    ["--theta", "nan", "--theta1", "0"],
+    ["--theta", "inf", "--theta1", "0"],
+    ["--theta", "0.5", "--theta1", "nan"],
+    ["--theta", "0.5", "--theta1", "0", "--alpha=nan,0", "--beta=0,0"],
+])
+def test_non_finite_walk_exits_1(walk, capsys):
+    assert main(["limits", *walk, "--parity", "odd", "--xmax", "1"]) == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_missing_angles_exit_1(capsys):
@@ -374,6 +393,16 @@ def test_compare_report_schema(tmp_path, example_params):
 def test_compare_rejects_mismatched_time(capsys):
     assert main(["compare", *WALK, "--tau", "10", "--t", "20"]) == 1
     assert "2*tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", [["usual"], ["multi", "--swap-steps", "3"]])
+def test_limit_law_commands_need_half_time(schedule, capsys):
+    flags = [*WALK, "--schedule", *schedule]
+    assert main(["compare", *flags, "--tau", "10", "--t", "21"]) == 1
+    assert "half-time" in capsys.readouterr().err
+    assert main(["trace", *flags, "--observable", "ks", "--taus", "20"]) == 1
+    assert "half-time" in capsys.readouterr().err
+    assert main(["trace", *flags, "--observable", "mass", "--x", "1", "--taus", "2"]) == 0
 
 
 def test_compare_csv_format_rejected(capsys):

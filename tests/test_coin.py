@@ -65,6 +65,14 @@ def test_excluded_angles_rejected(theta):
         make_params(theta)
 
 
+@pytest.mark.parametrize("field", ["theta", "theta1", "alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(field, value):
+    args = {"theta": 0.7, "theta1": 0.0, "tau": 0, "alpha": 1.0, "beta": 0.0j}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        WalkParams(**{**args, field: value})
+
+
 def test_excluded_angle_tolerance_is_adjustable():
     make_params(0.05)
     with pytest.raises(ExcludedAngleError):

@@ -129,12 +129,13 @@ def test_evolve_time_zero_returns_initial_state(example_params):
                           initial_state(example_params).amps)
 
 
-def test_evolve_rejects_bad_times(example_params):
+def test_evolve_rejects_bad_times(example_params, monkeypatch):
     with pytest.raises(ValueError):
         evolve(example_params, Schedule.usual(), -1)
+    monkeypatch.setenv("QWALK_MAX_T", "100")
     with pytest.raises(ValueError):
-        evolve(example_params, Schedule.usual(), 101, max_t=100)
-    evolve(example_params, Schedule.usual(), 100, max_t=100)
+        evolve(example_params, Schedule.usual(), 101)
+    evolve(example_params, Schedule.usual(), 100)
 
 
 def test_time_cap_env_override(example_params, monkeypatch):

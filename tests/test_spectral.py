@@ -90,6 +90,20 @@ def test_spectral_pair_vectors_read_only(example_params):
         pair.v1[0] = 1.0
 
 
+def test_fourier_transform_matches_direct_sum(example_params):
+    # t + 3 < 2t + 1 points: positions alias onto shared slots of the grid
+    p = dataclasses.replace(example_params, tau=6)
+    for t in (7, 30):
+        state = evolve(p, Schedule.half_time(), t)
+        for n in (2 * t + 2, 2 * t + 9, t + 3):
+            ks = -np.pi + 2.0 * np.pi * np.arange(n) / n
+            direct = np.array([sum(np.exp(-1j * k * x) * state.amplitude(x)
+                                   for x in range(-t, t + 1)) for k in ks])
+            transformed = fourier_transform(state, n)
+            assert np.allclose(transformed.grid, ks, rtol=0, atol=1e-15)
+            assert float(np.max(np.abs(transformed.values - direct))) < 1e-12
+
+
 def test_plancherel_identity(example_params):
     p = dataclasses.replace(example_params, tau=6)
     for t in (0, 7, 30):
@@ -123,7 +137,7 @@ def test_cross_oracle_random_params_both_schedules():
     for i, params in enumerate(sample_params(seed=33, n=10)):
         t = 20 * (i + 1)
         params = dataclasses.replace(params, tau=t // 3)
-        for schedule in (Schedule.usual(), Schedule.half_time()):
+        for schedule in SCHEDULES:
             direct = evolve(params, schedule, t)
             fourier = spectral_evolve(params, schedule, t)
             assert float(np.max(np.abs(direct.amps - fourier.amps))) < 1e-10
@@ -139,9 +153,12 @@ def test_spectral_evolve_rejects_small_grid(example_params):
 
 def test_oversized_grid_changes_nothing(example_params):
     p = dataclasses.replace(example_params, tau=3)
-    exact = spectral_evolve(p, Schedule.half_time(), 8)
-    larger = spectral_evolve(p, Schedule.half_time(), 8, n_grid=57)
-    assert np.allclose(exact.amps, larger.amps, atol=1e-13)
+    for schedule in SCHEDULES:
+        direct = evolve(p, schedule, 8).amps
+        exact = spectral_evolve(p, schedule, 8)
+        larger = spectral_evolve(p, schedule, 8, n_grid=57)
+        assert np.allclose(exact.amps, larger.amps, atol=1e-13)
+        assert float(np.max(np.abs(larger.amps - direct))) < 1e-13
 
 
 def test_wrong_parity_amplitude_is_zero(example_params):
@@ -207,7 +224,7 @@ def test_propagate_matches_evolve(schedule):
                 direct = evolve(p, schedule, t).amps
                 # the grid of t and the larger grid of a longer sweep
                 for t_max in (t, t + 5):
-                    got = positions_of(Propagator(p, t_max).state(schedule, t, tau), t)
+                    got = positions_of(Propagator(p, 2 * t_max + 2).state(schedule, t, tau), t)
                     assert float(np.max(np.abs(got - direct))) < 1e-12
 
 
@@ -217,21 +234,21 @@ def test_propagate_at_edge_angles(theta):
         p = WalkParams(theta=theta, theta1=0.9, tau=150, alpha=0.6, beta=0.8j)
         for t in (301, 302):
             direct = evolve(p, schedule, t).amps
-            got = positions_of(Propagator(p, t).state(schedule, t, p.tau), t)
+            got = positions_of(Propagator(p, 2 * t + 2).state(schedule, t, p.tau), t)
             assert float(np.max(np.abs(got - direct))) <= 1e-12
 
 
 def test_propagate_time_zero_and_norm(example_params):
-    state = Propagator(example_params, 3).state(Schedule.half_time(), 0, 2)
+    state = Propagator(example_params, 2 * 3 + 2).state(Schedule.half_time(), 0, 2)
     assert np.array_equal(state.values, np.tile(example_params.spinor, (8, 1)))
-    state = Propagator(example_params, 900).state(Schedule.half_time(), 900, 40)
+    state = Propagator(example_params, 2 * 900 + 2).state(Schedule.half_time(), 900, 40)
     assert abs(state.norm_sq() - 1.0) < 1e-12
 
 
 def test_propagator_grid_validation(example_params):
     with pytest.raises(ValueError):
-        Propagator(example_params, -1)
-    propagator = Propagator(example_params, 10)
+        Propagator(example_params, 2 * -1 + 2)
+    propagator = Propagator(example_params, 2 * 10 + 2)
     with pytest.raises(ValueError):
         propagator.state(Schedule.usual(), 11, 0)
     with pytest.raises(ValueError):
