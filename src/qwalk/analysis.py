@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .coin import Schedule, WalkParams
-from .dynamics import Distribution, check_time, distribution, evolve
+from .coin import Schedule, WalkParams, parity_offset
+from .dynamics import Distribution, check_time
 from .limits import LimitDensity
 from .spectral import FourierState, Propagator
 
@@ -33,9 +33,6 @@ __all__ = [
     "limit_moment",
     "localized_mass",
 ]
-
-_PARITY_STEP = {"odd": 1, "even": 2}
-
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
@@ -73,12 +70,11 @@ def tau_sweep(
         For an unknown parity, a negative tau, or a largest ``t`` that
         :func:`qwalk.dynamics.check_time` rejects.
     """
-    if parity not in _PARITY_STEP:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    offset = parity_offset(parity)
     taus = [int(tau) for tau in taus]
     if any(tau < 0 for tau in taus):
         raise ValueError(f"taus must be non-negative, got {min(taus)}")
-    times = [2 * tau + _PARITY_STEP[parity] for tau in taus]
+    times = [2 * tau + offset for tau in taus]
     t_max = max(times, default=0)
     check_time(t_max)
     propagator = Propagator(params, 2 * t_max + 2)
@@ -129,8 +125,11 @@ def mass_trace(
     )
 
 
-def rescaled_cdf_distance(params: WalkParams, t: int) -> float:
+def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     """Kolmogorov distance between the law of ``X_t/t`` and its weak limit.
+
+    ``dist`` is the half-time walk of ``params`` at ``t = 2*tau + 1`` or
+    ``2*tau + 2``; only its time is checked against ``params.tau``.
 
     The limit law has an atom at 0, and the walk's localized counterpart
     is mass at fixed positions on *both* sides of the origin; at the
@@ -142,12 +141,12 @@ def rescaled_cdf_distance(params: WalkParams, t: int) -> float:
     between the remaining jump points, so evaluating left and right
     limits there gives the exact supremum.
     """
+    t = dist.time
     if t not in (2 * params.tau + 1, 2 * params.tau + 2):
         raise ValueError(
             f"t must be 2*tau+1 or 2*tau+2 for tau={params.tau}, got {t}"
         )
-    state = evolve(params, Schedule.half_time(), t)
-    xs, ps = distribution(state).as_arrays()
+    xs, ps = dist.as_arrays()
     inside = np.abs(xs) <= t ** 0.5
     points = np.append(xs[~inside] / t, 0.0)
     masses = np.append(ps[~inside], np.sum(ps[inside]))

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ from .analysis import (
     rescaled_cdf_distance,
     tau_sweep,
 )
-from .coin import Schedule, ScheduleKind, WalkParams
+from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import StateVector, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
 from .spectral import eigensystem, spectral_evolve
@@ -160,7 +161,7 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     theta1 = pick(args.theta1, "theta1")
     if theta is None or theta1 is None:
         raise ValueError("theta and theta1 are required (flags or config)")
-    tau = int(pick(getattr(args, "tau", None), "tau", 0))
+    tau = pick(getattr(args, "tau", None), "tau", 0)
 
     if args.preset is not None and (args.alpha is not None or args.beta is not None):
         raise ValueError("--preset and --alpha/--beta are mutually exclusive")
@@ -196,18 +197,16 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     return params, schedule
 
 
+def _columns(keys: Sequence[str], *columns: np.ndarray) -> list[dict]:
+    """Rows of Python numbers, one per entry of the equal-length ``columns``."""
+    return [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
+
+
 def _state_rows(state: StateVector) -> list[dict]:
-    dist = distribution(state)
-    rows = []
-    for i, x in enumerate(state.positions):
-        a0, a1 = state.amps[i]
-        rows.append({
-            "x": int(x),
-            "prob": dist.probs[int(x)],
-            "amp0_re": float(a0.real), "amp0_im": float(a0.imag),
-            "amp1_re": float(a1.real), "amp1_im": float(a1.imag),
-        })
-    return rows
+    xs, ps = distribution(state).as_arrays()
+    a = state.amps
+    return _columns(("x", "prob", "amp0_re", "amp0_im", "amp1_re", "amp1_im"),
+                    xs, ps, a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag)
 
 
 def _require_half_time(schedule: Schedule, what: str) -> None:
@@ -219,10 +218,8 @@ def _require_half_time(schedule: Schedule, what: str) -> None:
 def _timed_path(path: str | None, t: int) -> str | None:
     if path is None:
         return None
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}_t{t}.{ext}"
-    return f"{path}_t{t}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_t{t}{ext}"
 
 
 def _cmd_simulate(args) -> int:
@@ -254,15 +251,11 @@ def _cmd_eigen(args) -> int:
     params = WalkParams(theta=args.theta, theta1=0.0, tau=0,
                         alpha=1.0 + 0.0j, beta=0.0j)
     ks = -np.pi + 2.0 * np.pi * np.arange(args.k_samples) / args.k_samples
-    rows = []
-    for k in ks:
-        pair = eigensystem(params, float(k))
-        rows.append({
-            "k": float(k),
-            "re_l1": pair.lambda1.real, "im_l1": pair.lambda1.imag,
-            "re_l2": pair.lambda2.real, "im_l2": pair.lambda2.imag,
-        })
-    emit(rows, args.format, args.out)
+    pair = eigensystem(params, ks)
+    l1, l2 = pair.lambda1, pair.lambda2
+    del pair  # frees the eigenvectors before the rows are built
+    emit(_columns(("k", "re_l1", "im_l1", "re_l2", "im_l2"),
+                  ks, l1.real, l1.imag, l2.real, l2.imag), args.format, args.out)
     return 0
 
 
@@ -277,14 +270,18 @@ def _cmd_limits(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    params, _ = _resolve_walk(args)
+def _density_table(params: WalkParams, points: int):
+    """The weak-limit density at ``points`` interior points of its support."""
     dens = LimitDensity.from_params(params)
     lo, hi = dens.support
-    xs = np.linspace(lo, hi, args.points + 2)[1:-1]
-    fs = dens.density(xs)
-    rows = [{"x": float(x), "f_ac": float(f)} for x, f in zip(xs, fs)]
-    emit(rows, args.format, args.out, meta={"delta_mass": dens.delta})
+    xs = np.linspace(lo, hi, points + 2)[1:-1]
+    return _columns(("x", "f_ac"), xs, dens.density(xs)), {"delta_mass": dens.delta}
+
+
+def _cmd_density(args) -> int:
+    params, _ = _resolve_walk(args)
+    rows, meta = _density_table(params, args.points)
+    emit(rows, args.format, args.out, meta=meta)
     return 0
 
 
@@ -294,13 +291,14 @@ def _cmd_trace(args) -> int:
         raise ValueError("--taus must not be empty")
     if args.observable == "mass" and args.x is None:
         raise ValueError("--x is required for the mass observable")
-    offset = 1 if args.parity == "odd" else 2
+    offset = parity_offset(args.parity)
     if args.observable == "ks":
         _require_half_time(schedule, "trace --observable ks")
-        values = [
-            rescaled_cdf_distance(dataclasses.replace(params, tau=tau), 2 * tau + offset)
-            for tau in args.taus
-        ]
+        values = []
+        for tau in args.taus:
+            walk = dataclasses.replace(params, tau=tau)
+            dist = distribution(evolve(walk, schedule, 2 * tau + offset))
+            values.append(rescaled_cdf_distance(walk, dist))
     else:
         states = tau_sweep(params, schedule, args.parity, args.taus)
         if args.observable == "mass":
@@ -321,7 +319,7 @@ def _cmd_compare(args) -> int:
     _require_half_time(schedule, "compare")
     dist = distribution(evolve(params, schedule, args.t))
     report = {
-        "ks_distance": rescaled_cdf_distance(params, args.t),
+        "ks_distance": rescaled_cdf_distance(params, dist),
         "delta_mass_sim": localized_mass(dist),
         "delta_mass_theory": delta_mass(params),
         "moments": [
@@ -341,10 +339,8 @@ def _figure_params(init: str, theta1: float, tau: int) -> WalkParams:
 
 def _fig_distribution(init: str, theta1: float, tau: int,
                       schedule: Schedule, t: int):
-    params = _figure_params(init, theta1, tau)
-    dist = distribution(evolve(params, schedule, t))
-    xs, ps = dist.as_arrays()
-    return [{"x": int(x), "prob": float(p)} for x, p in zip(xs, ps)], None
+    dist = distribution(evolve(_figure_params(init, theta1, tau), schedule, t))
+    return _columns(("x", "prob"), *dist.as_arrays()), None
 
 
 def _fig_spacetime(init: str, theta1: float, tau: int,
@@ -353,8 +349,7 @@ def _fig_spacetime(init: str, theta1: float, tau: int,
     rows = []
     for state in snapshots(params, schedule, range(t_max + 1)):
         xs, ps = distribution(state).as_arrays()
-        rows.extend({"t": state.time, "x": int(x), "prob": float(p)}
-                    for x, p in zip(xs, ps))
+        rows.extend(_columns(("t", "x", "prob"), np.full_like(xs, state.time), xs, ps))
     return rows, None
 
 
@@ -371,13 +366,7 @@ def _fig_mass_trace(positions: Sequence[int], parity: str, tau_max: int = 250):
 
 
 def _fig_density(init: str, points: int = 2001):
-    params = _figure_params(init, 0.0, 0)
-    dens = LimitDensity.from_params(params)
-    lo, hi = dens.support
-    xs = np.linspace(lo, hi, points + 2)[1:-1]
-    fs = dens.density(xs)
-    rows = [{"x": float(x), "f_ac": float(f)} for x, f in zip(xs, fs)]
-    return rows, {"delta_mass": dens.delta}
+    return _density_table(_figure_params(init, 0.0, 0), points)
 
 
 _FIGURES: dict[str, Callable] = {

@@ -32,6 +32,7 @@ __all__ = [
     "ScheduleKind",
     "build_coins",
     "fourier_coin",
+    "parity_offset",
     "shift_matrix",
 ]
 
@@ -254,3 +255,15 @@ class Schedule:
         if self.kind is ScheduleKind.HALF_TIME:
             return [tau] if tau < t else []
         return sorted(step for step in self.steps if step < t)
+
+
+def parity_offset(parity: str) -> int:
+    """Measurement time ``t = 2*tau + offset`` of a parity track: 1 odd, 2 even.
+
+    The walk at time ``t`` holds mass only where ``x % 2 == offset % 2``.
+    """
+    if parity == "odd":
+        return 1
+    if parity == "even":
+        return 2
+    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -91,21 +93,35 @@ class StateVector:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Exact position distribution at a fixed time."""
+    """Exact position distribution at a fixed time.
+
+    ``values[i]`` is ``P(X_t = i - time)`` over the window ``-time..time``;
+    the array is read-only.
+    """
 
     time: int
-    probs: dict[int, float]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.values.shape != (2 * self.time + 1,):
+            raise ValueError(f"values shape {self.values.shape} does not match "
+                             f"window [-{self.time}, {self.time}]")
+        self.values.flags.writeable = False
+
+    @cached_property
+    def probs(self) -> Mapping[int, float]:
+        """Read-only map ``x -> P(X_t = x)``, built on first use."""
+        return MappingProxyType(dict(zip(range(-self.time, self.time + 1),
+                                         self.values.tolist())))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (sorted) and probabilities as parallel arrays."""
-        xs = np.array(sorted(self.probs), dtype=np.int64)
-        ps = np.array([self.probs[int(x)] for x in xs])
-        return xs, ps
+        """Positions ``-t..t`` and probabilities as parallel arrays."""
+        return np.arange(-self.time, self.time + 1), self.values
 
     def total(self) -> float:
-        return float(sum(self.probs.values()))
+        return float(np.sum(self.values))
 
 
 def initial_state(params: WalkParams) -> StateVector:
@@ -179,17 +195,15 @@ def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:
     return next(snapshots(params, schedule, (t_final,)))
 
 
-def _clamp_probability(p: float) -> float:
-    if p < 0.0:
-        if p < NEGATIVE_PROB_FLOOR:
-            raise ArithmeticError(f"probability {p} below the rounding floor")
-        return 0.0
-    return p
+def _clamp_probability(p):
+    """Zero for rounding-level negatives, elementwise; ``p`` otherwise."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < NEGATIVE_PROB_FLOOR):
+        raise ArithmeticError(f"probability {np.min(p)} below the rounding floor")
+    return np.where(p < 0.0, 0.0, p)
 
 
 def distribution(state: StateVector) -> Distribution:
     """Squared amplitude norms over the whole window."""
     ps = np.sum(np.abs(state.amps) ** 2, axis=1)
-    xs = state.positions
-    probs = {int(x): _clamp_probability(float(p)) for x, p in zip(xs, ps)}
-    return Distribution(time=state.time, probs=probs)
+    return Distribution(time=state.time, values=_clamp_probability(ps))

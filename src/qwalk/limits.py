@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import WalkParams
+from .coin import WalkParams, parity_offset
 
 __all__ = [
     "LimitMass",
@@ -39,14 +39,6 @@ __all__ = [
 #: Fixed Gauss-Legendre rule; with the singularity-removing substitution
 #: the integrands are analytic, so 256 nodes reach ~1e-13 accuracy.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
-
-_PARITIES = ("odd", "even")
-
-
-def _check_parity(parity: str) -> None:
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-
 
 def _cross(alpha: complex, beta: complex) -> float:
     """The real combination alpha*conj(beta) + conj(alpha)*beta."""
@@ -100,12 +92,11 @@ def theorem1_limit(params: WalkParams, x: int, parity: str) -> float:
     parity carry no mass and return 0.  The value is nonnegative and,
     for ``theta1 == theta``, identically zero (no localization).
     """
-    _check_parity(parity)
     c, s = params.c, params.s
     alpha, beta = params.alpha, params.beta
     m = 1.0 - abs(s)
     g = _coupling(params)
-    if parity == "odd":
+    if parity_offset(parity) == 1:
         if x % 2 == 0:
             return 0.0
         if x == 1:
@@ -138,7 +129,6 @@ def limit_mass_total(params: WalkParams, parity: str) -> float:
     is a geometric series and the sum has a closed form.  The result
     equals :func:`delta_mass` for every parameter set.
     """
-    _check_parity(parity)
     m = 1.0 - abs(params.s)
     ratio = (m * m / (params.c * params.c)) ** 2
     tail = 1.0 / (1.0 - ratio)
@@ -146,7 +136,7 @@ def limit_mass_total(params: WalkParams, parity: str) -> float:
     def t(x: int) -> float:
         return theorem1_limit(params, x, parity)
 
-    if parity == "odd":
+    if parity_offset(parity) == 1:
         return t(1) + t(-1) + (t(3) + t(-3)) * tail
     return t(0) + t(2) + t(-2) + (t(4) + t(-4)) * tail
 
@@ -160,10 +150,10 @@ class LimitMass:
     value: float
 
     def __post_init__(self) -> None:
-        _check_parity(self.parity)
+        offset = parity_offset(self.parity)
         if self.value < 0.0:
             raise ValueError(f"point mass must be nonnegative, got {self.value}")
-        wrong = self.position % 2 != (1 if self.parity == "odd" else 0)
+        wrong = self.position % 2 != offset % 2
         if wrong and self.value != 0.0:
             raise ValueError(
                 f"x={self.position} has no mass on the {self.parity} track"

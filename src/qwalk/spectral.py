@@ -29,12 +29,11 @@ point masses of :func:`qwalk.limits.theorem1_limit`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import Schedule, WalkParams
+from .coin import Schedule, WalkParams, parity_offset
 from .dynamics import StateVector
 
 __all__ = [
@@ -54,25 +53,30 @@ BRANCH_RADICAND_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Eigenvalues and eigenvectors of the momentum-space coin at one k.
+    """Eigenvalues and eigenvectors of the momentum-space coin at each k.
 
-    The eigenvalues lie on the unit circle and satisfy
-    ``lambda1 * lambda2 == -1``; the eigenvectors are orthonormal.
+    ``lambda1`` and ``lambda2`` have the shape of ``k``; ``v1`` and ``v2``
+    add a last axis of length 2.  The eigenvalues lie on the unit circle
+    and satisfy ``lambda1 * lambda2 == -1``; at each ``k`` the
+    eigenvectors are orthonormal.  All arrays are read-only.
     """
 
-    k: float
-    lambda1: complex
-    lambda2: complex
+    k: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
 
     def __post_init__(self) -> None:
-        self.v1.flags.writeable = False
-        self.v2.flags.writeable = False
+        for name in ("k", "lambda1", "lambda2", "v1", "v2"):
+            value = np.asarray(getattr(self, name))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
-def _eigenvector(c: float, s: float, k: float, sign: float) -> np.ndarray:
-    """Unit eigenvector for the branch with eigenvalue ``sign*sqrt(A)+ic sin k``.
+def _eigenvector(c: float, s: float, cos_k: np.ndarray, sin_k: np.ndarray,
+                 r_a: np.ndarray, sign: float) -> np.ndarray:
+    """Unit eigenvectors for the branch with eigenvalue ``sign*rA + ic sin k``.
 
     Two algebraically equivalent co-factor forms exist,
 
@@ -84,39 +88,36 @@ def _eigenvector(c: float, s: float, k: float, sign: float) -> np.ndarray:
     ``(rA - c cos k)(rA + c cos k) = s**2`` and the better-conditioned
     form is selected per ``k``.
     """
-    rA = math.sqrt(1.0 - (c * math.sin(k)) ** 2)
-    proj = sign * c * math.cos(k)
-    if proj > 0:
-        big = rA + proj  # = W: radicand of this branch's normalizer
-        small = s * s / big
-        w, W = small, big
-    else:
-        big = rA - proj
-        small = s * s / big
-        w, W = big, small
-    phase = complex(math.cos(k), math.sin(k))
-    if W >= BRANCH_RADICAND_TOL:
-        v = np.array([s * phase, sign * w], dtype=np.complex128)
-    else:
-        v = np.array([sign * W * phase, s], dtype=np.complex128)
-    return v / np.linalg.norm(v)
+    proj = sign * c * cos_k
+    big = r_a + np.abs(proj)
+    small = s * s / big
+    # W is the radicand of this branch's normalizer, w its co-factor
+    w = np.where(proj > 0, small, big)
+    W = np.where(proj > 0, big, small)
+    phase = cos_k + 1j * sin_k
+    stable = W >= BRANCH_RADICAND_TOL
+    v = np.stack([np.where(stable, s * phase, sign * W * phase),
+                  np.where(stable, sign * w, s)], axis=-1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def eigensystem(params: WalkParams, k: float) -> SpectralPair:
+def eigensystem(params: WalkParams, k) -> SpectralPair:
     """Closed-form eigen-decomposition of the momentum-space coin.
 
-    The eigenvalues are ``+-sqrt(1 - c^2 sin^2 k) + i c sin k``; their
-    product is exactly -1.
+    ``k`` is a scalar or an array of wavenumbers.  The eigenvalues are
+    ``+-sqrt(1 - c^2 sin^2 k) + i c sin k``; their product is exactly -1.
     """
+    k = np.array(k, dtype=float)  # a copy: the pair's arrays are read-only
     c, s = params.c, params.s
-    rA = math.sqrt(1.0 - (c * math.sin(k)) ** 2)
-    imag = 1j * c * math.sin(k)
+    cos_k, sin_k = np.cos(k), np.sin(k)
+    x = c * sin_k
+    r_a = np.sqrt(1.0 - x * x)
     return SpectralPair(
-        k=float(k),
-        lambda1=rA + imag,
-        lambda2=-rA + imag,
-        v1=_eigenvector(c, s, k, +1.0),
-        v2=_eigenvector(c, s, k, -1.0),
+        k=k,
+        lambda1=r_a + 1j * x,
+        lambda2=-r_a + 1j * x,
+        v1=_eigenvector(c, s, cos_k, sin_k, r_a, +1.0),
+        v2=_eigenvector(c, s, cos_k, sin_k, r_a, -1.0),
     )
 
 
@@ -256,14 +257,6 @@ class Propagator:
         return FourierState(grid=self.grid, values=np.stack([g0, g1], axis=1))
 
 
-def _parity_index(parity: str) -> int:
-    if parity == "odd":
-        return 1
-    if parity == "even":
-        return 0
-    raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-
-
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
     """Large-time amplitude limit at position ``x``, up to a global phase.
 
@@ -273,17 +266,17 @@ def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
     dropped), so only its squared norm is meaningful; that squared norm
     equals the stationary point mass at ``x``.
     """
-    want_odd = _parity_index(parity)
+    offset = parity_offset(parity)
     c, s = params.c, params.s
     c1, s1 = params.c1, params.s1
     alpha, beta = params.alpha, params.beta
     g = c1 * s - s1 * c
     sa = abs(s)
     m = 1.0 - sa
-    if x % 2 != want_odd:
+    if x % 2 != offset % 2:
         return np.zeros(2, dtype=np.complex128)
     ix = (1j * m / abs(c)) ** abs(x)
-    if parity == "even":
+    if offset == 2:
         if x == 0:
             return g * sa * m / c**2 * np.array([-beta, alpha])
         i2 = (1j * m / abs(c)) ** 2

@@ -142,7 +142,8 @@ def test_criterion_7_weak_convergence():
     distances = []
     for t in (401, 1601, 4001):
         params = dataclasses.replace(SHOWCASE, tau=(t - 1) // 2)
-        distances.append(rescaled_cdf_distance(params, t))
+        dist = distribution(evolve(params, Schedule.half_time(), t))
+        distances.append(rescaled_cdf_distance(params, dist))
     elapsed = time.perf_counter() - start
     ok = (distances[0] > distances[1] > distances[2]
           and distances[2] < 0.05 and elapsed < 60.0)

@@ -112,24 +112,29 @@ def test_origin_mass_oscillates_but_cesaro_converges(example_params):
     assert abs(cesaro[2000] - CESARO_2000) < 1e-9
 
 
+def half_time_distance(params, t):
+    dist = distribution(evolve(params, Schedule.half_time(), t))
+    return rescaled_cdf_distance(params, dist)
+
+
 def test_distance_requires_matching_time(example_params):
     p = dataclasses.replace(example_params, tau=10)
     with pytest.raises(ValueError):
-        rescaled_cdf_distance(p, 20)
-    rescaled_cdf_distance(p, 21)
-    rescaled_cdf_distance(p, 22)
+        half_time_distance(p, 20)
+    half_time_distance(p, 21)
+    half_time_distance(p, 22)
 
 
 def test_distance_is_a_probability_bound():
     for params in sample_params(seed=51, n=5, tau=8):
         for t in (17, 18):
-            d = rescaled_cdf_distance(params, t)
+            d = half_time_distance(params, t)
             assert 0.0 <= d <= 1.0
 
 
 def test_distance_regression_and_decrease(example_params):
-    d401 = rescaled_cdf_distance(dataclasses.replace(example_params, tau=200), 401)
-    d1601 = rescaled_cdf_distance(dataclasses.replace(example_params, tau=800), 1601)
+    d401 = half_time_distance(dataclasses.replace(example_params, tau=200), 401)
+    d1601 = half_time_distance(dataclasses.replace(example_params, tau=800), 1601)
     assert abs(d401 - KS_401) < 1e-9
     assert abs(d1601 - KS_1601) < 1e-9
     assert d1601 < d401
@@ -137,7 +142,7 @@ def test_distance_regression_and_decrease(example_params):
 
 def test_distance_small_for_usual_walk(hadamard_params):
     p = dataclasses.replace(hadamard_params, tau=1000)
-    d = rescaled_cdf_distance(p, 2001)
+    d = half_time_distance(p, 2001)
     assert abs(d - USUAL_KS_2001) < 1e-9
     assert d < 0.02
 

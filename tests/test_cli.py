@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import qwalk.dynamics
 from qwalk import (
     Schedule,
     delta_mass,
@@ -116,6 +117,17 @@ def test_simulate_times_writes_one_file_each(tmp_path):
         assert filecmp.cmp(tmp_path / f"dist_t{t}.csv", single, shallow=False)
 
 
+@pytest.mark.parametrize("out, first", [("out.d/dist", "out.d/dist_t2"),
+                                        ("runs/.dist", "runs/.dist_t2"),
+                                        ("a.csv", "a_t2.csv")])
+def test_simulate_times_names_stay_in_out_directory(out, first, tmp_path):
+    (tmp_path / out).parent.mkdir(exist_ok=True)
+    assert main(["simulate", *WALK, "--times", "2,4", "--out", str(tmp_path / out)]) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("*") if p.is_file())
+    assert written == [first, first.replace("_t2", "_t4")]
+
+
 def test_simulate_rejects_negative_times(capsys):
     assert main(["simulate", *WALK, "--times", "2,-1"]) == 1
     assert "non-negative" in capsys.readouterr().err
@@ -166,10 +178,15 @@ def test_byte_identical_reruns(tmp_path):
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
     assert filecmp.cmp(a, b, shallow=False)
-    c, d = tmp_path / "c.csv", tmp_path / "d.csv"
-    assert main(["figures", "--paper-fig", "7a", "--out", str(c)]) == 0
-    assert main(["figures", "--paper-fig", "7a", "--out", str(d)]) == 0
-    assert filecmp.cmp(c, d, shallow=False)
+    for i, argv in enumerate((
+            ["figures", "--paper-fig", "7a"],
+            ["eigen", "--theta", THETA, "--k-samples", "300"],
+            ["compare", *WALK, "--tau", "10", "--t", "22"],
+            ["trace", *WALK, "--observable", "ks", "--taus", "4,9,2"])):
+        c, d = tmp_path / f"c{i}", tmp_path / f"d{i}"
+        assert main([*argv, "--out", str(c)]) == 0
+        assert main([*argv, "--out", str(d)]) == 0
+        assert filecmp.cmp(c, d, shallow=False)
 
 
 def test_preset_equals_explicit_spinor(tmp_path):
@@ -241,6 +258,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(lst), "--t", "2"]) == 1
     assert main(["simulate", "--config", str(tmp_path / "none.json"),
                  "--t", "2"]) == 1
+    for tau in (2.7, True, "3"):
+        cfg = tmp_path / "tau.json"
+        cfg.write_text(json.dumps({"theta": 0.3, "theta1": 0.9, "tau": tau}))
+        assert main(["simulate", "--config", str(cfg), "--t", "2"]) == 1
+        assert "tau must be an integer" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -324,7 +346,8 @@ def test_trace_observables_ks_and_moment(tmp_path, example_params):
                  "--parity", "odd", "--out", str(out)]) == 0
     _, rows = read_table(out)
     p = dataclasses.replace(example_params, tau=5)
-    assert rows[0]["value"] == rescaled_cdf_distance(p, 11)
+    dist = distribution(evolve(p, Schedule.half_time(), 11))
+    assert rows[0]["value"] == rescaled_cdf_distance(p, dist)
     assert main(["trace", *WALK, "--observable", "moment", "--r", "2",
                  "--taus", "5", "--parity", "even", "--out", str(out)]) == 0
     _, rows = read_table(out)
@@ -381,13 +404,27 @@ def test_compare_report_schema(tmp_path, example_params):
                            "delta_mass_theory", "moments"}
     p = dataclasses.replace(example_params, tau=10)
     dist = distribution(evolve(p, Schedule.half_time(), 21))
-    assert report["ks_distance"] == rescaled_cdf_distance(p, 21)
+    assert report["ks_distance"] == rescaled_cdf_distance(p, dist)
     assert report["delta_mass_sim"] == localized_mass(dist)
     assert report["delta_mass_theory"] == delta_mass(p)
     assert [m["r"] for m in report["moments"]] == [0, 1, 2]
     for entry in report["moments"]:
         assert entry["walk"] == moment(dist, entry["r"])
         assert entry["limit"] == limit_moment(p, entry["r"])
+
+
+def test_compare_evolves_once(monkeypatch):
+    # every position-space evolution runs one stepping loop, wherever it is called
+    loops = []
+    original = qwalk.dynamics.snapshots
+
+    def counting(*args):
+        loops.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qwalk.dynamics, "snapshots", counting)
+    assert main(["compare", *WALK, "--tau", "10", "--t", "21"]) == 0
+    assert len(loops) == 1
 
 
 def test_compare_rejects_mismatched_time(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_amplitudes, sample_params
-from qwalk import Schedule, StateVector, WalkParams, distribution, evolve, initial_state, step
+from qwalk import (Distribution, Schedule, StateVector, WalkParams, distribution, evolve,
+                   initial_state, step)
 from qwalk.dynamics import DEFAULT_MAX_T, max_time_cap
 
 
@@ -174,3 +175,22 @@ def test_negative_probability_guard():
     assert _clamp_probability(0.25) == 0.25
     with pytest.raises(ArithmeticError):
         _clamp_probability(-1e-14)
+    assert np.array_equal(_clamp_probability(np.array([0.5, -1e-16, 0.0])), [0.5, 0.0, 0.0])
+    with pytest.raises(ArithmeticError):
+        _clamp_probability(np.array([0.5, -1e-14, 0.25]))
+
+
+def test_distribution_window_and_read_only(example_params):
+    with pytest.raises(ValueError):
+        Distribution(time=2, values=np.zeros(4))
+    with pytest.raises(ValueError):
+        Distribution(time=1, values=np.zeros((3, 1)))
+    d = distribution(evolve(example_params, Schedule.half_time(), 5))
+    xs, ps = d.as_arrays()
+    assert xs.tolist() == list(range(-5, 6)) and ps is d.values
+    with pytest.raises(ValueError):
+        ps[0] = 1.0
+    with pytest.raises(TypeError):
+        d.probs[0] = 1.0
+    assert d.probs is d.probs
+    assert d.probs == dict(zip(xs.tolist(), ps.tolist()))

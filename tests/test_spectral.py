@@ -29,6 +29,10 @@ from qwalk import (
 EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
                math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
+#: k near +-pi/2 and +-pi drives one co-factor form of the eigenvectors
+#: towards 0/0.
+DELICATE_KS = [0.0, math.pi / 2, -math.pi / 2, math.pi - 1e-9,
+               math.pi / 2 + 1e-8, math.pi / 2 - 1e-8, -math.pi]
 
 
 def stepping_matrix(params, k):
@@ -60,12 +64,9 @@ def test_eigen_structure_on_dense_grid():
 
 
 def test_eigenvector_residuals_near_branch_boundaries():
-    # k near +-pi/2 and +-pi drives one co-factor form towards 0/0;
-    # the conditioning-based branch choice must keep residuals tiny.
-    delicate = [0.0, math.pi / 2, -math.pi / 2, math.pi - 1e-9,
-                math.pi / 2 + 1e-8, math.pi / 2 - 1e-8, -math.pi]
+    # the conditioning-based branch choice must keep residuals tiny
     for params in sample_params(seed=32, n=5):
-        for k in delicate + list(np.linspace(-math.pi, math.pi, 101)):
+        for k in DELICATE_KS + list(np.linspace(-math.pi, math.pi, 101)):
             pair = eigensystem(params, k)
             m = stepping_matrix(params, k)
             assert np.linalg.norm(m @ pair.v1 - pair.lambda1 * pair.v1) < 1e-12
@@ -88,6 +89,37 @@ def test_spectral_pair_vectors_read_only(example_params):
     pair = eigensystem(example_params, 0.3)
     with pytest.raises(ValueError):
         pair.v1[0] = 1.0
+
+
+def test_array_eigensystem_matches_scalar_calls():
+    ks = np.array(DELICATE_KS + list(np.linspace(-math.pi, math.pi, 101)))
+    edge = [WalkParams(theta=theta, theta1=0.3, tau=0, alpha=1.0, beta=0.0)
+            for theta in EDGE_THETAS]
+    for params in sample_params(seed=33, n=5) + edge:
+        pair = eigensystem(params, ks)
+        assert pair.lambda1.shape == pair.lambda2.shape == ks.shape
+        assert pair.v1.shape == pair.v2.shape == ks.shape + (2,)
+        for i, k in enumerate(ks):
+            one = eigensystem(params, k)
+            for name in ("k", "lambda1", "lambda2", "v1", "v2"):
+                assert np.array_equal(getattr(one, name), getattr(pair, name)[i])
+        grid = eigensystem(params, ks[:-3].reshape(15, 7))
+        assert grid.v2.shape == (15, 7, 2)
+        assert np.array_equal(grid.lambda2.ravel(), pair.lambda2[:-3])
+
+
+def test_eigensystem_shapes_and_read_only_arrays(example_params):
+    one = eigensystem(example_params, 0.3)
+    assert one.k.shape == one.lambda1.shape == one.lambda2.shape == ()
+    assert one.v1.shape == one.v2.shape == (2,)
+    ks = np.linspace(-1.0, 1.0, 5)
+    pair = eigensystem(example_params, ks)
+    assert ks.flags.writeable
+    ks[0] = 9.0
+    assert pair.k[0] == -1.0
+    for name in ("k", "lambda1", "lambda2", "v1", "v2"):
+        with pytest.raises(ValueError):
+            getattr(pair, name)[0] = 0.0
 
 
 def test_fourier_transform_matches_direct_sum(example_params):
