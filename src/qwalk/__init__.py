@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .limits import (
     LimitDensity,
-    LimitMass,
     delta_mass,
     limit_cdf,
     limit_mass_total,
@@ -67,7 +66,6 @@ __all__ = [
     "ExcludedAngleError",
     "FourierState",
     "LimitDensity",
-    "LimitMass",
     "NormalizationError",
     "Propagator",
     "Schedule",

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 from typing import Callable, Sequence
@@ -172,8 +173,12 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
             raise ValueError("--alpha and --beta must be given together")
         alpha, beta = args.alpha, args.beta
     elif "alpha_re" in cfg or "beta_re" in cfg:
-        alpha = complex(cfg.get("alpha_re", 0.0), cfg.get("alpha_im", 0.0))
-        beta = complex(cfg.get("beta_re", 0.0), cfg.get("beta_im", 0.0))
+        keys = ("alpha_re", "alpha_im", "beta_re", "beta_im")
+        parts = [cfg.get(key, 0.0) for key in keys]
+        for key, value in zip(keys, parts):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"config {key} must be a real number, got {value!r}")
+        alpha, beta = complex(*parts[:2]), complex(*parts[2:])
     else:
         alpha, beta = _SYMMETRIC
 
@@ -192,8 +197,7 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     if kind != "multi" and steps:
         raise ValueError("--swap-steps is only valid with --schedule multi")
 
-    params = WalkParams(theta=float(theta), theta1=float(theta1), tau=tau,
-                        alpha=alpha, beta=beta)
+    params = WalkParams(theta=theta, theta1=theta1, tau=tau, alpha=alpha, beta=beta)
     return params, schedule
 
 
@@ -261,11 +265,9 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_limits(args) -> int:
     params, _ = _resolve_walk(args)
-    rows = [
-        {"x": lm.position, "limit_mass": lm.value}
-        for lm in limit_masses(params, args.parity, args.xmax)
-    ]
-    emit(rows, args.format, args.out,
+    xs = np.arange(-args.xmax, args.xmax + 1)
+    masses = limit_masses(params, args.parity, args.xmax)
+    emit(_columns(("x", "limit_mass"), xs, masses), args.format, args.out,
          meta={"delta_mass": delta_mass(params)})
     return 0
 

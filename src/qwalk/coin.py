@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,9 +98,13 @@ class WalkParams:
             raise ValueError(f"tau must be an integer, got {self.tau!r}")
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        for name in ("theta", "theta1", "alpha", "beta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, kind in (("theta", numbers.Real), ("theta1", numbers.Real),
+                           ("alpha", numbers.Complex), ("beta", numbers.Complex)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be finite and {kind.__name__.lower()}, "
+                                 f"got {value!r}")
         if _distance_to_quarter_turn(float(self.theta)) < self.angle_tol:
             raise ExcludedAngleError(
                 f"theta={self.theta!r} is within {self.angle_tol} rad of an "
@@ -221,8 +226,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind is not ScheduleKind.MULTI and self.steps:
             raise ValueError("explicit step sets are only valid for MULTI schedules")
-        if any(t < 0 for t in self.steps):
-            raise ValueError("swap steps must be non-negative")
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                   and t >= 0 for t in self.steps):
+            raise ValueError(f"swap steps must be non-negative integers, "
+                             f"got {set(self.steps)}")
         object.__setattr__(self, "steps", frozenset(int(t) for t in self.steps))
 
     @classmethod
@@ -237,8 +244,12 @@ class Schedule:
 
     @classmethod
     def multi(cls, steps) -> "Schedule":
-        """Swap at every step in ``steps``."""
-        return cls(kind=ScheduleKind.MULTI, steps=frozenset(steps))
+        """Swap at every step in the collection ``steps``."""
+        try:
+            steps = frozenset(steps)
+        except TypeError:
+            raise ValueError(f"swap steps must be a collection, got {steps!r}") from None
+        return cls(kind=ScheduleKind.MULTI, steps=steps)
 
     def swaps_at(self, t: int, tau: int) -> bool:
         """True if the transition from time ``t`` uses ``(P1, Q1)``."""

@@ -10,10 +10,18 @@ atom ``Delta`` at the origin plus an absolutely continuous density on
 ``(-|c|, |c|)`` that reduces to the familiar arcsine-type law of the
 unswapped walk when ``theta1 == theta``.
 
-The point-mass formulas pass the possibly negative position straight
-into the ``K`` helpers (its sign flips the cross terms) and swap
-``(alpha, beta)`` for negative positions; both conventions were checked
-against direct simulation before being frozen here.
+Near ``theta = pi/2`` the difference ``1 - |s|`` cancels, so it is
+written as ``c**2 / (1 + |s|)`` throughout: each point mass is a sum of
+squares in ``p = 1/(1 + |s|)`` and ``q = |c| p < 1``, with no power of
+``c`` in a denominator.  Negative positions swap ``(alpha, beta)``.
+
+The density's quartic numerator ``a2 x^4 + a1 x^2 + a0`` has
+``a0 + a1 + a2 = 0`` identically, so it factors as
+``(1 - x^2)(a0 - a2 x^2)`` and the density has a single ``1 - x^2`` pole
+outside the support.  With ``x = |c| sin u`` every antiderivative is
+elementary (``u``, ``cos u``, ``atan2(|s| sin u, cos u)`` and
+``atan(|c| cos u / |s|)``): the distribution function and the moments
+are evaluated in closed form, with no quadrature.
 """
 
 from __future__ import annotations
@@ -22,11 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .coin import WalkParams, parity_offset
 
 __all__ = [
-    "LimitMass",
     "LimitDensity",
     "delta_mass",
     "theorem1_limit",
@@ -36,9 +44,10 @@ __all__ = [
     "limit_cdf",
 ]
 
-#: Fixed Gauss-Legendre rule; with the singularity-removing substitution
-#: the integrands are analytic, so 256 nodes reach ~1e-13 accuracy.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+#: Taylor coefficients of ``(z - atan z) / z**3`` in ``z**2``, highest first;
+#: eight terms reach roundoff for ``z < 0.1``.
+_ATAN_SERIES = [(-1) ** k / (2 * k + 3) for k in reversed(range(8))]
+
 
 def _cross(alpha: complex, beta: complex) -> float:
     """The real combination alpha*conj(beta) + conj(alpha)*beta."""
@@ -56,151 +65,103 @@ def delta_mass(params: WalkParams) -> float:
     return g * g / (1.0 + abs(params.s))
 
 
-def _k1(c: float, s: float, x: int, a: complex, b: complex) -> float:
-    m = 1.0 - abs(s)
-    sgn = math.copysign(1.0, x)
-    return (c * c * abs(a) ** 2 + 2.0 * s * s * m * abs(b) ** 2
-            + sgn * c * s * m * _cross(a, b))
-
-
-def _k2(c: float, s: float, x: int, a: complex, b: complex) -> float:
-    m = 1.0 - abs(s)
-    sgn = math.copysign(1.0, x)
-    return (c * c * s * abs(a) ** 2 + s * m * m * abs(b) ** 2
-            - sgn * c * abs(s) * m * _cross(a, b))
-
-
-def _k3(c: float, s: float, x: int, a: complex, b: complex) -> float:
-    m = 1.0 - abs(s)
-    sgn = math.copysign(1.0, x)
-    return (c * c * (1.0 - s * s * abs(s) * (2.0 - abs(s))) * abs(a) ** 2
-            + 2.0 * s * s * m ** 3 * abs(b) ** 2
-            + sgn * c * s * (1.0 + s * s) * m * m * _cross(a, b))
-
-
-def _k4(c: float, s: float, x: int, a: complex, b: complex) -> float:
-    sgn = math.copysign(1.0, x)
-    return (s * s * (abs(a) ** 2 - abs(b) ** 2)
-            - sgn * c * s * _cross(a, b) + abs(s))
-
-
-def theorem1_limit(params: WalkParams, x: int, parity: str) -> float:
-    """Stationary point mass at position ``x`` on one time-parity track.
+def theorem1_limit(params: WalkParams, x, parity: str):
+    """Stationary point masses at the integer position(s) ``x`` on one track.
 
     ``parity`` selects the subsequence: ``"odd"`` for measurement times
     ``2*tau + 1``, ``"even"`` for ``2*tau + 2``.  Positions of the wrong
-    parity carry no mass and return 0.  The value is nonnegative and,
-    for ``theta1 == theta``, identically zero (no localization).
+    parity carry no mass and give 0.  The values are nonnegative and,
+    for ``theta1 == theta``, identically zero (no localization).  A
+    scalar ``x`` gives a float, an array an array of its shape; both are
+    the same elementwise expression.
     """
+    offset = parity_offset(parity)
+    # a scalar runs as a 1-element array, through the same ufunc loops
+    xs = np.atleast_1d(x)
+    if xs.dtype.kind not in "iu":
+        raise ValueError(f"positions must be integers, got {x!r}")
     c, s = params.c, params.s
-    alpha, beta = params.alpha, params.beta
-    m = 1.0 - abs(s)
-    g = _coupling(params)
-    if parity_offset(parity) == 1:
-        if x % 2 == 0:
-            return 0.0
-        if x == 1:
-            return g * g * m * m / c ** 6 * _k1(c, s, 1, alpha, beta)
-        if x == -1:
-            return g * g * m * m / c ** 6 * _k1(c, s, -1, beta, alpha)
-        pref = 2.0 * g * g * s / (c ** 4 * m) * (m * m / (c * c)) ** abs(x)
-        if x > 0:
-            return pref * _k2(c, s, x, alpha, beta)
-        return pref * _k2(c, s, x, beta, alpha)
-    if x % 2 == 1:
-        return 0.0
-    if x == 0:
-        return g * g * s * s * m * m / c ** 4
-    if x == 2:
-        return g * g * m * m / c ** 8 * _k3(c, s, 2, alpha, beta)
-    if x == -2:
-        return g * g * m * m / c ** 8 * _k3(c, s, -2, beta, alpha)
-    pref = 2.0 * g * g * abs(s) / c ** 4 * (m * m / (c * c)) ** abs(x)
-    if x > 0:
-        return pref * _k4(c, s, x, alpha, beta)
-    return pref * _k4(c, s, x, beta, alpha)
+    sa = abs(s)
+    p = 1.0 / (1.0 + sa)
+    g2 = _coupling(params) ** 2
+    ax, sgn = np.abs(xs), np.sign(xs)
+    a = np.where(xs > 0, params.alpha, params.beta)
+    b = np.where(xs > 0, params.beta, params.alpha)
+    # |x| >= 3 on either track: one geometric law in q**2
+    far = (2.0 * g2 * s * s * p ** 3 * (abs(c) * p) ** (2 * ax - 4)
+           * np.abs(a - sgn * math.copysign(1.0, s) * c * p * b) ** 2)
+    if offset == 1:
+        near = g2 * p * p * (np.abs(a + sgn * c * s * p * b) ** 2 + s * s * np.abs(b) ** 2)
+        val = np.where(ax == 1, near, far)
+    else:
+        mixed = (1.0 + s * s) * a + 2.0 * sgn * s * c * p * b
+        near = 0.5 * g2 * p ** 3 * (np.abs(mixed) ** 2 + (c * (1.0 + sa) * np.abs(a)) ** 2)
+        val = np.where(ax == 0, g2 * s * s * p * p, np.where(ax == 2, near, far))
+    val = np.where(ax % 2 == offset % 2, val, 0.0)
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def limit_mass_total(params: WalkParams, parity: str) -> float:
     """Sum of the stationary point masses over all positions.
 
     Beyond the special rows near the origin the masses at ``x`` and
-    ``x + 2`` share a fixed ratio ``((1 - |s|)/c)**4 < 1``, so the tail
-    is a geometric series and the sum has a closed form.  The result
-    equals :func:`delta_mass` for every parameter set.
+    ``x + 2`` share the fixed ratio ``q**4 < 1``, so the tail is a
+    geometric series and the sum has a closed form, with
+    ``1 - q**2 = 2|s|/(1 + |s|)`` taken exactly.  The result equals
+    :func:`delta_mass` for every parameter set.
     """
-    m = 1.0 - abs(params.s)
-    ratio = (m * m / (params.c * params.c)) ** 2
-    tail = 1.0 / (1.0 - ratio)
-
-    def t(x: int) -> float:
-        return theorem1_limit(params, x, parity)
-
-    if parity_offset(parity) == 1:
-        return t(1) + t(-1) + (t(3) + t(-3)) * tail
-    return t(0) + t(2) + t(-2) + (t(4) + t(-4)) * tail
+    sa = abs(params.s)
+    q2 = (abs(params.c) / (1.0 + sa)) ** 2
+    tail = (1.0 + sa) / (2.0 * sa * (1.0 + q2))
+    xs = [1, -1, 3, -3] if parity_offset(parity) == 1 else [0, 2, -2, 4, -4]
+    t = theorem1_limit(params, np.array(xs), parity)
+    return float(np.sum(t[:-2]) + (t[-2] + t[-1]) * tail)
 
 
-@dataclass(frozen=True)
-class LimitMass:
-    """Stationary point mass at one position for one time parity."""
-
-    position: int
-    parity: str
-    value: float
-
-    def __post_init__(self) -> None:
-        offset = parity_offset(self.parity)
-        if self.value < 0.0:
-            raise ValueError(f"point mass must be nonnegative, got {self.value}")
-        wrong = self.position % 2 != offset % 2
-        if wrong and self.value != 0.0:
-            raise ValueError(
-                f"x={self.position} has no mass on the {self.parity} track"
-            )
-
-
-def limit_masses(params: WalkParams, parity: str, xmax: int) -> list[LimitMass]:
-    """Point masses for every position in ``[-xmax, xmax]``."""
+def limit_masses(params: WalkParams, parity: str, xmax: int) -> np.ndarray:
+    """Read-only point masses at the positions ``-xmax..xmax``, in order."""
     if xmax < 0:
         raise ValueError(f"xmax must be non-negative, got {xmax}")
-    return [
-        LimitMass(position=x, parity=parity,
-                  value=theorem1_limit(params, x, parity))
-        for x in range(-xmax, xmax + 1)
-    ]
+    masses = theorem1_limit(params, np.arange(-xmax, xmax + 1), parity)
+    masses.flags.writeable = False
+    return masses
+
+
+def _atan_excess(z: np.ndarray) -> np.ndarray:
+    """``z - atan(z)`` for ``z >= 0``, from its series where the difference cancels."""
+    z2 = z * z
+    return np.where(z < 0.1, z * z2 * np.polyval(_ATAN_SERIES, z2), z - np.arctan(z))
 
 
 @dataclass(frozen=True)
 class LimitDensity:
     """Weak limit of ``X_t/t``: atom at 0 plus a density on ``(-|c|, |c|)``.
 
-    ``a0``, ``a1``, ``a2`` and ``delta`` depend only on the two coin
-    angles; the initial spinor enters through the linear ``weight``
-    factor alone.  When ``theta1 == theta`` the rational correction is
-    identically 1 and ``delta == 0``, leaving the bare arcsine-type
-    density of the unswapped walk.
+    The density is ``|s| (1 - weight x)(a0 - a2 x^2) / (pi c^2 (1 - x^2)
+    sqrt(c^2 - x^2))`` with ``a0 = c^2`` and ``a2 = g^2`` for the coupling
+    ``g = c1*s - s1*c``.  ``a0``, ``a2`` and ``delta`` depend only on the
+    two coin angles; the initial spinor enters through the linear
+    ``weight`` factor alone.  When ``theta1 == theta``, ``a2 == 0`` and
+    ``delta == 0``, leaving the bare arcsine-type density of the
+    unswapped walk.
     """
 
     delta: float
     weight: float
     a0: float
-    a1: float
     a2: float
     c: float
     s: float
 
     @classmethod
     def from_params(cls, params: WalkParams) -> "LimitDensity":
-        g = _coupling(params)
         weight = (abs(params.alpha) ** 2 - abs(params.beta) ** 2
                   + _cross(params.alpha, params.beta) * params.s / params.c)
         return cls(
             delta=delta_mass(params),
             weight=weight,
             a0=params.c ** 2,
-            a1=2.0 * params.s1 * params.c * g - params.c1 ** 2,
-            a2=g * g,
+            a2=_coupling(params) ** 2,
             c=params.c,
             s=params.s,
         )
@@ -225,45 +186,75 @@ class LimitDensity:
         xi = xs[inside]
         konno = abs(self.s) / (np.pi * (1.0 - xi ** 2)
                                * np.sqrt(self.c ** 2 - xi ** 2))
-        bracket = 1.0 - self.weight * xi
-        rational = ((self.a2 * xi ** 4 + self.a1 * xi ** 2 + self.a0)
-                    / (self.c ** 2 * (1.0 - xi ** 2)))
-        out[inside] = konno * bracket * rational
+        rational = (self.a0 - self.a2 * xi ** 2) / self.a0
+        out[inside] = konno * (1.0 - self.weight * xi) * rational
         return float(out[0]) if np.ndim(x) == 0 else out
-
-    def _integrand_u(self, xv: np.ndarray) -> np.ndarray:
-        # density times the Jacobian of x = |c| sin(u); the inverse
-        # square root cancels against the Jacobian, leaving an analytic
-        # integrand on [-pi/2, pi/2].
-        return (abs(self.s) * (1.0 - self.weight * xv)
-                * (self.a2 * xv ** 4 + self.a1 * xv ** 2 + self.a0)
-                / (np.pi * self.c ** 2 * (1.0 - xv ** 2) ** 2))
 
     def ac_mass(self) -> float:
         """Integral of the density over its support; equals 1 - delta."""
-        u = 0.5 * np.pi * _GL_NODES
-        xv = abs(self.c) * np.sin(u)
-        return float(0.5 * np.pi * np.sum(_GL_WEIGHTS * self._integrand_u(xv)))
+        return self._even_moment(0)
 
     def cdf(self, x):
-        """Right-continuous distribution function (scalar or array)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        upper = np.arcsin(np.clip(xs / abs(self.c), -1.0, 1.0))
-        half = 0.5 * (upper + 0.5 * np.pi)
-        u = -0.5 * np.pi + half[:, None] * (_GL_NODES[None, :] + 1.0)
-        xv = abs(self.c) * np.sin(u)
-        ac = half * (self._integrand_u(xv) @ _GL_WEIGHTS)
+        """Right-continuous distribution function (scalar or array).
+
+        With ``x = |c| sin U`` the absolutely continuous part is
+
+            [phi + pi/2 - g^2 D / c^2 + weight ((1 - g^2) atan z
+             + g^2 (s/c)^2 (z - atan z))] / pi,
+
+        ``phi = atan2(|s| sin U, cos U)``, ``z = |c| cos U / |s|`` and
+        ``D = phi + pi/2 - |s| (U + pi/2)``.  ``cos U`` comes from a square
+        root, so every term vanishes exactly at ``U = -pi/2``; ``D``, which
+        cancels near ``theta = pi/2``, is taken as the angle between
+        ``e^{i phi}`` and ``e^{i U}`` plus ``(1 - |s|)(U + pi/2)``.
+        """
+        xs = np.asarray(x, dtype=float)
+        cabs, sa = abs(self.c), abs(self.s)
+        c2, g2 = self.a0, self.a2
+        xc = np.clip(xs, -cabs, cabs)
+        sin_u = xc / cabs
+        cos_u = np.sqrt((cabs - xc) * (cabs + xc)) / cabs
+        u = np.arctan2(sin_u, cos_u) + 0.5 * np.pi
+        phi = np.arctan2(sa * sin_u, cos_u) + 0.5 * np.pi
+        turn = np.arctan2(-c2 / (1.0 + sa) * sin_u * cos_u, cos_u ** 2 + sa * sin_u ** 2)
+        d_over_c2 = turn / c2 + u / (1.0 + sa)
+        z = cabs * cos_u / sa
+        odd = (1.0 - g2) * np.arctan(z) + g2 * (self.s / self.c) ** 2 * _atan_excess(z)
+        ac = (phi - g2 * d_over_c2 + self.weight * odd) / np.pi
         vals = ac + self.delta * (xs >= 0.0)
-        return float(vals[0]) if np.ndim(x) == 0 else vals
+        return float(vals) if vals.ndim == 0 else vals
+
+    def _even_moment(self, n: int) -> float:
+        """``integral of x^(2n) f(x) dx`` over the support, for the ac part.
+
+        In ``x = |c| sin u`` the density splits into a Wallis term and a
+        pole term, ``|s| c^(2n) w_n + (c^2 - g^2) m^n p R_(n+1)(|s|)`` with
+        ``w_n = (2n-1)!!/(2n)!!``, ``p = 1/(1 + |s|)`` and ``m = c^2 p``.
+        The pole integrals are ``int sin^(2k) u / (1 - c^2 sin^2 u) du =
+        pi p^k R_k(|s|)/|s|``, where ``R_1 = 1`` and ``R_(k+1)(t) =
+        [R_k(t) - w_k t (1 + t)^k] / (1 - t)``; that division is exact
+        and leaves positive coefficients, so no difference cancels.
+        """
+        sa, c2 = abs(self.s), self.a0
+        p = 1.0 / (1.0 + sa)
+        wallis, poly = 1.0, np.array([1.0])
+        for k in range(1, n + 1):
+            wallis *= (2 * k - 1) / (2 * k)
+            numerator = (np.append(poly, [0.0, 0.0])
+                         - wallis * np.append(0.0, P.polypow([1.0, 1.0], k)))
+            poly = np.cumsum(numerator)[:-1]
+        return (sa * c2 ** n * wallis
+                + (c2 - self.a2) * (c2 * p) ** n * p * float(P.polyval(sa, poly)))
 
     def moment(self, r: int) -> float:
-        """r-th moment of the full limit law; the atom contributes at r=0."""
+        """r-th moment of the full limit law; the atom contributes at r=0.
+
+        The odd part of the density is ``-weight x`` times the even part,
+        so moment ``2n - 1`` is ``-weight`` times moment ``2n``.
+        """
         if r < 0:
             raise ValueError(f"moment order must be non-negative, got {r}")
-        u = 0.5 * np.pi * _GL_NODES
-        xv = abs(self.c) * np.sin(u)
-        val = float(0.5 * np.pi
-                    * np.sum(_GL_WEIGHTS * xv ** r * self._integrand_u(xv)))
+        val = self._even_moment((r + 1) // 2) * (-self.weight) ** (r % 2)
         return val + (self.delta if r == 0 else 0.0)
 
 

@@ -29,6 +29,7 @@ point masses of :func:`qwalk.limits.theorem1_limit`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +265,10 @@ def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
     ``2*tau + 1`` and ``"even"`` for ``2*tau + 2``.  The returned spinor
     is the tau-independent representative (an alternating global sign is
     dropped), so only its squared norm is meaningful; that squared norm
-    equals the stationary point mass at ``x``.
+    equals the stationary point mass at ``x``.  ``1 - |s|`` is taken as
+    ``m = c^2 p`` with ``p = 1/(1 + |s|)``, and the geometric factor as
+    powers of ``q = |c| p``, so nothing cancels or divides by ``c`` near
+    ``theta = pi/2``.
     """
     offset = parity_offset(parity)
     c, s = params.c, params.s
@@ -272,42 +276,34 @@ def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
     alpha, beta = params.alpha, params.beta
     g = c1 * s - s1 * c
     sa = abs(s)
-    m = 1.0 - sa
+    p = 1.0 / (1.0 + sa)
+    q = abs(c) * p
+    m = c * c * p
     if x % 2 != offset % 2:
         return np.zeros(2, dtype=np.complex128)
-    ix = (1j * m / abs(c)) ** abs(x)
     if offset == 2:
         if x == 0:
-            return g * sa * m / c**2 * np.array([-beta, alpha])
-        i2 = (1j * m / abs(c)) ** 2
+            return g * sa * p * np.array([-beta, alpha])
         if x == 2:
-            return g / c**2 * np.array(
-                [i2 * (c * s * alpha - sa * m * beta), m * alpha - c * s * i2 * beta]
-            )
+            return g * np.array([-p * p * (c * s * alpha - sa * m * beta),
+                                 p * alpha + c * s * p * p * beta])
         if x == -2:
-            return g / c**2 * np.array(
-                [-c * s * i2 * alpha - m * beta, i2 * (sa * m * alpha + c * s * beta)]
-            )
+            return g * np.array([c * s * p * p * alpha - p * beta,
+                                 -p * p * (sa * m * alpha + c * s * beta)])
         if x >= 4:
-            spinor = [c * s * alpha - sa * (1 - sa) * beta,
-                      sa * (1 + sa) * alpha - c * s * beta]
+            spinor = [c * s * alpha - sa * m * beta, sa * (1 + sa) * alpha - c * s * beta]
         else:
-            spinor = [-c * s * alpha - sa * (1 + sa) * beta,
-                      sa * (1 - sa) * alpha + c * s * beta]
-        return g * ix / c**2 * np.array(spinor)
+            spinor = [-c * s * alpha - sa * (1 + sa) * beta, sa * m * alpha + c * s * beta]
+        return g * _I_POWERS[abs(x) % 4] * p * p * q ** (abs(x) - 2) * np.array(spinor)
     if x == 1:
-        return g * m / c**3 * np.array(
-            [c * s * alpha - sa * m * beta, -c * (c * alpha + s * beta)]
-        )
+        return g * p * np.array([s * alpha - sa * c * p * beta, -(c * alpha + s * beta)])
     if x == -1:
-        return g * m / c**3 * np.array(
-            [c * (s * alpha - c * beta), -sa * m * alpha - c * s * beta]
-        )
-    jx = 1j * g * ix / (c**2 * abs(c) * m)
+        return g * p * np.array([s * alpha - c * beta, -sa * c * p * alpha - s * beta])
+    sign_c = math.copysign(1.0, c)
     if x >= 3:
-        spinor = [m * (-(c**2) * s * alpha + c * sa * m * beta),
-                  -(c**2) * (c * sa * alpha - s * m * beta)]
+        spinor = [q * (sa * c * p * beta - s * alpha),
+                  sign_c * (s * c * p * beta - sa * alpha)]
     else:
-        spinor = [-(c**2) * (s * m * alpha + c * sa * beta),
-                  m * (c * sa * m * alpha + c**2 * s * beta)]
-    return jx * np.array(spinor)
+        spinor = [-sign_c * (s * c * p * alpha + sa * beta),
+                  q * (sa * c * p * alpha + s * beta)]
+    return g * _I_POWERS[(abs(x) + 1) % 4] * p * q ** (abs(x) - 2) * np.array(spinor)

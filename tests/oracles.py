@@ -7,9 +7,17 @@ oracle and the package is evidence against bugs in either route.
 
 import math
 
+import mpmath as mp
 import numpy as np
+from mpmath.calculus.quadrature import GaussLegendre
 
 from qwalk import WalkParams
+
+
+#: Angles within 1e-6..1e-8 of the excluded multiples of pi/2, where the
+#: closed forms in momentum space and in the limit laws are most delicate.
+EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
+               math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
 
 
 def sample_params(seed, n, tau=0, margin=0.1):
@@ -117,3 +125,54 @@ def origin_mass_even_trace(params, tau_max):
         pow1 *= lam1
         pow2 *= lam2
     return out
+
+
+def limit_law_reference(theta, theta1, alpha, beta, points=(), orders=(), dps=40):
+    """The Theorem 2 limit law of ``X_t/t`` in ``dps``-digit arithmetic.
+
+    Built from the angles themselves, not from ``cos(theta)`` rounded to a
+    float: near ``theta = 0`` the law is ill-conditioned in ``c``.  The
+    density is integrated in its unfactored form, with the quartic
+    numerator ``a2 x^4 + a1 x^2 + a0`` over ``(1 - x^2)^2``, in
+    ``x = |c| sin u``, where it is analytic.  A 48-node Gauss-Legendre rule
+    runs on each panel of ``[-pi/2, pi/2]``; the panels are split at the
+    requested points and graded by factors of 8 toward ``u = +-pi/2``,
+    where the ``1 - x^2`` peak of width ``|s|/|c|`` sits.  Returns a dict
+    of floats: ``delta``, ``cdf`` at ``points``, ``total`` (atom plus
+    integral) and ``moments`` of the given ``orders``.
+    """
+    with mp.workdps(dps):
+        c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+        c1, s1 = mp.cos(mp.mpf(theta1)), mp.sin(mp.mpf(theta1))
+        a, b = mp.mpc(alpha), mp.mpc(beta)
+        g = c1 * s - s1 * c
+        a0, a1, a2 = c ** 2, 2 * s1 * c * g - c1 ** 2, g ** 2
+        w = abs(a) ** 2 - abs(b) ** 2 + 2 * mp.re(a * mp.conj(b)) * s / c
+        cabs, sabs = abs(c), abs(s)
+        delta = a2 / (1 + sabs)
+
+        half = mp.pi / 2
+        edges = {-half, mp.mpf(0), half}
+        step = sabs / cabs
+        while step < 1:
+            edges |= {-half + step, half - step}
+            step *= 8
+        uq = [mp.asin(min(1, max(-1, mp.mpf(x) / cabs))) for x in points]
+        edges = sorted(edges | set(uq))
+        nodes = GaussLegendre(mp.mp).calc_nodes(5, mp.mp.prec)
+        below = {edges[0]: mp.mpf(0)}
+        moments = [mp.mpf(0)] * len(orders)
+        for lo, hi in zip(edges, edges[1:]):
+            mid, rad = (hi + lo) / 2, (hi - lo) / 2
+            piece = mp.mpf(0)
+            for node, weight in nodes:
+                x = cabs * mp.sin(mid + rad * node)
+                f = (rad * weight * sabs * (1 - w * x) * (a2 * x ** 4 + a1 * x ** 2 + a0)
+                     / (mp.pi * c ** 2 * (1 - x ** 2) ** 2))
+                piece += f
+                moments = [m + x ** r * f for m, r in zip(moments, orders)]
+            below[hi] = below[lo] + piece
+        cdf = [below[u] + (delta if x >= 0 else 0) for u, x in zip(uq, points)]
+        moments = [m + (delta if r == 0 else 0) for m, r in zip(moments, orders)]
+        return {"delta": float(delta), "cdf": [float(v) for v in cdf],
+                "total": float(below[half] + delta), "moments": [float(v) for v in moments]}

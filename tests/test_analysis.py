@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_probability, origin_mass_even_trace, sample_params
+from oracles import (EDGE_THETAS, brute_force_probability, origin_mass_even_trace,
+                     sample_params)
 from qwalk import (
     ConvergenceTrace,
     ExcludedAngleError,
@@ -34,8 +35,6 @@ KS_1601 = 0.0079467753472979297
 USUAL_KS_2001 = 0.014261118286455394
 CESARO_2000 = 0.087054088392341716
 
-EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
-               math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({5, 17}))
 SWEEP_POSITIONS = (-2, -1, 0, 1, 2)
 

@@ -263,6 +263,14 @@ def test_config_errors_exit_1(tmp_path, capsys):
         cfg.write_text(json.dumps({"theta": 0.3, "theta1": 0.9, "tau": tau}))
         assert main(["simulate", "--config", str(cfg), "--t", "2"]) == 1
         assert "tau must be an integer" in capsys.readouterr().err
+    for entries, message in (({"alpha_re": "1"}, "alpha_re must be a real number"),
+                             ({"schedule": "multi", "swap_steps": 5}, "swap steps"),
+                             ({"theta": True}, "theta must be finite and real"),
+                             ({"theta": "0.3"}, "theta must be finite and real")):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"theta": 0.3, "theta1": 0.9, **entries}))
+        assert main(["simulate", "--config", str(cfg), "--t", "2"]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

@@ -73,6 +73,15 @@ def test_non_finite_values_rejected(field, value):
         WalkParams(**{**args, field: value})
 
 
+@pytest.mark.parametrize("field", ["theta", "theta1", "alpha", "beta"])
+@pytest.mark.parametrize("value", [True, "0.3", None])
+def test_non_numeric_values_rejected(field, value):
+    args = {"theta": 0.7, "theta1": 0.0, "tau": 0, "alpha": 1.0, "beta": 0.0j}
+    with pytest.raises(ValueError, match=f"{field} must be finite and (real|complex)"):
+        WalkParams(**{**args, field: value})
+    WalkParams(**{**args, "theta": 1, "theta1": np.float64(0.5)})
+
+
 def test_excluded_angle_tolerance_is_adjustable():
     make_params(0.05)
     with pytest.raises(ExcludedAngleError):
@@ -185,3 +194,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule.multi([-1])
     assert Schedule.multi([np.int64(2)]).steps == frozenset({2})
+    for steps in (5, [1.5], [True], ["3"], [[2]]):
+        with pytest.raises(ValueError, match="swap steps"):
+            Schedule.multi(steps)

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sample_params
+from oracles import EDGE_THETAS, limit_law_reference, sample_params
 from qwalk import (
     LimitDensity,
-    LimitMass,
     WalkParams,
+    asymptotic_amplitude,
     delta_mass,
     limit_cdf,
     limit_mass_total,
@@ -84,24 +86,28 @@ def test_point_masses_decay_geometrically():
                         assert abs(b - ratio * a) <= 1e-12 * a
 
 
-def test_limit_mass_validation():
-    LimitMass(position=2, parity="even", value=0.1)
-    LimitMass(position=1, parity="even", value=0.0)
-    with pytest.raises(ValueError):
-        LimitMass(position=1, parity="even", value=0.1)
-    with pytest.raises(ValueError):
-        LimitMass(position=2, parity="even", value=-0.1)
-    with pytest.raises(ValueError):
-        LimitMass(position=2, parity="sideways", value=0.1)
+def test_dark_tail_has_no_cancellation():
+    # alpha = sign(s) c beta / (1 + |s|) makes the amplitude of every mass at
+    # x >= 3 vanish; the masses must come out near 0, not as a difference
+    for theta in (0.3, 2.2, math.pi / 2 - 1e-6):
+        c, s = math.cos(theta), math.sin(theta)
+        ratio = math.copysign(1.0, s) * c / (1.0 + abs(s))
+        beta = complex(0.6, 0.8) / math.hypot(1.0, ratio)
+        p = WalkParams(theta=theta, theta1=1.1, tau=0, alpha=ratio * beta, beta=beta)
+        masses = theorem1_limit(p, np.arange(3, 40, 2), "odd")
+        assert np.all((masses >= 0.0) & (masses <= 1e-28 * theorem1_limit(p, 1, "odd")))
 
 
 def test_limit_masses_table(example_params):
     table = limit_masses(example_params, "even", 6)
-    assert [lm.position for lm in table] == list(range(-6, 7))
-    for lm in table:
-        assert lm.value == theorem1_limit(example_params, lm.position, "even")
+    assert table.shape == (13,) and not table.flags.writeable
+    for x, value in zip(range(-6, 7), table):
+        assert value == theorem1_limit(example_params, x, "even")
+    assert limit_masses(example_params, "odd", 0).tolist() == [0.0]
     with pytest.raises(ValueError):
         limit_masses(example_params, "even", -1)
+    with pytest.raises(ValueError):
+        theorem1_limit(example_params, 1.0, "odd")
 
 
 def test_density_showcase_at_origin(hadamard_params):
@@ -157,8 +163,15 @@ def test_density_coefficients():
         g = params.c1 * params.s - params.s1 * params.c
         assert dens.a0 == params.c ** 2
         assert dens.a2 == g * g
-        assert abs(dens.a1 - (2.0 * params.s1 * params.c * g - params.c1 ** 2)) < 1e-15
         assert dens.delta == delta_mass(params)
+        # the quartic numerator a2 x^4 + a1 x^2 + a0 has a0 + a1 + a2 = 0,
+        # so it factors as (1 - x^2)(a0 - a2 x^2)
+        a1 = 2.0 * params.s1 * params.c * g - params.c1 ** 2
+        assert abs(dens.a0 + a1 + dens.a2) < 1e-15
+        xs = np.linspace(-1.0, 1.0, 9)
+        factored = (1.0 - xs ** 2) * (dens.a0 - dens.a2 * xs ** 2)
+        assert np.allclose(dens.a2 * xs ** 4 + a1 * xs ** 2 + dens.a0, factored,
+                           rtol=0.0, atol=1e-15)
 
 
 def test_cdf_support_bounds(example_params):
@@ -206,3 +219,53 @@ def test_module_level_wrappers(example_params):
     dens = LimitDensity.from_params(example_params)
     assert theorem2_density(example_params, 0.3) == dens.density(0.3)
     assert limit_cdf(example_params, 0.3) == dens.cdf(0.3)
+
+
+def check_limit_laws(params):
+    """Both limit laws of ``params`` against mpmath and the amplitude route."""
+    dens = LimitDensity.from_params(params)
+    cabs = abs(params.c)
+    points = [f * cabs for f in (-0.999, -0.5, -1e-3, 0.0, 0.3, 0.97)]
+    ref = limit_law_reference(params.theta, params.theta1, params.alpha, params.beta,
+                              points=points, orders=range(5))
+    assert np.max(np.abs(dens.cdf(np.array(points)) - ref["cdf"])) <= 1e-8
+    assert abs(dens.ac_mass() + dens.delta - ref["total"]) <= 1e-8
+    for r, want in enumerate(ref["moments"]):
+        # tighter than the CDF: odd moments carry the weight, up to 1/|c|
+        assert abs(dens.moment(r) - want) <= 1e-12
+
+    xs = np.arange(-12, 13)
+    q = cabs / (1.0 + abs(params.s))
+    for parity, offset in (("odd", 1), ("even", 0)):
+        table = limit_masses(params, parity, 400)
+        assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+        assert not np.any(table[np.arange(-400, 401) % 2 != offset])
+        total = math.fsum(table)
+        assert total <= ref["delta"] + 1e-10
+        if q ** 800 < 1e-13:  # the tail beyond |x| = 400 is negligible
+            assert abs(total - ref["delta"]) <= 1e-10
+        assert abs(limit_mass_total(params, parity) - ref["delta"]) <= 1e-10
+
+        masses = theorem1_limit(params, xs, parity)
+        scalars = np.array([theorem1_limit(params, int(x), parity) for x in xs])
+        assert np.array_equal(masses.view(np.int64), scalars.view(np.int64))
+        amp_sq = np.array([np.sum(np.abs(asymptotic_amplitude(params, int(x), parity)) ** 2)
+                           for x in xs])
+        assert np.all(np.abs(amp_sq - masses) <= 1e-9 * masses + 1e-280)
+
+
+@pytest.mark.parametrize("theta", EDGE_THETAS)
+def test_limit_laws_at_edge_angles(theta):
+    check_limit_laws(WalkParams(theta=theta, theta1=0.9, tau=0, alpha=0.6, beta=0.8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(quarter=st.integers(-1, 4), side=st.sampled_from((-1.0, 1.0)),
+       exponent=st.floats(-8.99, -0.5), theta1=st.floats(0.0, 2 * math.pi),
+       chi=st.floats(0.0, math.pi / 2), phase=st.floats(0.0, 2 * math.pi))
+def test_limit_laws_near_excluded_angles(quarter, side, exponent, theta1, chi, phase):
+    # theta down to angle_tol = 1e-9 from a multiple of pi/2, either side
+    theta = quarter * math.pi / 2 + side * 10.0 ** exponent
+    params = WalkParams(theta=theta, theta1=theta1, tau=0, alpha=math.cos(chi),
+                        beta=math.sin(chi) * complex(math.cos(phase), math.sin(phase)))
+    check_limit_laws(params)

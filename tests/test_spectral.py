@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_params
+from oracles import EDGE_THETAS, sample_params
 from qwalk import (
     Schedule,
     WalkParams,
@@ -24,10 +24,6 @@ from qwalk import (
     theorem1_limit,
 )
 
-#: Angles within 1e-6..1e-8 of the excluded multiples of pi/2, where the
-#: closed-form powers of the momentum-space coin are most delicate.
-EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
-               math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: k near +-pi/2 and +-pi drives one co-factor form of the eigenvectors
 #: towards 0/0.
