@@ -56,6 +56,7 @@ from .spectral import (
     asymptotic_amplitude,
     eigensystem,
     fourier_transform,
+    inverse_transform,
     spectral_evolve,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "fourier_moment",
     "fourier_transform",
     "initial_state",
+    "inverse_transform",
     "limit_cdf",
     "limit_mass_total",
     "limit_masses",

@@ -29,9 +29,9 @@ from .analysis import (
     tau_sweep,
 )
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
-from .dynamics import StateVector, distribution, evolve, snapshots
+from .dynamics import StateVector, check_time, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
-from .spectral import eigensystem, spectral_evolve
+from .spectral import eigensystem, inverse_transform, spectral_evolve
 
 __all__ = ["EmptyOutput", "emit", "main"]
 
@@ -231,11 +231,14 @@ def _cmd_simulate(args) -> int:
     if (args.t is None) == (args.times is None):
         raise ValueError("exactly one of --t / --times is required")
     if args.times is None:
-        state = evolve(params, schedule, args.t)
-        emit(_state_rows(state), args.format, args.out)
+        emit(_state_rows(spectral_evolve(params, schedule, args.t)), args.format, args.out)
         return 0
-    for state in snapshots(params, schedule, args.times):
-        emit(_state_rows(state), args.format, _timed_path(args.out, state.time))
+    times = sorted(set(args.times))
+    for t in times:  # every time is checked before the first file is written
+        check_time(t)
+    for t in times:
+        state = spectral_evolve(params, schedule, t)
+        emit(_state_rows(state), args.format, _timed_path(args.out, t))
     return 0
 
 
@@ -296,17 +299,15 @@ def _cmd_trace(args) -> int:
     offset = parity_offset(args.parity)
     if args.observable == "ks":
         _require_half_time(schedule, "trace --observable ks")
-        values = []
-        for tau in args.taus:
-            walk = dataclasses.replace(params, tau=tau)
-            dist = distribution(evolve(walk, schedule, 2 * tau + offset))
-            values.append(rescaled_cdf_distance(walk, dist))
+    states = tau_sweep(params, schedule, args.parity, args.taus)
+    if args.observable == "ks":
+        values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
+                                        distribution(inverse_transform(state, t)))
+                  for tau, (t, state) in zip(args.taus, states)]
+    elif args.observable == "mass":
+        values = [fourier_mass(state, t, args.x) for t, state in states]
     else:
-        states = tau_sweep(params, schedule, args.parity, args.taus)
-        if args.observable == "mass":
-            values = [fourier_mass(state, t, args.x) for t, state in states]
-        else:
-            values = [fourier_moment(state, t, args.r) for t, state in states]
+        values = [fourier_moment(state, t, args.r) for t, state in states]
     rows = [
         {"tau": tau, "t": 2 * tau + offset, "value": value}
         for tau, value in zip(args.taus, values)
@@ -319,7 +320,7 @@ def _cmd_trace(args) -> int:
 def _cmd_compare(args) -> int:
     params, schedule = _resolve_walk(args)
     _require_half_time(schedule, "compare")
-    dist = distribution(evolve(params, schedule, args.t))
+    dist = distribution(spectral_evolve(params, schedule, args.t))
     report = {
         "ks_distance": rescaled_cdf_distance(params, dist),
         "delta_mass_sim": localized_mass(dist),
@@ -341,7 +342,7 @@ def _figure_params(init: str, theta1: float, tau: int) -> WalkParams:
 
 def _fig_distribution(init: str, theta1: float, tau: int,
                       schedule: Schedule, t: int):
-    dist = distribution(evolve(_figure_params(init, theta1, tau), schedule, t))
+    dist = distribution(spectral_evolve(_figure_params(init, theta1, tau), schedule, t))
     return _columns(("x", "prob"), *dist.as_arrays()), None
 
 

@@ -8,6 +8,15 @@ positions ``-t..t``.  One step maps
 (with ``P1, Q1`` instead on swap steps), which in the dense window is a
 pair of shifted axpy operations.  Everything is deterministic: the
 probabilities are squared amplitude norms, never sampled.
+
+Stepping costs O(t^2) to reach time ``t``, so this module is the
+reference route, not the production one: the ``qwalk`` commands evolve a
+walk with :func:`qwalk.spectral.spectral_evolve` (closed-form momentum
+space, O(t log t)).  :func:`evolve` is what ``spectral-check``, the
+cross-route tests and the acceptance criteria compare that route against, and
+:func:`snapshots` serves the spacetime figures, which need every time up
+to 100.  The state containers and :func:`check_time`, the one time cap,
+are shared by both routes.
 """
 
 from __future__ import annotations

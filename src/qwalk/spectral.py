@@ -1,11 +1,17 @@
 """Momentum-space machinery: eigen-decomposition, DFT evolution, limits.
 
-This module is the independent oracle for :mod:`qwalk.dynamics`: the
-walk has bounded support ``|x| <= t``, so on a wavenumber grid of at
-least ``2*t + 2`` points the inverse transform is an *exact* finite DFT
-rather than an approximate quadrature.  Evolving in ``k`` and transforming
-back (:func:`spectral_evolve`) must reproduce the position-space evolution
-to roundoff; any disagreement is a bug in one of the two routes.
+This module holds the production evolution.  The walk has bounded
+support ``|x| <= t``, so on a wavenumber grid of at least ``2*t + 2``
+points the inverse transform is an *exact* finite DFT rather than an
+approximate quadrature: :class:`Propagator` reaches the transformed state
+at any time in closed form and :func:`inverse_transform` brings it back to
+positions with one inverse FFT, in O(t log t) where stepping costs O(t^2).
+:func:`spectral_evolve` is that route for one walk and time, which
+``qwalk simulate``, ``compare`` and figures 1a-3b run on; ``trace`` reads
+every tau off one propagator (:func:`qwalk.analysis.tau_sweep`).
+Position-space stepping (:mod:`qwalk.dynamics`) is the independent
+reference this route must reproduce to roundoff; any disagreement is a
+bug in one of the two routes.
 
 The evolution in ``k`` is :class:`Propagator`, which jumps to any time in
 closed form.  ``V(k) = -i U(k)`` has determinant 1 and trace ``2x`` with
@@ -35,13 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import Schedule, WalkParams, parity_offset
-from .dynamics import StateVector
+from .dynamics import StateVector, check_time, max_time_cap
 
 __all__ = [
     "SpectralPair",
     "FourierState",
     "eigensystem",
     "fourier_transform",
+    "inverse_transform",
     "spectral_evolve",
     "Propagator",
     "asymptotic_amplitude",
@@ -163,6 +170,29 @@ def fourier_transform(state: StateVector, n_grid: int) -> FourierState:
     return FourierState(grid=_wavenumber_grid(n_grid), values=np.fft.fft(folded, axis=0))
 
 
+def inverse_transform(state: FourierState, t: int) -> StateVector:
+    """The state at time ``t`` back on positions ``-t..t``, by one inverse FFT.
+
+    ``state`` holds ``sum_x e^{-ikx} psi(x)`` on a grid of at least
+    ``2*t + 2`` points.  Only the sublattice ``x = t (mod 2)``, where the
+    walk can be, is read back, into an array of exact zeros: the other
+    sites stay exact zeros, as :class:`qwalk.dynamics.StateVector` promises.
+    On that sublattice the sign ``e^{-ikx}`` at ``k = -pi`` is ``(-1)^t``.
+    """
+    n = state.grid.shape[0]
+    if not 0 <= t <= (n - 2) // 2:
+        raise ValueError(f"t={t} is outside 0..{(n - 2) // 2} "
+                         f"of a {n}-point grid (2*t+2 <= {n})")
+    full = np.fft.ifft(state.values, axis=0)
+    amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
+    sublattice = amps[::2]
+    left = (t + 1) // 2  # sites x = -t, -t+2, ... < 0 sit in slots n + x
+    sign = -1.0 if t % 2 else 1.0
+    np.multiply(full[n - t::2], sign, out=sublattice[:left])
+    np.multiply(full[t % 2:t + 1:2], sign, out=sublattice[left:])
+    return StateVector(time=t, offset=-t, amps=amps)
+
+
 def spectral_evolve(
     params: WalkParams,
     schedule: Schedule,
@@ -173,17 +203,14 @@ def spectral_evolve(
 
     The transformed state is the closed-form :class:`Propagator` state at
     ``t_final``; on a grid of ``n_grid >= 2*t_final + 2`` points (default
-    ``2*t_final + 2``) the inverse DFT recovers the position amplitudes
-    exactly (to roundoff), making this an independent check of the
-    position-space stepping.
+    ``2*t_final + 2``) :func:`inverse_transform` recovers the position
+    amplitudes exactly (to roundoff).  ``t_final`` is checked by
+    :func:`qwalk.dynamics.check_time`, and the grid against the same cap.
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be non-negative, got {t_final}")
+    check_time(t_final)
     n = 2 * t_final + 2 if n_grid is None else n_grid
-    state = Propagator(params, n).state(schedule, t_final, params.tau)
-    index, sign = FourierState.slots(np.arange(-t_final, t_final + 1), n)
-    amps = sign[:, None] * np.fft.ifft(state.values, axis=0)[index]
-    return StateVector(time=t_final, offset=-t_final, amps=amps)
+    return inverse_transform(Propagator(params, n).state(schedule, t_final, params.tau),
+                             t_final)
 
 
 #: ``i**m`` by ``m % 4``, exact.
@@ -202,60 +229,86 @@ class Propagator:
     many times cheap.
 
     The grid has ``n_grid`` points, so it holds every time ``t`` with
-    ``2*t + 2 <= n_grid`` exactly.
+    ``2*t + 2 <= n_grid`` exactly.  A grid above ``2*cap + 2`` points,
+    more than any time that :func:`qwalk.dynamics.check_time` accepts
+    needs, is refused before anything is allocated.
     """
 
     def __init__(self, params: WalkParams, n_grid: int) -> None:
         if n_grid < 2:
             raise ValueError(f"the grid needs at least 2 points, got {n_grid}")
+        cap = max_time_cap()
+        if n_grid > 2 * cap + 2:
+            raise ValueError(f"n_grid={n_grid} exceeds 2*cap+2 = {2 * cap + 2} "
+                             f"for the configured cap {cap}")
         self.params = params
         self.grid = _wavenumber_grid(n_grid)
         self.grid.flags.writeable = False
         self._eik = np.exp(1j * self.grid)
-        self._emk = np.conj(self._eik)
         x = params.c * np.sin(self.grid)
         self._sin_w = np.hypot(params.s, params.c * np.cos(self.grid))
         self._w = np.arctan2(self._sin_w, np.abs(x))
         self._sign = np.where(x < 0, -1.0, 1.0)
 
-    def _coin(self, g0, g1, a, b):
-        return self._eik * (a * g0 + b * g1), self._emk * (b * g0 - a * g1)
+    def _coin(self, g, a, b):
+        # rows (a, b) and (b, -a), then the shift e^{+-ik}, into a new array
+        g0, g1 = g
+        u = np.empty_like(g)
+        u0, u1 = u
+        tmp = b * g1
+        np.multiply(a, g0, out=u0)
+        u0 += tmp
+        np.multiply(self._eik, u0, out=u0)
+        np.multiply(b, g0, out=u1)
+        np.multiply(a, g1, out=tmp)
+        u1 -= tmp
+        np.multiply(np.conjugate(self._eik, out=tmp), u1, out=u1)
+        return u
 
-    def _power(self, g0, g1, m):
-        # U^m g = i^(m-1) U_{m-1}(x) (U g) - i^m U_{m-2}(x) g
+    def _chebyshev(self, j, phase):
+        # i^phase U_{j-1}(x)
+        cheb = np.multiply(j, self._w)
+        np.sin(cheb, out=cheb)
+        cheb /= self._sin_w
+        if (j - 1) % 2:
+            cheb *= self._sign
+        return _I_POWERS[phase % 4] * cheb
+
+    def _power(self, g, m, out=None):
+        # U^m g = i^(m-1) U_{m-1}(x) (U g) - i^m U_{m-2}(x) g, written to
+        # ``out``; g is overwritten.  The default ``out`` is the transpose of
+        # a new (n, 2) array, allocated last to keep the peak memory low.
         if m == 0:
-            return g0, g1
-        cheb1 = np.sin(m * self._w) / self._sin_w
-        cheb2 = np.sin((m - 1) * self._w) / self._sin_w
-        if m % 2:
-            cheb2 *= self._sign
+            first, second = g, 0.0
         else:
-            cheb1 *= self._sign
-        a = _I_POWERS[(m - 1) % 4] * cheb1
-        b = _I_POWERS[m % 4] * cheb2
-        u0, u1 = self._coin(g0, g1, self.params.c, self.params.s)
-        return a * u0 - b * g0, a * u1 - b * g1
+            first = self._coin(g, self.params.c, self.params.s)
+            np.multiply(self._chebyshev(m, m - 1), first, out=first)
+            second = np.multiply(self._chebyshev(m - 1, m), g, out=g)
+        if out is None:
+            out = np.empty(g.shape[::-1], dtype=np.complex128).T
+        return np.subtract(first, second, out=out)
 
     def state(self, schedule: Schedule, t_final: int, tau: int) -> FourierState:
         """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
 
         The values are ``sum_x e^{-ikx} psi(x)`` for the state that
-        :func:`qwalk.dynamics.evolve` steps to; the inverse DFT recovers
-        ``psi`` exactly (to roundoff).
+        :func:`qwalk.dynamics.evolve` steps to; :func:`inverse_transform`
+        recovers ``psi`` exactly (to roundoff).  The spinor components are
+        the rows of one ``(2, n)`` array, updated in place, and the last
+        power writes straight into the returned values.
         """
         p = self.params
         n = self.grid.shape[0]
         if not 0 <= t_final <= (n - 2) // 2:
             raise ValueError(f"t_final={t_final} is outside 0..{(n - 2) // 2} "
                              f"of a {n}-point grid (2*t_final+2 <= {n})")
-        g0 = np.full(n, p.alpha, dtype=np.complex128)
-        g1 = np.full(n, p.beta, dtype=np.complex128)
+        g = np.empty((2, n), dtype=np.complex128)
+        g[0], g[1] = p.alpha, p.beta
         done = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g0, g1 = self._coin(*self._power(g0, g1, swap - done), p.c1, p.s1)
+            g = self._coin(self._power(g, swap - done, out=g), p.c1, p.s1)
             done = swap + 1
-        g0, g1 = self._power(g0, g1, t_final - done)
-        return FourierState(grid=self.grid, values=np.stack([g0, g1], axis=1))
+        return FourierState(grid=self.grid, values=self._power(g, t_final - done).T)
 
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:

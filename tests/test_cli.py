@@ -4,19 +4,29 @@ import filecmp
 import json
 import math
 
+import numpy as np
 import pytest
 
+import qwalk.cli
 import qwalk.dynamics
+import qwalk.spectral
+from oracles import EDGE_THETAS
 from qwalk import (
+    Distribution,
     Schedule,
+    ScheduleKind,
+    WalkParams,
     delta_mass,
     distribution,
     evolve,
+    inverse_transform,
     limit_moment,
     localized_mass,
     mass_trace,
     moment,
     rescaled_cdf_distance,
+    spectral_evolve,
+    tau_sweep,
     theorem1_limit,
 )
 from qwalk.cli import EmptyOutput, emit, main
@@ -27,6 +37,11 @@ SUBCOMMANDS = ["simulate", "spectral-check", "eigen", "limits", "density",
                "trace", "compare", "figures"]
 FIGURES = ["1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b", "5c",
            "7a", "7b"]
+
+
+#: The CLI evolves on the closed-form momentum-space route; position-space
+#: stepping agrees with it to this much, entrywise and in every moment.
+ROUTE_TOL = 1e-13
 
 
 def read_table(path):
@@ -78,10 +93,16 @@ def test_simulate_csv_matches_library(tmp_path, example_params):
     assert list(rows[0]) == ["x", "prob", "amp0_re", "amp0_im",
                              "amp1_re", "amp1_im"]
     p = dataclasses.replace(example_params, tau=2)
-    expected = distribution(evolve(p, Schedule.half_time(), 5))
+    state = spectral_evolve(p, Schedule.half_time(), 5)
+    expected = distribution(state)
+    reference = distribution(evolve(p, Schedule.half_time(), 5))
     assert len(rows) == 11
-    for row in rows:
-        assert row["prob"] == expected.probs[int(row["x"])]
+    for row, amp in zip(rows, state.amps):
+        x = int(row["x"])
+        assert row["prob"] == expected.probs[x]
+        assert [row["amp0_re"], row["amp0_im"], row["amp1_re"], row["amp1_im"]] == \
+            [amp[0].real, amp[0].imag, amp[1].real, amp[1].imag]
+        assert abs(row["prob"] - reference.probs[x]) <= ROUTE_TOL
 
 
 def test_simulate_writes_stdout_by_default(capsys):
@@ -96,8 +117,11 @@ def test_simulate_json_round_trip(tmp_path, example_params):
     assert main(["simulate", *WALK, "--t", "4", "--format", "json",
                  "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
-    expected = distribution(evolve(example_params, Schedule.half_time(), 4))
+    expected = distribution(spectral_evolve(example_params, Schedule.half_time(), 4))
     assert {row["x"]: row["prob"] for row in rows} == expected.probs
+    reference = distribution(evolve(example_params, Schedule.half_time(), 4))
+    for row in rows:
+        assert abs(row["prob"] - reference.probs[row["x"]]) <= ROUTE_TOL
 
 
 def test_simulate_requires_exactly_one_time_flag(capsys):
@@ -354,8 +378,11 @@ def test_trace_observables_ks_and_moment(tmp_path, example_params):
                  "--parity", "odd", "--out", str(out)]) == 0
     _, rows = read_table(out)
     p = dataclasses.replace(example_params, tau=5)
-    dist = distribution(evolve(p, Schedule.half_time(), 11))
+    ((t, state),) = tau_sweep(example_params, Schedule.half_time(), "odd", (5,))
+    dist = distribution(inverse_transform(state, t))
     assert rows[0]["value"] == rescaled_cdf_distance(p, dist)
+    dist = distribution(evolve(p, Schedule.half_time(), 11))
+    assert abs(rows[0]["value"] - rescaled_cdf_distance(p, dist)) <= ROUTE_TOL
     assert main(["trace", *WALK, "--observable", "moment", "--r", "2",
                  "--taus", "5", "--parity", "even", "--out", str(out)]) == 0
     _, rows = read_table(out)
@@ -411,28 +438,78 @@ def test_compare_report_schema(tmp_path, example_params):
     assert set(report) == {"ks_distance", "delta_mass_sim",
                            "delta_mass_theory", "moments"}
     p = dataclasses.replace(example_params, tau=10)
-    dist = distribution(evolve(p, Schedule.half_time(), 21))
+    dist = distribution(spectral_evolve(p, Schedule.half_time(), 21))
+    reference = distribution(evolve(p, Schedule.half_time(), 21))
     assert report["ks_distance"] == rescaled_cdf_distance(p, dist)
+    assert abs(report["ks_distance"] - rescaled_cdf_distance(p, reference)) <= ROUTE_TOL
     assert report["delta_mass_sim"] == localized_mass(dist)
+    assert abs(report["delta_mass_sim"] - localized_mass(reference)) <= ROUTE_TOL
     assert report["delta_mass_theory"] == delta_mass(p)
     assert [m["r"] for m in report["moments"]] == [0, 1, 2]
     for entry in report["moments"]:
         assert entry["walk"] == moment(dist, entry["r"])
+        assert abs(entry["walk"] - moment(reference, entry["r"])) <= ROUTE_TOL
         assert entry["limit"] == limit_moment(p, entry["r"])
 
 
 def test_compare_evolves_once(monkeypatch):
-    # every position-space evolution runs one stepping loop, wherever it is called
-    loops = []
-    original = qwalk.dynamics.snapshots
+    # one closed-form momentum-space state, and no position-space stepping
+    states, loops = [], []
+    original_state = qwalk.spectral.Propagator.state
+    original_snapshots = qwalk.dynamics.snapshots
 
-    def counting(*args):
+    def counting_state(self, *args):
+        states.append(args)
+        return original_state(self, *args)
+
+    def counting_snapshots(*args):
         loops.append(args)
-        return original(*args)
+        return original_snapshots(*args)
 
-    monkeypatch.setattr(qwalk.dynamics, "snapshots", counting)
+    monkeypatch.setattr(qwalk.spectral.Propagator, "state", counting_state)
+    monkeypatch.setattr(qwalk.dynamics, "snapshots", counting_snapshots)
+    monkeypatch.setattr(qwalk.cli, "snapshots", counting_snapshots)
     assert main(["compare", *WALK, "--tau", "10", "--t", "21"]) == 0
-    assert len(loops) == 1
+    assert len(states) == 1
+    assert loops == []
+
+
+@pytest.mark.parametrize("theta", (*EDGE_THETAS, 0.3))
+def test_cli_routes_match_position_space(theta, tmp_path):
+    # simulate --t, simulate --times and compare against stepping, at the
+    # angles closest to the excluded multiples of pi/2
+    params = WalkParams(theta=theta, theta1=0.9, tau=150, alpha=0.6, beta=0.8j)
+    walk = ["--theta", repr(theta), "--theta1", "0.9", "--alpha=0.6,0",
+            "--beta=0,0.8", "--tau", "150"]
+    for flags, schedule in ((["half-time"], Schedule.half_time()),
+                            (["usual"], Schedule.usual()),
+                            (["multi", "--swap-steps", "3,40,100"], Schedule.multi({3, 40, 100}))):
+        argv = ["simulate", *walk, "--schedule", *flags]
+        assert main([*argv, "--times", "302,301", "--out", str(tmp_path / "times.csv")]) == 0
+        for t in (301, 302):
+            reference = evolve(params, schedule, t)
+            ref_dist = distribution(reference)
+            assert main([*argv, "--t", str(t), "--out", str(tmp_path / "one.csv")]) == 0
+            for name in ("one.csv", f"times_t{t}.csv"):
+                _, rows = read_table(tmp_path / name)
+                amps = np.array([[complex(r["amp0_re"], r["amp0_im"]),
+                                  complex(r["amp1_re"], r["amp1_im"])] for r in rows])
+                assert float(np.max(np.abs(amps - reference.amps))) <= ROUTE_TOL
+                assert np.all(amps[1::2] == 0)  # x + t odd: exact zeros
+                probs = np.array([r["prob"] for r in rows])
+                assert abs(math.fsum(probs) - 1.0) <= ROUTE_TOL
+                dist = Distribution(time=t, values=probs)
+                for r in (0, 1, 2, 3):
+                    assert abs(moment(dist, r) - moment(ref_dist, r)) <= ROUTE_TOL
+            if schedule.kind is not ScheduleKind.HALF_TIME:
+                continue
+            out = tmp_path / "report.json"
+            assert main(["compare", *walk, "--t", str(t), "--moments", "0,1,2,3",
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert abs(report["delta_mass_sim"] - localized_mass(ref_dist)) <= ROUTE_TOL
+            for entry in report["moments"]:
+                assert abs(entry["walk"] - moment(ref_dist, entry["r"])) <= ROUTE_TOL
 
 
 def test_compare_rejects_mismatched_time(capsys):

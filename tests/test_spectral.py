@@ -20,7 +20,9 @@ from qwalk import (
     fourier_transform,
     Propagator,
     initial_state,
+    inverse_transform,
     spectral_evolve,
+    tau_sweep,
     theorem1_limit,
 )
 
@@ -177,6 +179,46 @@ def test_spectral_evolve_rejects_small_grid(example_params):
     spectral_evolve(example_params, Schedule.usual(), 10, n_grid=22)
     with pytest.raises(ValueError):
         spectral_evolve(example_params, Schedule.usual(), -1)
+
+
+def test_spectral_evolve_respects_time_cap(example_params, monkeypatch):
+    monkeypatch.setenv("QWALK_MAX_T", "10")
+    with pytest.raises(ValueError, match="exceeds the configured cap"):
+        spectral_evolve(example_params, Schedule.half_time(), 11)
+    spectral_evolve(example_params, Schedule.half_time(), 10)
+    # the grid is refused before it is allocated, whatever the time
+    with pytest.raises(ValueError, match="cap"):
+        spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=23)
+    spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=22)
+    with pytest.raises(ValueError, match="cap"):
+        Propagator(example_params, 23)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_wrong_parity_sites_are_exact_zeros(schedule):
+    # the walk moves one site per step: x + t odd holds nothing, exactly
+    for params in sample_params(seed=38, n=3):
+        p = dataclasses.replace(params, tau=7)
+        for t in (0, 1, 2, 15, 16, 301):
+            for n_grid in (2 * t + 2, 2 * t + 3, 4 * t + 7):
+                state = spectral_evolve(p, schedule, t, n_grid=n_grid)
+                assert np.all(state.amps[1::2] == 0)
+                assert float(np.max(np.abs(state.amps - evolve(p, schedule, t).amps))) < 1e-12
+
+
+def test_inverse_transform_of_sweep_states(example_params):
+    # a sweep's grid is sized for its largest time; smaller times read back alike
+    taus = (40, 3, 0)
+    for (t, state), tau in zip(tau_sweep(example_params, Schedule.half_time(), "even", taus),
+                               taus):
+        back = inverse_transform(state, t)
+        p = dataclasses.replace(example_params, tau=tau)
+        assert np.all(back.amps[1::2] == 0)
+        assert float(np.max(np.abs(back.amps - evolve(p, Schedule.half_time(), t).amps))) < 1e-13
+    with pytest.raises(ValueError):
+        inverse_transform(state, len(state.grid) // 2)  # 2*t + 2 > n
+    with pytest.raises(ValueError):
+        inverse_transform(state, -1)
 
 
 def test_oversized_grid_changes_nothing(example_params):
