@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import sys
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .dynamics import StateVector, check_time, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
 from .spectral import eigensystem, inverse_transform, spectral_evolve
 
-__all__ = ["EmptyOutput", "emit", "main"]
+__all__ = ["EmptyOutput", "Table", "emit", "main"]
 
 SPECTRAL_CHECK_TOL = 1e-10
 
@@ -51,8 +52,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class Table:
+    """Row data held as named columns of equal length.
+
+    A column is a numpy array or a sequence of Python numbers.  Rows as
+    Python objects are built only for JSON output; CSV text is formatted
+    one column at a time.
+    """
+
+    def __init__(self, **columns) -> None:
+        if len({len(col) for col in columns.values()}) > 1:
+            raise ValueError("table columns differ in length")
+        self.keys = tuple(columns)
+        self.columns = tuple(columns.values())
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def rows(self) -> list[dict]:
+        """One dict of Python numbers per row."""
+        values = (col.tolist() if isinstance(col, np.ndarray) else col
+                  for col in self.columns)
+        return [dict(zip(self.keys, row)) for row in zip(*values)]
+
+
+def _column_text(col) -> list[str]:
+    # One pass per column: floats with 17 significant digits, as _fmt does.
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f":
+            return list(map(format, col.tolist(), repeat(".17g")))
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+        col = col.tolist()
+    return list(map(_fmt, col))
+
+
 def emit(data, fmt: str = "csv", path: str | None = None, meta: dict | None = None) -> None:
-    """Write rows (list of dicts) or a flat object (dict) to ``path``.
+    """Write a :class:`Table`, rows (list of dicts) or a flat object (dict).
 
     CSV output has a header row, LF newlines and floats with 17
     significant digits (round-trip exact); ``meta`` entries become
@@ -65,14 +101,15 @@ def emit(data, fmt: str = "csv", path: str | None = None, meta: dict | None = No
     if fmt == "csv":
         if isinstance(data, dict):
             raise ValueError("csv output requires row data, not a flat object")
-        lines = []
-        if meta:
-            lines.extend(f"# {k} = {_fmt(v)}" for k, v in meta.items())
-        keys = list(data[0])
-        lines.append(",".join(keys))
-        lines.extend(",".join(_fmt(row[k]) for k in keys) for row in data)
+        if not isinstance(data, Table):  # rows, keyed as the first one
+            data = Table(**{k: [row[k] for row in data] for k in data[0]})
+        lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()] if meta else []
+        lines.append(",".join(data.keys))
+        lines.extend(map(",".join, zip(*map(_column_text, data.columns))))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
+        if isinstance(data, Table):
+            data = data.rows()
         if isinstance(data, dict):
             payload = {**meta, **data} if meta else data
         elif meta:
@@ -117,6 +154,28 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _count(text: str) -> int:
+    """An integer of at least 1, such as a number of samples."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
 
 
 def _add_walk_arguments(parser: argparse.ArgumentParser, with_tau: bool = True) -> None:
@@ -201,16 +260,11 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     return params, schedule
 
 
-def _columns(keys: Sequence[str], *columns: np.ndarray) -> list[dict]:
-    """Rows of Python numbers, one per entry of the equal-length ``columns``."""
-    return [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
-
-
-def _state_rows(state: StateVector) -> list[dict]:
+def _state_table(state: StateVector) -> Table:
     xs, ps = distribution(state).as_arrays()
     a = state.amps
-    return _columns(("x", "prob", "amp0_re", "amp0_im", "amp1_re", "amp1_im"),
-                    xs, ps, a[:, 0].real, a[:, 0].imag, a[:, 1].real, a[:, 1].imag)
+    return Table(x=xs, prob=ps, amp0_re=a[:, 0].real, amp0_im=a[:, 0].imag,
+                 amp1_re=a[:, 1].real, amp1_im=a[:, 1].imag)
 
 
 def _require_half_time(schedule: Schedule, what: str) -> None:
@@ -231,14 +285,14 @@ def _cmd_simulate(args) -> int:
     if (args.t is None) == (args.times is None):
         raise ValueError("exactly one of --t / --times is required")
     if args.times is None:
-        emit(_state_rows(spectral_evolve(params, schedule, args.t)), args.format, args.out)
+        emit(_state_table(spectral_evolve(params, schedule, args.t)), args.format, args.out)
         return 0
     times = sorted(set(args.times))
     for t in times:  # every time is checked before the first file is written
         check_time(t)
     for t in times:
         state = spectral_evolve(params, schedule, t)
-        emit(_state_rows(state), args.format, _timed_path(args.out, t))
+        emit(_state_table(state), args.format, _timed_path(args.out, t))
     return 0
 
 
@@ -260,9 +314,9 @@ def _cmd_eigen(args) -> int:
     ks = -np.pi + 2.0 * np.pi * np.arange(args.k_samples) / args.k_samples
     pair = eigensystem(params, ks)
     l1, l2 = pair.lambda1, pair.lambda2
-    del pair  # frees the eigenvectors before the rows are built
-    emit(_columns(("k", "re_l1", "im_l1", "re_l2", "im_l2"),
-                  ks, l1.real, l1.imag, l2.real, l2.imag), args.format, args.out)
+    del pair  # frees the eigenvectors before the table is formatted
+    emit(Table(k=ks, re_l1=l1.real, im_l1=l1.imag, re_l2=l2.real, im_l2=l2.imag),
+         args.format, args.out)
     return 0
 
 
@@ -270,7 +324,7 @@ def _cmd_limits(args) -> int:
     params, _ = _resolve_walk(args)
     xs = np.arange(-args.xmax, args.xmax + 1)
     masses = limit_masses(params, args.parity, args.xmax)
-    emit(_columns(("x", "limit_mass"), xs, masses), args.format, args.out,
+    emit(Table(x=xs, limit_mass=masses), args.format, args.out,
          meta={"delta_mass": delta_mass(params)})
     return 0
 
@@ -280,13 +334,13 @@ def _density_table(params: WalkParams, points: int):
     dens = LimitDensity.from_params(params)
     lo, hi = dens.support
     xs = np.linspace(lo, hi, points + 2)[1:-1]
-    return _columns(("x", "f_ac"), xs, dens.density(xs)), {"delta_mass": dens.delta}
+    return Table(x=xs, f_ac=dens.density(xs)), {"delta_mass": dens.delta}
 
 
 def _cmd_density(args) -> int:
     params, _ = _resolve_walk(args)
-    rows, meta = _density_table(params, args.points)
-    emit(rows, args.format, args.out, meta=meta)
+    table, meta = _density_table(params, args.points)
+    emit(table, args.format, args.out, meta=meta)
     return 0
 
 
@@ -343,17 +397,20 @@ def _figure_params(init: str, theta1: float, tau: int) -> WalkParams:
 def _fig_distribution(init: str, theta1: float, tau: int,
                       schedule: Schedule, t: int):
     dist = distribution(spectral_evolve(_figure_params(init, theta1, tau), schedule, t))
-    return _columns(("x", "prob"), *dist.as_arrays()), None
+    xs, ps = dist.as_arrays()
+    return Table(x=xs, prob=ps), None
 
 
 def _fig_spacetime(init: str, theta1: float, tau: int,
                    schedule: Schedule, t_max: int = 100):
     params = _figure_params(init, theta1, tau)
-    rows = []
+    ts, xs, ps = [], [], []
     for state in snapshots(params, schedule, range(t_max + 1)):
-        xs, ps = distribution(state).as_arrays()
-        rows.extend(_columns(("t", "x", "prob"), np.full_like(xs, state.time), xs, ps))
-    return rows, None
+        x, p = distribution(state).as_arrays()
+        ts.append(np.full_like(x, state.time))
+        xs.append(x)
+        ps.append(p)
+    return Table(t=np.concatenate(ts), x=np.concatenate(xs), prob=np.concatenate(ps)), None
 
 
 def _fig_mass_trace(positions: Sequence[int], parity: str, tau_max: int = 250):
@@ -390,8 +447,8 @@ _FIGURES: dict[str, Callable] = {
 
 
 def _cmd_figures(args) -> int:
-    rows, meta = _FIGURES[args.paper_fig]()
-    emit(rows, args.format, args.out, meta=meta)
+    data, meta = _FIGURES[args.paper_fig]()
+    emit(data, args.format, args.out, meta=meta)
     return 0
 
 
@@ -419,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="final time")
     p.add_argument("--n-grid", type=int, default=None,
                    help="wavenumber grid size, at least 2t+2 (default 2t+2)")
-    p.add_argument("--tol", type=float, default=SPECTRAL_CHECK_TOL,
+    p.add_argument("--tol", type=_tolerance, default=SPECTRAL_CHECK_TOL,
                    help="max allowed entrywise deviation")
 
     p = add("eigen", _cmd_eigen, "tabulate the momentum-space eigenvalues",
             walk=False)
     p.add_argument("--theta", type=float, required=True,
                    help="coin angle of U in radians")
-    p.add_argument("--k-samples", type=int, default=1000,
+    p.add_argument("--k-samples", type=_count, default=1000,
                    help="number of wavenumber samples on [-pi, pi)")
 
     p = add("limits", _cmd_limits, "tabulate stationary point masses",
@@ -437,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("density", _cmd_density, "sample the weak-limit density",
             with_tau=False)
-    p.add_argument("--points", type=int, default=2001,
+    p.add_argument("--points", type=_count, default=2001,
                    help="number of interior sample points")
 
     p = add("trace", _cmd_trace, "observable vs half-time trace")

@@ -1,12 +1,24 @@
 """Exact position-space evolution of the walk.
 
-The state at time ``t`` is a dense window of 2-component amplitudes over
-positions ``-t..t``.  One step maps
+One step maps
 
     psi_{t+1}(x) = P psi_t(x+1) + Q psi_t(x-1)
 
-(with ``P1, Q1`` instead on swap steps), which in the dense window is a
-pair of shifted axpy operations.  Everything is deterministic: the
+(with ``P1, Q1`` instead on swap steps).  The walker moves one site per
+step, so at time ``t`` only the sites ``x = -t, -t+2, ..., t`` can hold
+amplitude.  The stepping core works on that sublattice alone, indexed by
+``j = (x + t)/2``: the left-moving component ``L`` keeps its ``j`` from
+one step to the next, and the right-moving component ``R`` moves to
+``j + 1``.  Both live in contiguous buffers sized once for the largest
+requested time ``T``, with ``L[j]`` in slot ``j`` and ``R[j]`` in slot
+``T - t + j``, so that one step updates both in place:
+
+    L[j] <- a L[j] + b R[j],    R[j+1] <- c L[j] + d R[j]
+
+The coin entries ``a, b, c, d`` are real, so these are six in-place
+scalar multiplies and adds on the ``float64`` views of the buffers.  The
+dense ``(2t+1, 2)`` window of a :class:`StateVector` is filled in only
+when a state is returned.  Everything is deterministic: the
 probabilities are squared amplitude norms, never sampled.
 
 Stepping costs O(t^2) to reach time ``t``, so this module is the
@@ -140,29 +152,6 @@ def initial_state(params: WalkParams) -> StateVector:
     return StateVector(time=0, offset=0, amps=amps)
 
 
-def _coin_rows(params: WalkParams, swap: bool) -> tuple[float, float, float, float]:
-    # Rows of the active coin: top row feeds the left-moving component,
-    # bottom row the right-moving one.
-    if swap:
-        return params.c1, params.s1, params.s1, -params.c1
-    return params.c, params.s, params.s, -params.c
-
-
-def _advance(amps: np.ndarray, rows: tuple[float, float, float, float]) -> np.ndarray:
-    a, b, c, d = rows
-    new = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
-    new[:-2, 0] = a * amps[:, 0] + b * amps[:, 1]
-    new[2:, 1] = c * amps[:, 0] + d * amps[:, 1]
-    return new
-
-
-def step(state: StateVector, params: WalkParams, schedule: Schedule) -> StateVector:
-    """Advance one time step; the window grows by one site on each side."""
-    swap = schedule.swaps_at(state.time, params.tau)
-    new = _advance(state.amps, _coin_rows(params, swap))
-    return StateVector(time=state.time + 1, offset=state.offset - 1, amps=new)
-
-
 def check_time(t: int) -> None:
     """Reject an evolution time that is negative or above :func:`max_time_cap`."""
     if t < 0:
@@ -172,24 +161,63 @@ def check_time(t: int) -> None:
         raise ValueError(f"t={t} exceeds the configured cap {cap}")
 
 
+def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
+             want: list[int]) -> Iterator[StateVector]:
+    """States at the sorted, checked ``want`` (all at or after ``start``).
+
+    The one stepping loop; see the module docstring for the layout.
+    """
+    t, t_max = start.time, want[-1]
+    left = np.zeros(t_max + 1, dtype=np.complex128)
+    right = np.zeros(t_max + 1, dtype=np.complex128)
+    left[:t + 1] = start.amps[0::2, 0]
+    right[t_max - t:] = start.amps[0::2, 1]
+    lf, rf = left.view(np.float64), right.view(np.float64)
+    scratch_b, scratch_c = np.empty_like(lf), np.empty_like(lf)
+    # Rows of the coin, plain and swapped: the top row feeds the
+    # left-moving component, the bottom row the right-moving one.
+    coins = ((params.c, params.s, params.s, -params.c),
+             (params.c1, params.s1, params.s1, -params.c1))
+    for target in want:
+        for s in range(t, target):
+            a, b, c, d = coins[schedule.swaps_at(s, params.tau)]
+            n = 2 * s + 2  # floats in the s + 1 occupied slots
+            lv, rv = lf[:n], rf[2 * (t_max - s):]
+            bv, cv = scratch_b[:n], scratch_c[:n]
+            np.multiply(rv, b, out=bv)
+            np.multiply(lv, c, out=cv)
+            lv *= a
+            lv += bv
+            rv *= d
+            rv += cv
+        t = target
+        amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
+        amps[0::2, 0] = left[:t + 1]
+        amps[0::2, 1] = right[t_max - t:]
+        yield StateVector(time=t, offset=-t, amps=amps)
+
+
+def step(state: StateVector, params: WalkParams, schedule: Schedule) -> StateVector:
+    """Advance one time step; the window grows by one site on each side.
+
+    Only the sites ``x = -t, -t+2, ..., t`` of ``state`` are read; the
+    others hold zeros in every state of a walk.
+    """
+    return next(_stepper(state, params, schedule, [state.time + 1]))
+
+
 def snapshots(params: WalkParams, schedule: Schedule,
               times: Iterable[int]) -> Iterator[StateVector]:
     """States at each of ``times``, in increasing order, from one stepping loop.
 
     Repeated times yield once.  Every time is checked by :func:`check_time`
-    before the first state is yielded.
+    before any buffer is allocated or the first state is yielded.
     """
     want = sorted(set(times))
     if want:
         check_time(want[0])
         check_time(want[-1])
-    amps = initial_state(params).amps
-    done = 0
-    for t in want:
-        for s in range(done, t):
-            amps = _advance(amps, _coin_rows(params, schedule.swaps_at(s, params.tau)))
-        done = t
-        yield StateVector(time=t, offset=-t, amps=amps)
+        yield from _stepper(initial_state(params), params, schedule, want)
 
 
 def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:

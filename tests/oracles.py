@@ -63,6 +63,29 @@ def brute_force_amplitudes(params, t_final, swap_times=frozenset()):
     return state
 
 
+def dense_window_amplitudes(params, t_final, swap_times=frozenset()):
+    """The dense-window stepping loop that the sublattice kernel replaced.
+
+    Steps the full ``(2t+1, 2)`` window, wrong-parity sites included, with
+    a fresh array per step and complex arithmetic throughout (the
+    transition from time t uses the swap coin iff t is in
+    ``swap_times``).  Returns the window at ``t_final``; its bits pin the
+    package's stepping kernel.
+    """
+    amps = np.zeros((1, 2), dtype=np.complex128)
+    amps[0] = params.spinor
+    for t in range(t_final):
+        if t in swap_times:
+            a, b, c, d = params.c1, params.s1, params.s1, -params.c1
+        else:
+            a, b, c, d = params.c, params.s, params.s, -params.c
+        new = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
+        new[:-2, 0] = a * amps[:, 0] + b * amps[:, 1]
+        new[2:, 1] = c * amps[:, 0] + d * amps[:, 1]
+        amps = new
+    return amps
+
+
 def brute_force_probability(params, t_final, x, swap_times=frozenset()):
     amps = brute_force_amplitudes(params, t_final, swap_times)
     spinor = amps.get(x)

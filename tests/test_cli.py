@@ -29,7 +29,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
-from qwalk.cli import EmptyOutput, emit, main
+from qwalk.cli import EmptyOutput, Table, emit, main
 
 THETA = str(math.pi / 4)
 WALK = ["--theta", THETA, "--theta1", "0"]
@@ -309,6 +309,32 @@ def test_spectral_check_exit_codes(capsys):
     assert "max entrywise deviation" in capsys.readouterr().out
     assert main(["spectral-check", *WALK, "--tau", "3", "--t", "20",
                  "--tol", "1e-30"]) == 2
+
+
+@pytest.mark.parametrize("tol", ("nan", "-inf", "inf", "-1e-12", "-0.5", "x"))
+def test_spectral_check_rejects_bad_tolerance(tol, capsys):
+    # a NaN tolerance used to report a tolerance failure (exit 2) on a correct walk
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectral-check", *WALK, "--tau", "3", "--t", "8", f"--tol={tol}"])
+    assert excinfo.value.code == 1
+    assert "argument --tol" in capsys.readouterr().err
+    assert main(["spectral-check", *WALK, "--tau", "3", "--t", "8", "--tol", "0"]) in (0, 2)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["density", *WALK, "--points", "-3"], "--points"),
+    (["density", *WALK, "--points", "0"], "--points"),
+    (["eigen", "--theta", THETA, "--k-samples", "0"], "--k-samples"),
+    (["eigen", "--theta", THETA, "--k-samples", "-7"], "--k-samples"),
+    (["eigen", "--theta", THETA, "--k-samples", "2.5"], "--k-samples"),
+])
+def test_sample_counts_validated_up_front(argv, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Number of samples" not in err
 
 
 def test_eigen_table(tmp_path):
@@ -595,3 +621,51 @@ def test_emit_formats(tmp_path):
     assert json.loads(jpath.read_text()) == {"d": 0.25, "v": 1 / 3}
     emit([{"x": 1}], "json", str(jpath), meta={"d": 0.25})
     assert json.loads(jpath.read_text()) == {"d": 0.25, "rows": [{"x": 1}]}
+
+
+def row_formatter_text(rows, fmt, meta=None):
+    """What ``emit`` wrote for a list of row dicts before column tables."""
+    if fmt == "json":
+        return json.dumps({**meta, "rows": rows} if meta else rows, indent=2) + "\n"
+
+    def cell(value):
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    lines = [f"# {k} = {cell(v)}" for k, v in meta.items()] if meta else []
+    keys = list(rows[0])
+    lines.append(",".join(keys))
+    lines.extend(",".join(cell(row[k]) for k in keys) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("meta", (None, {"delta_mass": 0.1, "observable": "ks", "n": 3}))
+def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
+    ints = np.array([0, -3, 7, 2 ** 40, 1])
+    floats = np.array([-0.0, 5e-324, 1e300, 0.1, 1 / 3])
+    amps = np.array([1 + 2j, -0.0 - 0.0j, 5e-324j, 0.1, -1e300j])
+    columns = {"x": ints, "v": floats, "re": amps.real, "im": amps.imag,
+               "u": np.arange(5, dtype=np.uint8), "mixed": (0.5, -0.0, 2, 1e-300, 7)}
+    table = Table(**columns)
+    rows = [dict(zip(columns, row)) for row in zip(
+        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
+    expected = row_formatter_text(rows, fmt, meta)
+    path = tmp_path / "out"
+    emit(table, fmt, str(path), meta)
+    assert path.read_text() == expected
+    emit(rows, fmt, str(path), meta)
+    assert path.read_text() == expected
+    emit(table, fmt, None, meta)
+    assert capsys.readouterr().out == expected
+    if fmt == "csv":
+        assert [line.split(",")[1] for line in expected.splitlines()[-5:]] == [
+            "-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000000000001",
+            "0.33333333333333331"]
+
+
+def test_table_validation():
+    with pytest.raises(ValueError):
+        Table(x=np.arange(3), p=np.zeros(2))
+    with pytest.raises(EmptyOutput):
+        emit(Table(x=np.arange(0), p=np.zeros(0)), "csv", None)
+    assert len(Table(x=[1, 2], p=(0.5, 0.5))) == 2

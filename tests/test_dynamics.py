@@ -1,15 +1,95 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_amplitudes, sample_params
+import qwalk.dynamics
+from oracles import EDGE_THETAS, brute_force_amplitudes, dense_window_amplitudes, sample_params
 from qwalk import (Distribution, Schedule, StateVector, WalkParams, distribution, evolve,
                    initial_state, step)
-from qwalk.dynamics import DEFAULT_MAX_T, max_time_cap
+from qwalk.dynamics import DEFAULT_MAX_T, max_time_cap, snapshots
+
+#: Times the kernel is pinned at: the first steps, and both parities past 300.
+PINNED_TIMES = (0, 1, 2, 301, 302)
+
+#: (schedule, tau, swap steps).  The half-time swap falls on step 0 for
+#: tau = 0 (t = 1, 2 are 2 tau + 1 and 2 tau + 2) and on step 150 for
+#: tau = 150 (t = 301, 302); the multi set swaps on step 0 and on step
+#: t - 1 for every pinned t > 0.
+PINNED_SCHEDULES = (
+    (Schedule.usual(), 0, frozenset()),
+    (Schedule.half_time(), 0, frozenset({0})),
+    (Schedule.half_time(), 150, frozenset({150})),
+    (Schedule.multi({0, 1, 300, 301}), 0, frozenset({0, 1, 300, 301})),
+)
+
+
+def assert_same_bits(got, ref):
+    """``got`` equals ``ref`` bit for bit, on the float64 views.
+
+    The sign of an exact zero is the one bit not compared.  In the dense
+    reference it comes from numpy's complex multiply by ``(a + 0j)``: the
+    ``0 * y`` cross terms set it, and numpy's strided and contiguous
+    complex loops do not agree on it.  It reaches no probability and no
+    CLI output.
+    """
+    g, r = got.view(np.float64), ref.view(np.float64)
+    assert np.array_equal(g, r)
+    nonzero = r != 0
+    assert np.array_equal(np.signbit(g[nonzero]), np.signbit(r[nonzero]))
+
+
+@pytest.mark.parametrize("theta", (*EDGE_THETAS, 0.3))
+@pytest.mark.parametrize("schedule,tau,swap_steps", PINNED_SCHEDULES)
+def test_kernel_matches_dense_window_bit_for_bit(theta, schedule, tau, swap_steps):
+    for alpha, beta in ((0.6, 0.8j), (1.0, 0.0)):
+        p = WalkParams(theta=theta, theta1=1.9, tau=tau, alpha=alpha, beta=beta)
+        refs = {t: dense_window_amplitudes(p, t, swap_steps) for t in PINNED_TIMES}
+        for t, ref in refs.items():
+            assert_same_bits(evolve(p, schedule, t).amps, ref)
+            if t > 0:
+                prev = refs[t - 1] if t - 1 in refs else dense_window_amplitudes(
+                    p, t - 1, swap_steps)
+                before = StateVector(time=t - 1, offset=1 - t, amps=prev)
+                assert_same_bits(step(before, p, schedule).amps, ref)
+        # unsorted and repeated times: one state per distinct time, in order
+        states = list(snapshots(p, schedule, (302, 2, 0, 301, 2, 1, 302)))
+        assert [s.time for s in states] == sorted(PINNED_TIMES)
+        for state in states:
+            assert_same_bits(state.amps, refs[state.time])
+
+
+def test_evolve_memory_is_linear_in_the_window(example_params):
+    # The sublattice buffers, the two scratch buffers and the returned
+    # window take 64 bytes per window site; an O(t^2) trap (a kept copy
+    # per step) would need ~t/2 times that.
+    t = 4000
+    tracemalloc.start()
+    try:
+        evolve(example_params, Schedule.half_time(), t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * (2 * t + 1)
+
+
+def test_snapshots_check_times_before_allocating(example_params, monkeypatch):
+    class NoAllocation:
+        def __getattr__(self, name):
+            if name.startswith(("zeros", "empty")):
+                raise AssertionError(f"np.{name} called before the time check")
+            return getattr(np, name)
+
+    monkeypatch.setenv("QWALK_MAX_T", "10")
+    monkeypatch.setattr(qwalk.dynamics, "np", NoAllocation())
+    with pytest.raises(ValueError, match="exceeds the configured cap 10"):
+        next(snapshots(example_params, Schedule.usual(), (3, 11)))
+    with pytest.raises(ValueError, match="exceeds the configured cap 10"):
+        evolve(example_params, Schedule.usual(), 11)
 
 
 def test_initial_state_places_spinor_at_origin():
