@@ -55,7 +55,6 @@ from .spectral import (
     SpectralPair,
     asymptotic_amplitude,
     eigensystem,
-    fourier_transform,
     inverse_transform,
     spectral_evolve,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "fourier_coin",
     "fourier_mass",
     "fourier_moment",
-    "fourier_transform",
     "initial_state",
     "inverse_transform",
     "limit_cdf",

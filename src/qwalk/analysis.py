@@ -7,7 +7,9 @@ against the limit moments.  No sampling is involved anywhere.
 
 Traces over tau run through :func:`tau_sweep`, which jumps to each
 measurement time with the closed-form momentum-space propagator instead
-of re-stepping the walk from ``t = 0`` for every tau.
+of re-stepping the walk from ``t = 0`` for every tau, on the grid of
+:func:`qwalk.spectral.grid_size`; states are read back through
+:meth:`qwalk.spectral.FourierState.sublattice`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .coin import Schedule, WalkParams, parity_offset
 from .dynamics import Distribution, check_time
 from .limits import LimitDensity
-from .spectral import FourierState, Propagator
+from .spectral import FourierState, Propagator, grid_size
 
 __all__ = [
     "ConvergenceTrace",
@@ -77,7 +79,7 @@ def tau_sweep(
     times = [2 * tau + offset for tau in taus]
     t_max = max(times, default=0)
     check_time(t_max)
-    propagator = Propagator(params, 2 * t_max + 2)
+    propagator = Propagator(params, grid_size(t_max))
     return ((t, propagator.state(schedule, t, tau)) for tau, t in zip(taus, times))
 
 
@@ -91,14 +93,16 @@ def fourier_mass(state: FourierState, t: int, x: int) -> float:
 
 
 def fourier_moment(state: FourierState, t: int, r: int) -> float:
-    """r-th moment of ``X_t/t`` from a transformed state, by one inverse FFT."""
+    """r-th moment of ``X_t/t`` from a transformed state, by one inverse FFT.
+
+    Only the sublattice is read; the other parity holds exact zeros.
+    """
     if r < 0:
         raise ValueError(f"moment order must be non-negative, got {r}")
     if t == 0:
         return 1.0 if r == 0 else 0.0
-    xs = np.arange(-t, t + 1, 2)  # the other parity holds exact zeros
-    index, _ = FourierState.slots(xs, len(state.grid))  # |psi|^2 drops the sign
-    sq = np.abs(np.fft.ifft(state.values, axis=0)[index]) ** 2
+    xs = np.arange(-t, t + 1, 2)
+    sq = np.abs(state.sublattice(t)) ** 2
     return float(np.sum((xs / t) ** r * (sq[:, 0] + sq[:, 1])))
 
 

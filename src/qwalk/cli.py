@@ -32,7 +32,7 @@ from .analysis import (
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import StateVector, check_time, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
-from .spectral import eigensystem, inverse_transform, spectral_evolve
+from .spectral import eigensystem, inverse_transform, spectral_evolve, wavenumber_grid
 
 __all__ = ["EmptyOutput", "Table", "emit", "main"]
 
@@ -87,35 +87,31 @@ def _column_text(col) -> list[str]:
     return list(map(_fmt, col))
 
 
-def emit(data, fmt: str = "csv", path: str | None = None, meta: dict | None = None) -> None:
-    """Write a :class:`Table`, rows (list of dicts) or a flat object (dict).
+def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
+         meta: dict | None = None) -> None:
+    """Write a :class:`Table` or a flat object (dict).
 
     CSV output has a header row, LF newlines and floats with 17
     significant digits (round-trip exact); ``meta`` entries become
     leading ``# key = value`` comment lines.  JSON output round-trips
-    floats exactly as well; for row data ``meta`` wraps the rows in an
-    object, for a flat object it is merged in front.
+    floats exactly as well; for a table it is a list of row objects,
+    which ``meta`` wraps in an object, and ``meta`` is merged in front of
+    a flat object.
     """
     if not data:
         raise EmptyOutput("refusing to emit an empty table")
     if fmt == "csv":
-        if isinstance(data, dict):
-            raise ValueError("csv output requires row data, not a flat object")
-        if not isinstance(data, Table):  # rows, keyed as the first one
-            data = Table(**{k: [row[k] for row in data] for k in data[0]})
+        if not isinstance(data, Table):
+            raise ValueError("csv output requires a table of row data, not a flat object")
         lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()] if meta else []
         lines.append(",".join(data.keys))
         lines.extend(map(",".join, zip(*map(_column_text, data.columns))))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         if isinstance(data, Table):
-            data = data.rows()
-        if isinstance(data, dict):
-            payload = {**meta, **data} if meta else data
-        elif meta:
-            payload = {**meta, "rows": data}
+            payload = {**meta, "rows": data.rows()} if meta else data.rows()
         else:
-            payload = data
+            payload = {**meta, **data} if meta else data
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -311,7 +307,7 @@ def _cmd_eigen(args) -> int:
     # take harmless placeholder values.
     params = WalkParams(theta=args.theta, theta1=0.0, tau=0,
                         alpha=1.0 + 0.0j, beta=0.0j)
-    ks = -np.pi + 2.0 * np.pi * np.arange(args.k_samples) / args.k_samples
+    ks = wavenumber_grid(args.k_samples)
     pair = eigensystem(params, ks)
     l1, l2 = pair.lambda1, pair.lambda2
     del pair  # frees the eigenvectors before the table is formatted
@@ -362,26 +358,23 @@ def _cmd_trace(args) -> int:
         values = [fourier_mass(state, t, args.x) for t, state in states]
     else:
         values = [fourier_moment(state, t, args.r) for t, state in states]
-    rows = [
-        {"tau": tau, "t": 2 * tau + offset, "value": value}
-        for tau, value in zip(args.taus, values)
-    ]
-    emit(rows, args.format, args.out,
-         meta={"observable": args.observable})
+    table = Table(tau=args.taus, t=[2 * tau + offset for tau in args.taus], value=values)
+    emit(table, args.format, args.out, meta={"observable": args.observable})
     return 0
 
 
 def _cmd_compare(args) -> int:
     params, schedule = _resolve_walk(args)
     _require_half_time(schedule, "compare")
+    limits = [limit_moment(params, r) for r in args.moments]  # rejects orders before evolving
     dist = distribution(spectral_evolve(params, schedule, args.t))
     report = {
         "ks_distance": rescaled_cdf_distance(params, dist),
         "delta_mass_sim": localized_mass(dist),
         "delta_mass_theory": delta_mass(params),
         "moments": [
-            {"r": r, "walk": moment(dist, r), "limit": limit_moment(params, r)}
-            for r in args.moments
+            {"r": r, "walk": moment(dist, r), "limit": limit}
+            for r, limit in zip(args.moments, limits)
         ],
     }
     emit(report, args.format, args.out)
@@ -415,14 +408,12 @@ def _fig_spacetime(init: str, theta1: float, tau: int,
 
 def _fig_mass_trace(positions: Sequence[int], parity: str, tau_max: int = 250):
     # every position is read off the same state, so each tau propagates once
-    taus = range(tau_max + 1)
     states = tau_sweep(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
-                       parity, taus)
-    rows = []
-    for tau, (t, state) in zip(taus, states):
-        rows.extend({"tau": tau, "t": t, "x": x, "prob": fourier_mass(state, t, x)}
-                    for x in positions)
-    return rows, None
+                       parity, range(tau_max + 1))
+    probs = [fourier_mass(state, t, x) for t, state in states for x in positions]
+    taus = np.repeat(np.arange(tau_max + 1), len(positions))
+    return Table(tau=taus, t=2 * taus + parity_offset(parity),
+                 x=np.tile(positions, tau_max + 1), prob=probs), None
 
 
 def _fig_density(init: str, points: int = 2001):

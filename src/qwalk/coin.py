@@ -144,44 +144,23 @@ class WalkParams:
 
 
 class CoinSet(NamedTuple):
-    """The two coins and their split parts, as 2x2 complex arrays."""
+    """The main coin ``U`` and the swap coin ``H``, as 2x2 complex arrays."""
 
     u: np.ndarray
     h: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    p1: np.ndarray
-    q1: np.ndarray
 
 
 def _reflection(c: float, s: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
-def _split(coin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    top = np.zeros_like(coin)
-    bot = np.zeros_like(coin)
-    top[0] = coin[0]
-    bot[1] = coin[1]
-    return top, bot
-
-
 def build_coins(params: WalkParams) -> CoinSet:
-    """Build ``U``, ``H`` and their split parts ``P, Q, P1, Q1``.
+    """Build the read-only coins ``U = U(theta)`` and ``H = U(theta1)``.
 
-    ``P`` keeps the top row of ``U`` (zero bottom row) and ``Q`` the
-    bottom row, so ``P + Q == U`` exactly; likewise ``P1 + Q1 == H``.
-
-    Returns
-    -------
-    CoinSet
-        Named tuple ``(u, h, p, q, p1, q1)`` of read-only 2x2 arrays.
+    The split parts ``P`` (top row of ``U``) and ``Q`` (bottom row) are
+    notation only: the stepping code applies the rows directly.
     """
-    u = _reflection(params.c, params.s)
-    h = _reflection(params.c1, params.s1)
-    p, q = _split(u)
-    p1, q1 = _split(h)
-    mats = CoinSet(u, h, p, q, p1, q1)
+    mats = CoinSet(_reflection(params.c, params.s), _reflection(params.c1, params.s1))
     for mat in mats:
         mat.flags.writeable = False
     return mats
@@ -251,16 +230,11 @@ class Schedule:
             raise ValueError(f"swap steps must be a collection, got {steps!r}") from None
         return cls(kind=ScheduleKind.MULTI, steps=steps)
 
-    def swaps_at(self, t: int, tau: int) -> bool:
-        """True if the transition from time ``t`` uses ``(P1, Q1)``."""
-        if self.kind is ScheduleKind.USUAL:
-            return False
-        if self.kind is ScheduleKind.HALF_TIME:
-            return t == tau
-        return t in self.steps
-
     def swaps_before(self, t: int, tau: int) -> list[int]:
-        """Sorted steps below ``t`` whose transition uses ``(P1, Q1)``."""
+        """Sorted steps below ``t`` whose transition uses ``H``, split as ``(P1, Q1)``.
+
+        The one swap query: the stepping loop and the propagator both read it.
+        """
         if self.kind is ScheduleKind.USUAL:
             return []
         if self.kind is ScheduleKind.HALF_TIME:

@@ -178,9 +178,10 @@ def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
     # left-moving component, the bottom row the right-moving one.
     coins = ((params.c, params.s, params.s, -params.c),
              (params.c1, params.s1, params.s1, -params.c1))
+    swaps = set(schedule.swaps_before(t_max, params.tau))
     for target in want:
         for s in range(t, target):
-            a, b, c, d = coins[schedule.swaps_at(s, params.tau)]
+            a, b, c, d = coins[s in swaps]
             n = 2 * s + 2  # floats in the s + 1 occupied slots
             lv, rv = lf[:n], rf[2 * (t_max - s):]
             bv, cv = scratch_b[:n], scratch_c[:n]

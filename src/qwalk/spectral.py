@@ -1,11 +1,14 @@
 """Momentum-space machinery: eigen-decomposition, DFT evolution, limits.
 
-This module holds the production evolution.  The walk has bounded
-support ``|x| <= t``, so on a wavenumber grid of at least ``2*t + 2``
-points the inverse transform is an *exact* finite DFT rather than an
-approximate quadrature: :class:`Propagator` reaches the transformed state
-at any time in closed form and :func:`inverse_transform` brings it back to
-positions with one inverse FFT, in O(t log t) where stepping costs O(t^2).
+This module holds the production evolution and the conventions of the
+Fourier route.  A state is ``sum_x e^{-ikx} psi(x)`` on
+:func:`wavenumber_grid`, which starts at ``k = -pi``.  The walk has bounded
+support ``|x| <= t``, so on a grid of at least :func:`grid_size` points the
+inverse transform is an *exact* finite DFT rather than an approximate
+quadrature (Grimmett, Janson and Scudo, Phys. Rev. E 69 (2004) 026119):
+:class:`Propagator` reaches the transformed state at any time in closed
+form and :meth:`FourierState.sublattice`, the one read-back, brings it back
+to positions with one inverse FFT, in O(t log t) where stepping costs O(t^2).
 :func:`spectral_evolve` is that route for one walk and time, which
 ``qwalk simulate``, ``compare`` and figures 1a-3b run on; ``trace`` reads
 every tau off one propagator (:func:`qwalk.analysis.tau_sweep`).
@@ -47,7 +50,8 @@ __all__ = [
     "SpectralPair",
     "FourierState",
     "eigensystem",
-    "fourier_transform",
+    "grid_size",
+    "wavenumber_grid",
     "inverse_transform",
     "spectral_evolve",
     "Propagator",
@@ -119,7 +123,7 @@ def eigensystem(params: WalkParams, k) -> SpectralPair:
     c, s = params.c, params.s
     cos_k, sin_k = np.cos(k), np.sin(k)
     x = c * sin_k
-    r_a = np.sqrt(1.0 - x * x)
+    r_a = np.hypot(s, c * cos_k)  # sqrt(1 - x^2) cancels near |x| = 1
     return SpectralPair(
         k=k,
         lambda1=r_a + 1j * x,
@@ -146,50 +150,53 @@ class FourierState:
         """Grid average of the squared spinor norm (Plancherel mass)."""
         return float(np.mean(np.sum(np.abs(self.values) ** 2, axis=1)))
 
-    @staticmethod
-    def slots(xs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Slot ``x mod n`` and sign ``(-1)^x`` of each position in a plain DFT.
+    def sublattice(self, t: int) -> np.ndarray:
+        """Amplitudes at ``x = -t, -t+2, ..., t``, as ``(t + 1, 2)``, by one inverse FFT.
 
-        The sign is ``e^{-ikx}`` at the first grid point, ``k = -pi``.
+        Site ``x`` sits in slot ``x mod n`` of the plain inverse DFT, times
+        ``e^{-ikx}`` at ``k = -pi``: ``(-1)^x = (-1)^t`` on this sublattice.
         """
-        return xs % n, np.where(xs % 2 == 0, 1.0, -1.0)
+        n = self.grid.shape[0]
+        _check_on_grid(t, n)
+        full = np.fft.ifft(self.values, axis=0)
+        out = np.empty((t + 1, 2), dtype=np.complex128)
+        left = (t + 1) // 2  # sites x = -t, -t+2, ... < 0 sit in slots n + x
+        sign = -1.0 if t % 2 else 1.0
+        np.multiply(full[n - t::2], sign, out=out[:left])
+        np.multiply(full[t % 2:t + 1:2], sign, out=out[left:])
+        return out
 
 
-def _wavenumber_grid(n: int) -> np.ndarray:
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
+def grid_size(t: int) -> int:
+    """Points of the smallest wavenumber grid that holds time ``t`` exactly.
 
-
-def fourier_transform(state: StateVector, n_grid: int) -> FourierState:
-    """Forward transform ``sum_x e^{-ikx} psi(x)`` sampled on ``n_grid`` points.
-
-    One FFT; on a grid smaller than the window, positions sharing a slot alias.
+    The sites ``-t..t`` need distinct slots of the DFT; this is the one
+    place the Fourier route's even size ``2*t + 2`` is written down.
     """
-    index, sign = FourierState.slots(state.positions, n_grid)
-    folded = np.zeros((n_grid, 2), dtype=np.complex128)
-    np.add.at(folded, index, sign[:, None] * state.amps)
-    return FourierState(grid=_wavenumber_grid(n_grid), values=np.fft.fft(folded, axis=0))
+    return 2 * t + 2
+
+
+def _check_on_grid(t: int, n: int) -> None:
+    """Reject a time ``t`` that an ``n``-point grid does not hold exactly."""
+    if not (t >= 0 and grid_size(t) <= n):
+        raise ValueError(f"t={t} is outside 0..{(n - 2) // 2} "
+                         f"of a {n}-point grid (2*t+2 <= {n})")
+
+
+def wavenumber_grid(n: int) -> np.ndarray:
+    """The ``n`` equispaced wavenumbers ``-pi + 2 pi j / n`` on ``[-pi, pi)``."""
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
 def inverse_transform(state: FourierState, t: int) -> StateVector:
     """The state at time ``t`` back on positions ``-t..t``, by one inverse FFT.
 
-    ``state`` holds ``sum_x e^{-ikx} psi(x)`` on a grid of at least
-    ``2*t + 2`` points.  Only the sublattice ``x = t (mod 2)``, where the
-    walk can be, is read back, into an array of exact zeros: the other
-    sites stay exact zeros, as :class:`qwalk.dynamics.StateVector` promises.
-    On that sublattice the sign ``e^{-ikx}`` at ``k = -pi`` is ``(-1)^t``.
+    The sites of :meth:`FourierState.sublattice` go into an array of exact
+    zeros, so the others stay exact zeros, as :class:`StateVector` promises.
     """
-    n = state.grid.shape[0]
-    if not 0 <= t <= (n - 2) // 2:
-        raise ValueError(f"t={t} is outside 0..{(n - 2) // 2} "
-                         f"of a {n}-point grid (2*t+2 <= {n})")
-    full = np.fft.ifft(state.values, axis=0)
+    sublattice = state.sublattice(t)  # checks t before amps is sized
     amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
-    sublattice = amps[::2]
-    left = (t + 1) // 2  # sites x = -t, -t+2, ... < 0 sit in slots n + x
-    sign = -1.0 if t % 2 else 1.0
-    np.multiply(full[n - t::2], sign, out=sublattice[:left])
-    np.multiply(full[t % 2:t + 1:2], sign, out=sublattice[left:])
+    amps[::2] = sublattice
     return StateVector(time=t, offset=-t, amps=amps)
 
 
@@ -203,12 +210,12 @@ def spectral_evolve(
 
     The transformed state is the closed-form :class:`Propagator` state at
     ``t_final``; on a grid of ``n_grid >= 2*t_final + 2`` points (default
-    ``2*t_final + 2``) :func:`inverse_transform` recovers the position
+    :func:`grid_size`) :func:`inverse_transform` recovers the position
     amplitudes exactly (to roundoff).  ``t_final`` is checked by
     :func:`qwalk.dynamics.check_time`, and the grid against the same cap.
     """
     check_time(t_final)
-    n = 2 * t_final + 2 if n_grid is None else n_grid
+    n = grid_size(t_final) if n_grid is None else n_grid
     return inverse_transform(Propagator(params, n).state(schedule, t_final, params.tau),
                              t_final)
 
@@ -229,20 +236,20 @@ class Propagator:
     many times cheap.
 
     The grid has ``n_grid`` points, so it holds every time ``t`` with
-    ``2*t + 2 <= n_grid`` exactly.  A grid above ``2*cap + 2`` points,
-    more than any time that :func:`qwalk.dynamics.check_time` accepts
-    needs, is refused before anything is allocated.
+    ``grid_size(t) <= n_grid`` exactly.  A grid above ``grid_size(cap)``
+    points, more than any time that :func:`qwalk.dynamics.check_time`
+    accepts needs, is refused before anything is allocated.
     """
 
     def __init__(self, params: WalkParams, n_grid: int) -> None:
         if n_grid < 2:
             raise ValueError(f"the grid needs at least 2 points, got {n_grid}")
         cap = max_time_cap()
-        if n_grid > 2 * cap + 2:
-            raise ValueError(f"n_grid={n_grid} exceeds 2*cap+2 = {2 * cap + 2} "
+        if n_grid > grid_size(cap):
+            raise ValueError(f"n_grid={n_grid} exceeds 2*cap+2 = {grid_size(cap)} "
                              f"for the configured cap {cap}")
         self.params = params
-        self.grid = _wavenumber_grid(n_grid)
+        self.grid = wavenumber_grid(n_grid)
         self.grid.flags.writeable = False
         self._eik = np.exp(1j * self.grid)
         x = params.c * np.sin(self.grid)
@@ -299,9 +306,7 @@ class Propagator:
         """
         p = self.params
         n = self.grid.shape[0]
-        if not 0 <= t_final <= (n - 2) // 2:
-            raise ValueError(f"t_final={t_final} is outside 0..{(n - 2) // 2} "
-                             f"of a {n}-point grid (2*t_final+2 <= {n})")
+        _check_on_grid(t_final, n)
         g = np.empty((2, n), dtype=np.complex128)
         g[0], g[1] = p.alpha, p.beta
         done = 0

@@ -39,6 +39,13 @@ SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({5, 17}))
 SWEEP_POSITIONS = (-2, -1, 0, 1, 2)
 
 
+def gather_fourier_moment(state, t, r):
+    """``fourier_moment`` as it was, a gather from the plain inverse DFT."""
+    xs = np.arange(-t, t + 1, 2)
+    sq = np.abs(np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]) ** 2
+    return float(np.sum((xs / t) ** r * (sq[:, 0] + sq[:, 1])))
+
+
 def assert_sweep_matches_evolve(params, schedule, parity, taus, tol):
     """Masses and moments of tau_sweep against position-space evolve."""
     for tau, (t, state) in zip(taus, tau_sweep(params, schedule, parity, taus)):
@@ -260,3 +267,13 @@ def test_sweep_validation(example_params, monkeypatch):
         fourier_moment(state, t, -1)
     assert fourier_mass(state, t, 1) == 0.0  # wrong parity
     assert fourier_mass(state, t, 8) == 0.0  # beyond the light cone
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_fourier_moment_equals_the_gather_bit_for_bit(example_params, schedule):
+    # the shared read-back only flips signs, which |psi|^2 drops exactly
+    taus = (0, 1, 4, 30, 7)
+    for parity in ("odd", "even"):
+        for t, state in tau_sweep(example_params, schedule, parity, taus):
+            for r in (0, 1, 2, 3, 8):
+                assert fourier_moment(state, t, r) == gather_fourier_moment(state, t, r)

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import filecmp
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from qwalk import (
     theorem1_limit,
 )
 from qwalk.cli import EmptyOutput, Table, emit, main
+from qwalk.limits import MAX_MOMENT_ORDER
 
 THETA = str(math.pi / 4)
 WALK = ["--theta", THETA, "--theta1", "0"]
@@ -553,6 +556,16 @@ def test_limit_law_commands_need_half_time(schedule, capsys):
     assert main(["trace", *flags, "--observable", "mass", "--x", "1", "--taus", "2"]) == 0
 
 
+def test_compare_rejects_moment_orders_above_the_maximum(capsys):
+    flags = ["compare", *WALK, "--tau", "10", "--t", "21"]
+    assert main([*flags, "--moments", f"0,{MAX_MOMENT_ORDER}"]) == 0
+    capsys.readouterr()
+    for order in (MAX_MOMENT_ORDER + 1, 1500):
+        assert main([*flags, "--moments", f"0,{order}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"0..{MAX_MOMENT_ORDER}" in out.err
+
+
 def test_compare_csv_format_rejected(capsys):
     assert main(["compare", *WALK, "--tau", "2", "--t", "5",
                  "--format", "csv"]) == 1
@@ -601,30 +614,36 @@ def test_figures_rejects_unknown_key():
 
 def test_emit_validation():
     with pytest.raises(EmptyOutput):
-        emit([], "csv", None)
-    with pytest.raises(ValueError):
+        emit(Table(a=[]), "csv", None)
+    with pytest.raises(EmptyOutput):
+        emit({}, "json", None)
+    with pytest.raises(ValueError, match="row data"):
         emit({"a": 1.0}, "csv", None)
+    with pytest.raises(ValueError, match="row data"):
+        emit([{"a": 1.0}], "csv", None)  # rows as dicts are no table
     with pytest.raises(ValueError):
-        emit([{"a": 1.0}], "yaml", None)
+        emit(Table(a=[1.0]), "yaml", None)
 
 
 def test_emit_formats(tmp_path):
     path = tmp_path / "t.csv"
-    emit([{"x": 0, "prob": 1.0}], "csv", str(path))
+    emit(Table(x=[0], prob=[1.0]), "csv", str(path))
     assert path.read_text() == "x,prob\n0,1\n"
-    emit([{"x": 0, "v": 1 / 3}], "csv", str(path), meta={"d": 0.25})
+    emit(Table(x=np.array([0]), v=np.array([1 / 3])), "csv", str(path), meta={"d": 0.25})
     text = path.read_text()
     assert text.startswith("# d = 0.25\n")
     assert "0.33333333333333331" in text
     jpath = tmp_path / "t.json"
     emit({"v": 1 / 3}, "json", str(jpath), meta={"d": 0.25})
     assert json.loads(jpath.read_text()) == {"d": 0.25, "v": 1 / 3}
-    emit([{"x": 1}], "json", str(jpath), meta={"d": 0.25})
+    emit(Table(x=[1]), "json", str(jpath), meta={"d": 0.25})
     assert json.loads(jpath.read_text()) == {"d": 0.25, "rows": [{"x": 1}]}
+    emit(Table(x=np.array([1, 2])), "json", str(jpath))
+    assert json.loads(jpath.read_text()) == [{"x": 1}, {"x": 2}]
 
 
 def row_formatter_text(rows, fmt, meta=None):
-    """What ``emit`` wrote for a list of row dicts before column tables."""
+    """What ``emit`` wrote for a list of row dicts, before it took only tables."""
     if fmt == "json":
         return json.dumps({**meta, "rows": rows} if meta else rows, indent=2) + "\n"
 
@@ -653,8 +672,6 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
     path = tmp_path / "out"
     emit(table, fmt, str(path), meta)
     assert path.read_text() == expected
-    emit(rows, fmt, str(path), meta)
-    assert path.read_text() == expected
     emit(table, fmt, None, meta)
     assert capsys.readouterr().out == expected
     if fmt == "csv":
@@ -669,3 +686,19 @@ def test_table_validation():
     with pytest.raises(EmptyOutput):
         emit(Table(x=np.arange(0), p=np.zeros(0)), "csv", None)
     assert len(Table(x=[1, 2], p=(0.5, 0.5))) == 2
+
+
+def test_tracer_targets_resolve(monkeypatch, tmp_path):
+    # perfbench/run.py --trace 1 patches every TARGETS entry; a missing one
+    # would break it, so open the recorder over a real command
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    original = qwalk.cli.emit
+    with tracer.SpanRecorder() as recorder:
+        for module, path, _ in tracer.TARGETS:
+            assert recorder.bindings[tracer.layer_name(module, path)] >= 1
+        assert qwalk.cli.emit is not original
+        assert qwalk.cli.main(["trace", *WALK, "--observable", "moment", "--taus", "1,4",
+                               "--out", str(tmp_path / "trace.csv")]) == 0
+    assert qwalk.cli.emit is original
+    assert recorder.layer_totals()["cli.emit"]["calls"] == 1

@@ -35,16 +35,6 @@ def test_zero_angle_swap_coin_is_reflection():
     assert np.array_equal(coins.h, [[1.0, 0.0], [0.0, -1.0]])
 
 
-def test_split_parts_recompose_exactly():
-    for params in sample_params(seed=11, n=10):
-        coins = build_coins(params)
-        assert np.array_equal(coins.p + coins.q, coins.u)
-        assert np.array_equal(coins.p1 + coins.q1, coins.h)
-        # P carries only the top row, Q only the bottom one
-        assert np.all(coins.p[1] == 0)
-        assert np.all(coins.q[0] == 0)
-
-
 def test_coin_is_an_orthogonal_reflection():
     for params in sample_params(seed=12, n=10):
         u = build_coins(params).u
@@ -171,21 +161,30 @@ def test_fourier_coin_preserves_norm(quadrant, frac, k):
 
 
 def test_schedule_swap_steps():
+    # step s uses H exactly when s is the newest entry of swaps_before(s + 1)
     usual = Schedule.usual()
     half = Schedule.half_time()
     multi = Schedule.multi([3, 5])
     for t in range(10):
-        assert not usual.swaps_at(t, tau=4)
-        assert half.swaps_at(t, tau=4) == (t == 4)
-        assert multi.swaps_at(t, tau=4) == (t in (3, 5))
+        assert t not in usual.swaps_before(t + 1, tau=4)
+        assert (t in half.swaps_before(t + 1, tau=4)) == (t == 4)
+        assert (t in multi.swaps_before(t + 1, tau=4)) == (t in (3, 5))
 
 
 def test_schedule_swaps_before_lists_swaps_at():
-    for schedule in (Schedule.usual(), Schedule.half_time(), Schedule.multi([7, 0, 3])):
+    # the swap steps below t, written out by hand
+    usual = Schedule.usual()
+    half = Schedule.half_time()
+    multi = Schedule.multi([7, 0, 3])
+    for t in range(10):
         for tau in (0, 3, 8):
-            for t in range(10):
-                expected = [s for s in range(t) if schedule.swaps_at(s, tau)]
-                assert schedule.swaps_before(t, tau) == expected
+            assert usual.swaps_before(t, tau) == []
+        assert half.swaps_before(t, tau=4) == ([4] if t >= 5 else [])
+    assert half.swaps_before(9, tau=0) == [0]
+    assert half.swaps_before(0, tau=0) == []
+    assert [multi.swaps_before(t, tau=3) for t in (0, 1, 3, 4, 7, 8, 100)] == [
+        [], [0], [0], [0, 3], [0, 3], [0, 3, 7], [0, 3, 7]]
+    assert Schedule.multi({5}).swaps_before(6, tau=1) == [5]
 
 
 def test_schedule_validation():

@@ -18,6 +18,7 @@ from qwalk import (
     theorem1_limit,
     theorem2_density,
 )
+from qwalk.limits import MAX_MOMENT_ORDER
 
 ROOT2 = math.sqrt(2.0)
 
@@ -269,3 +270,27 @@ def test_limit_laws_near_excluded_angles(quarter, side, exponent, theta1, chi, p
     params = WalkParams(theta=theta, theta1=theta1, tau=0, alpha=math.cos(chi),
                         beta=math.sin(chi) * complex(math.cos(phase), math.sin(phase)))
     check_limit_laws(params)
+
+
+#: Edge angles plus angles where ``|s|`` is near 1, where the moment closed
+#: form loses accuracy fastest with the order.  The spinors give odd moments
+#: a nonzero weight, so every order is checked to a relative tolerance.
+MOMENT_CASES = ([(theta, 0.9, 0.6, 0.8) for theta in EDGE_THETAS]
+                + [(theta, 0.2, 0.6, 0.8) for theta in (0.7, 1.5, math.pi - 1.5)]
+                + [(4.7242494452844594, 3.162729072530436, 0.7738398261787137,
+                    0.18337400198411372 + 0.6062556381725684j)])
+
+
+@pytest.mark.parametrize("theta, theta1, alpha, beta", MOMENT_CASES)
+def test_every_accepted_moment_order_matches_reference(theta, theta1, alpha, beta):
+    params = WalkParams(theta=theta, theta1=theta1, tau=0, alpha=alpha, beta=beta)
+    dens = LimitDensity.from_params(params)
+    orders = range(MAX_MOMENT_ORDER + 1)
+    ref = limit_law_reference(theta, theta1, params.alpha, params.beta,
+                              orders=orders, dps=60)["moments"]
+    for r, want in zip(orders, ref):
+        # near theta = pi/2 the high moments underflow, on both sides
+        assert abs(dens.moment(r) - want) <= 1e-12 * abs(want) + 1e-300, r
+    for r in (-1, MAX_MOMENT_ORDER + 1, 1100):
+        with pytest.raises(ValueError, match="moment order"):
+            dens.moment(r)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from qwalk import (
     eigensystem,
     evolve,
     fourier_coin,
-    fourier_transform,
+    fourier_moment,
     Propagator,
     initial_state,
     inverse_transform,
@@ -25,6 +26,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.spectral import grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: k near +-pi/2 and +-pi drives one co-factor form of the eigenvectors
@@ -120,16 +122,35 @@ def test_eigensystem_shapes_and_read_only_arrays(example_params):
             getattr(pair, name)[0] = 0.0
 
 
-def test_fourier_transform_matches_direct_sum(example_params):
-    # t + 3 < 2t + 1 points: positions alias onto shared slots of the grid
+@pytest.mark.parametrize("theta", EDGE_THETAS)
+def test_eigensystem_at_edge_angles_matches_mpmath(theta):
+    # sqrt(1 - c^2 sin^2 k) cancels near theta = 0 and pi; hypot does not
+    params = WalkParams(theta=theta, theta1=0.3, tau=0, alpha=1.0, beta=0.0)
+    ks = np.array(DELICATE_KS + list(np.linspace(-math.pi, math.pi, 41)))
+    pair = eigensystem(params, ks)
+    with mp.workdps(40):
+        c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+        for i, k in enumerate(ks):
+            k = mp.mpf(float(k))
+            root, x, e = mp.sqrt(s ** 2 + (c * mp.cos(k)) ** 2), c * mp.sin(k), mp.expj(k)
+            m = mp.matrix([[e * c, e * s], [s / e, -c / e]])
+            for want, lam, v in ((root + 1j * x, pair.lambda1[i], pair.v1[i]),
+                                 (-root + 1j * x, pair.lambda2[i], pair.v2[i])):
+                assert abs(mp.mpc(lam) - want) <= 4e-16
+                v = mp.matrix([mp.mpc(v[0]), mp.mpc(v[1])])
+                assert mp.norm(m * v - want * v) <= 1e-15
+
+
+def test_propagator_state_is_the_direct_sum(example_params):
+    # values are sum_x e^{-ikx} psi(x) on the grid -pi + 2 pi j / n
     p = dataclasses.replace(example_params, tau=6)
-    for t in (7, 30):
+    for t in (0, 7, 30):
         state = evolve(p, Schedule.half_time(), t)
-        for n in (2 * t + 2, 2 * t + 9, t + 3):
+        for n in (2 * t + 2, 2 * t + 9):
             ks = -np.pi + 2.0 * np.pi * np.arange(n) / n
             direct = np.array([sum(np.exp(-1j * k * x) * state.amplitude(x)
                                    for x in range(-t, t + 1)) for k in ks])
-            transformed = fourier_transform(state, n)
+            transformed = Propagator(p, n).state(Schedule.half_time(), t, p.tau)
             assert np.allclose(transformed.grid, ks, rtol=0, atol=1e-15)
             assert float(np.max(np.abs(transformed.values - direct))) < 1e-12
 
@@ -139,8 +160,28 @@ def test_plancherel_identity(example_params):
     for t in (0, 7, 30):
         state = evolve(p, Schedule.half_time(), t)
         for n in (2 * t + 2, 2 * t + 9):
-            transformed = fourier_transform(state, n)
+            transformed = Propagator(p, n).state(Schedule.half_time(), t, p.tau)
             assert abs(transformed.norm_sq() - state.norm_sq()) < 1e-12
+
+
+def test_one_grid_rule_and_one_range_check(example_params):
+    assert [grid_size(t) for t in (0, 1, 10)] == [2, 4, 22]
+    propagator = Propagator(example_params, 22)
+    state = propagator.state(Schedule.half_time(), 10, 3)
+    assert inverse_transform(state, 10).time == 10
+    assert state.sublattice(10).shape == (11, 2)
+    # the propagator, the inverse transform and the read-back share one check
+    for t in (11, -1):
+        message = f"t={t} is outside 0..10 of a 22-point grid"
+        for reject in (lambda: propagator.state(Schedule.half_time(), t, 3),
+                       lambda: inverse_transform(state, t),
+                       lambda: state.sublattice(t),
+                       lambda: fourier_moment(state, t, 2)):
+            with pytest.raises(ValueError, match=message):
+                reject()
+    # a 23-point grid holds no more times than a 22-point one
+    with pytest.raises(ValueError, match="outside 0..10 of a 23-point grid"):
+        Propagator(example_params, 23).state(Schedule.usual(), 11, 0)
 
 
 def test_spectral_evolve_time_zero(example_params):
