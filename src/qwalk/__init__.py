@@ -14,7 +14,6 @@ from .analysis import (
     ConvergenceTrace,
     fourier_mass,
     fourier_moment,
-    limit_moment,
     localized_mass,
     mass_trace,
     moment,
@@ -30,7 +29,6 @@ from .coin import (
     WalkParams,
     build_coins,
     fourier_coin,
-    shift_matrix,
 )
 from .dynamics import (
     Distribution,
@@ -43,11 +41,9 @@ from .dynamics import (
 from .limits import (
     LimitDensity,
     delta_mass,
-    limit_cdf,
     limit_mass_total,
     limit_masses,
     theorem1_limit,
-    theorem2_density,
 )
 from .spectral import (
     FourierState,
@@ -84,20 +80,16 @@ __all__ = [
     "fourier_moment",
     "initial_state",
     "inverse_transform",
-    "limit_cdf",
     "limit_mass_total",
     "limit_masses",
-    "limit_moment",
     "localized_mass",
     "mass_trace",
     "moment",
     "rescaled_cdf_distance",
-    "shift_matrix",
     "spectral_evolve",
     "step",
     "tau_sweep",
     "theorem1_limit",
-    "theorem2_density",
 ]
 
 __version__ = "0.1.0"

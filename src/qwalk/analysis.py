@@ -32,9 +32,9 @@ __all__ = [
     "fourier_moment",
     "rescaled_cdf_distance",
     "moment",
-    "limit_moment",
     "localized_mass",
 ]
+
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
@@ -47,8 +47,12 @@ class ConvergenceTrace:
     def __post_init__(self) -> None:
         if len(self.taus) != len(self.values):
             raise ValueError("taus and values must have equal length")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError("taus must be strictly increasing")
+        _check_increasing(self.taus)
+
+
+def _check_increasing(taus: tuple[int, ...]) -> None:
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError("taus must be strictly increasing")
 
 
 def tau_sweep(
@@ -118,8 +122,11 @@ def mass_trace(
     ``taus``; the values approach the stationary point mass as tau grows.
     Each value is read off the closed-form momentum-space state of
     :func:`tau_sweep` (half-time schedule), not stepped with ``evolve``.
+    ``taus`` must be strictly increasing; that is checked before any
+    state is propagated.
     """
     taus = tuple(int(tau) for tau in taus)
+    _check_increasing(taus)
     states = tau_sweep(params, Schedule.half_time(), parity, taus)
     values = [fourier_mass(state, t, x) for t, state in states]
     return ConvergenceTrace(
@@ -139,11 +146,13 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     is mass at fixed positions on *both* sides of the origin; at the
     lattice point just left of 0 the raw distribution functions then
     differ by half the atom forever, so the plain supremum distance does
-    not vanish.  The walk mass on the sublinear window ``|x| <= sqrt(t)``
+    not vanish.  The walk mass on the window of :func:`localized_mass`
     (which captures exactly the localized part in the limit) is therefore
-    collapsed to an atom at 0 before comparing.  Both functions are flat
-    between the remaining jump points, so evaluating left and right
-    limits there gives the exact supremum.
+    collapsed to an atom at 0 before comparing.  The collapsed lattice
+    distribution function is a step function and the limit one is
+    nondecreasing, so on each step their difference is monotone and its
+    supremum sits at an end: the left and right limits at the jump points
+    give the exact supremum.
     """
     t = dist.time
     if t not in (2 * params.tau + 1, 2 * params.tau + 2):
@@ -151,7 +160,7 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
             f"t must be 2*tau+1 or 2*tau+2 for tau={params.tau}, got {t}"
         )
     xs, ps = dist.as_arrays()
-    inside = np.abs(xs) <= t ** 0.5
+    inside = _window(dist)
     points = np.append(xs[~inside] / t, 0.0)
     masses = np.append(ps[~inside], np.sum(ps[inside]))
     order = np.argsort(points)
@@ -177,17 +186,17 @@ def moment(dist: Distribution, r: int) -> float:
     return float(np.sum((xs / dist.time) ** r * ps))
 
 
-def limit_moment(params: WalkParams, r: int) -> float:
-    """r-th moment of the weak limit law of ``X_t/t``."""
-    return LimitDensity.from_params(params).moment(r)
+def _window(dist: Distribution) -> np.ndarray:
+    """Mask of the sublinear window ``|x| <= sqrt(t)`` over ``-t..t``."""
+    xs, _ = dist.as_arrays()
+    return np.abs(xs) <= dist.time ** 0.5
 
 
-def localized_mass(dist: Distribution, exponent: float = 0.5) -> float:
-    """Walk mass on the sublinear window ``|x| <= t**exponent``.
+def localized_mass(dist: Distribution) -> float:
+    """Walk mass on the sublinear window ``|x| <= sqrt(t)``.
 
     On the rescaled axis the window shrinks to the point 0, so this
     converges to the atom of the weak limit while the spread part
     contributes o(1); it is the simulation-side estimate of delta.
     """
-    xs, ps = dist.as_arrays()
-    return float(np.sum(ps[np.abs(xs) <= dist.time ** exponent]))
+    return float(np.sum(dist.values[_window(dist)]))

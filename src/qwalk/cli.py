@@ -23,7 +23,6 @@ import numpy as np
 from .analysis import (
     fourier_mass,
     fourier_moment,
-    limit_moment,
     localized_mass,
     moment,
     rescaled_cdf_distance,
@@ -366,12 +365,13 @@ def _cmd_trace(args) -> int:
 def _cmd_compare(args) -> int:
     params, schedule = _resolve_walk(args)
     _require_half_time(schedule, "compare")
-    limits = [limit_moment(params, r) for r in args.moments]  # rejects orders before evolving
+    dens = LimitDensity.from_params(params)
+    limits = [dens.moment(r) for r in args.moments]  # rejects orders before evolving
     dist = distribution(spectral_evolve(params, schedule, args.t))
     report = {
         "ks_distance": rescaled_cdf_distance(params, dist),
         "delta_mass_sim": localized_mass(dist),
-        "delta_mass_theory": delta_mass(params),
+        "delta_mass_theory": dens.delta,
         "moments": [
             {"r": r, "walk": moment(dist, r), "limit": limit}
             for r, limit in zip(args.moments, limits)
@@ -394,11 +394,10 @@ def _fig_distribution(init: str, theta1: float, tau: int,
     return Table(x=xs, prob=ps), None
 
 
-def _fig_spacetime(init: str, theta1: float, tau: int,
-                   schedule: Schedule, t_max: int = 100):
+def _fig_spacetime(init: str, theta1: float, tau: int, schedule: Schedule):
     params = _figure_params(init, theta1, tau)
     ts, xs, ps = [], [], []
-    for state in snapshots(params, schedule, range(t_max + 1)):
+    for state in snapshots(params, schedule, range(101)):
         x, p = distribution(state).as_arrays()
         ts.append(np.full_like(x, state.time))
         xs.append(x)
@@ -406,18 +405,19 @@ def _fig_spacetime(init: str, theta1: float, tau: int,
     return Table(t=np.concatenate(ts), x=np.concatenate(xs), prob=np.concatenate(ps)), None
 
 
-def _fig_mass_trace(positions: Sequence[int], parity: str, tau_max: int = 250):
+def _fig_mass_trace(positions: Sequence[int], parity: str):
     # every position is read off the same state, so each tau propagates once
+    sweep = np.arange(251)
     states = tau_sweep(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
-                       parity, range(tau_max + 1))
+                       parity, sweep)
     probs = [fourier_mass(state, t, x) for t, state in states for x in positions]
-    taus = np.repeat(np.arange(tau_max + 1), len(positions))
+    taus = np.repeat(sweep, len(positions))
     return Table(tau=taus, t=2 * taus + parity_offset(parity),
-                 x=np.tile(positions, tau_max + 1), prob=probs), None
+                 x=np.tile(positions, len(sweep)), prob=probs), None
 
 
-def _fig_density(init: str, points: int = 2001):
-    return _density_table(_figure_params(init, 0.0, 0), points)
+def _fig_density(init: str):
+    return _density_table(_figure_params(init, 0.0, 0), 2001)
 
 
 _FIGURES: dict[str, Callable] = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,10 +34,9 @@ __all__ = [
     "build_coins",
     "fourier_coin",
     "parity_offset",
-    "shift_matrix",
 ]
 
-#: Default rejection tolerance (radians) around the excluded angles
+#: Rejection tolerance (radians) around the excluded angles
 #: {0, pi/2, pi, 3*pi/2}.
 EXCLUDED_ANGLE_TOL = 1e-9
 
@@ -70,7 +69,7 @@ class WalkParams:
     ----------
     theta:
         Angle of the main coin ``U`` (radians, finite).  Must stay at least
-        ``angle_tol`` away from {0, pi/2, pi, 3*pi/2} (mod 2*pi).
+        :data:`EXCLUDED_ANGLE_TOL` away from {0, pi/2, pi, 3*pi/2} (mod 2*pi).
     theta1:
         Angle of the swap coin ``H`` (radians, any finite value).
     tau:
@@ -82,8 +81,6 @@ class WalkParams:
         renormalized exactly, otherwise :class:`NormalizationError` is
         raised (silent renormalization of grossly wrong input would mask
         caller bugs).
-    angle_tol:
-        Rejection tolerance around the excluded angles, radians.
     """
 
     theta: float
@@ -91,7 +88,6 @@ class WalkParams:
     tau: int
     alpha: complex
     beta: complex
-    angle_tol: float = field(default=EXCLUDED_ANGLE_TOL)
 
     def __post_init__(self) -> None:
         if not isinstance(self.tau, (int, np.integer)) or isinstance(self.tau, bool):
@@ -105,9 +101,9 @@ class WalkParams:
                     or not np.isfinite(value)):
                 raise ValueError(f"{name} must be finite and {kind.__name__.lower()}, "
                                  f"got {value!r}")
-        if _distance_to_quarter_turn(float(self.theta)) < self.angle_tol:
+        if _distance_to_quarter_turn(float(self.theta)) < EXCLUDED_ANGLE_TOL:
             raise ExcludedAngleError(
-                f"theta={self.theta!r} is within {self.angle_tol} rad of an "
+                f"theta={self.theta!r} is within {EXCLUDED_ANGLE_TOL} rad of an "
                 "excluded angle (multiple of pi/2)"
             )
         norm = math.hypot(abs(self.alpha), abs(self.beta))
@@ -166,19 +162,16 @@ def build_coins(params: WalkParams) -> CoinSet:
     return mats
 
 
-def shift_matrix(k: float) -> np.ndarray:
-    """Momentum-space shift ``R(k) = diag(e^{ik}, e^{-ik})``."""
-    return np.diag([np.exp(1j * k), np.exp(-1j * k)])
-
-
 def fourier_coin(coin: np.ndarray, k: float) -> np.ndarray:
     """Fourier-space coin at wavenumber ``k``: ``R(k) @ coin``.
 
-    One application advances the transformed state by one time step, so
-    the momentum-space evolution is a pointwise 2x2 multiplication.
-    Unitary whenever ``coin`` is.
+    ``R(k) = diag(e^{ik}, e^{-ik})`` is the momentum-space shift.  One
+    application advances the transformed state by one time step, so the
+    momentum-space evolution is a pointwise 2x2 multiplication.  Unitary
+    whenever ``coin`` is.
     """
-    return shift_matrix(k) @ np.asarray(coin, dtype=np.complex128)
+    shift = np.diag([np.exp(1j * k), np.exp(-1j * k)])
+    return shift @ np.asarray(coin, dtype=np.complex128)
 
 
 class ScheduleKind(enum.Enum):

@@ -75,21 +75,18 @@ def max_time_cap() -> int:
 class StateVector:
     """Walker amplitudes at a fixed time.
 
-    ``amps[i]`` is the 2-component amplitude at position ``offset + i``;
-    the window always spans ``-time .. time``.  Positions ``x`` with
+    ``amps[i]`` is the 2-component amplitude at position ``i - time``:
+    the window spans ``-time .. time``.  Positions ``x`` with
     ``x + time`` odd hold exact zeros (the walker moves one site per
     step).  Instances are read-only.
     """
 
     time: int
-    offset: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("time must be non-negative")
-        if self.offset != -self.time:
-            raise ValueError("window must start at -time")
         if self.amps.shape != (2 * self.time + 1, 2):
             raise ValueError(
                 f"amps shape {self.amps.shape} does not match window "
@@ -100,11 +97,11 @@ class StateVector:
     @property
     def positions(self) -> np.ndarray:
         """Positions covered by the window, ``-t..t``."""
-        return np.arange(self.offset, self.offset + self.amps.shape[0])
+        return np.arange(-self.time, self.time + 1)
 
     def amplitude(self, x: int) -> np.ndarray:
         """Amplitude at position ``x`` (zero outside the window)."""
-        i = x - self.offset
+        i = x + self.time
         if 0 <= i < self.amps.shape[0]:
             return self.amps[i]
         return np.zeros(2, dtype=np.complex128)
@@ -141,15 +138,12 @@ class Distribution:
         """Positions ``-t..t`` and probabilities as parallel arrays."""
         return np.arange(-self.time, self.time + 1), self.values
 
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
 
 def initial_state(params: WalkParams) -> StateVector:
     """State at ``t = 0``: the spinor ``(alpha, beta)`` at the origin."""
     amps = np.zeros((1, 2), dtype=np.complex128)
     amps[0] = params.spinor
-    return StateVector(time=0, offset=0, amps=amps)
+    return StateVector(time=0, amps=amps)
 
 
 def check_time(t: int) -> None:
@@ -195,7 +189,7 @@ def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
         amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
         amps[0::2, 0] = left[:t + 1]
         amps[0::2, 1] = right[t_max - t:]
-        yield StateVector(time=t, offset=-t, amps=amps)
+        yield StateVector(time=t, amps=amps)
 
 
 def step(state: StateVector, params: WalkParams, schedule: Schedule) -> StateVector:

@@ -15,9 +15,9 @@ written as ``c**2 / (1 + |s|)`` throughout: each point mass is a sum of
 squares in ``p = 1/(1 + |s|)`` and ``q = |c| p < 1``, with no power of
 ``c`` in a denominator.  Negative positions swap ``(alpha, beta)``.
 
-The density's quartic numerator ``a2 x^4 + a1 x^2 + a0`` has
-``a0 + a1 + a2 = 0`` identically, so it factors as
-``(1 - x^2)(a0 - a2 x^2)`` and the density has a single ``1 - x^2`` pole
+The density's quartic numerator ``a2 x^4 + a1 x^2 + c^2`` has
+``c^2 + a1 + a2 = 0`` identically, so it factors as
+``(1 - x^2)(c^2 - a2 x^2)`` and the density has a single ``1 - x^2`` pole
 outside the support.  With ``x = |c| sin u`` every antiderivative is
 elementary (``u``, ``cos u``, ``atan2(|s| sin u, cos u)`` and
 ``atan(|c| cos u / |s|)``): the distribution function and the moments
@@ -40,8 +40,6 @@ __all__ = [
     "theorem1_limit",
     "limit_mass_total",
     "limit_masses",
-    "theorem2_density",
-    "limit_cdf",
 ]
 
 #: Highest moment order :meth:`LimitDensity.moment` evaluates.  The
@@ -144,18 +142,18 @@ def _atan_excess(z: np.ndarray) -> np.ndarray:
 class LimitDensity:
     """Weak limit of ``X_t/t``: atom at 0 plus a density on ``(-|c|, |c|)``.
 
-    The density is ``|s| (1 - weight x)(a0 - a2 x^2) / (pi c^2 (1 - x^2)
-    sqrt(c^2 - x^2))`` with ``a0 = c^2`` and ``a2 = g^2`` for the coupling
-    ``g = c1*s - s1*c``.  ``a0``, ``a2`` and ``delta`` depend only on the
-    two coin angles; the initial spinor enters through the linear
-    ``weight`` factor alone.  When ``theta1 == theta``, ``a2 == 0`` and
-    ``delta == 0``, leaving the bare arcsine-type density of the
-    unswapped walk.
+    The density is ``|s| (1 - weight x)(c^2 - a2 x^2) / (pi c^2 (1 - x^2)
+    sqrt(c^2 - x^2))`` with ``a2 = g^2`` for the coupling
+    ``g = c1*s - s1*c``.  ``a2`` and the atom ``delta`` depend only on
+    the two coin angles; the initial spinor enters through the linear
+    ``weight`` factor alone.  ``delta`` is stored as :func:`delta_mass`
+    computes it, ``g * g / (1 + |s|)``.  When ``theta1 == theta``,
+    ``a2 == 0`` and ``delta == 0``, leaving the bare arcsine-type density
+    of the unswapped walk.
     """
 
     delta: float
     weight: float
-    a0: float
     a2: float
     c: float
     s: float
@@ -167,7 +165,6 @@ class LimitDensity:
         return cls(
             delta=delta_mass(params),
             weight=weight,
-            a0=params.c ** 2,
             a2=_coupling(params) ** 2,
             c=params.c,
             s=params.s,
@@ -191,9 +188,9 @@ class LimitDensity:
         out = np.zeros_like(xs)
         inside = np.abs(xs) < cabs
         xi = xs[inside]
-        konno = abs(self.s) / (np.pi * (1.0 - xi ** 2)
-                               * np.sqrt(self.c ** 2 - xi ** 2))
-        rational = (self.a0 - self.a2 * xi ** 2) / self.a0
+        c2 = self.c ** 2
+        konno = abs(self.s) / (np.pi * (1.0 - xi ** 2) * np.sqrt(c2 - xi ** 2))
+        rational = (c2 - self.a2 * xi ** 2) / c2
         out[inside] = konno * (1.0 - self.weight * xi) * rational
         return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -217,7 +214,7 @@ class LimitDensity:
         """
         xs = np.asarray(x, dtype=float)
         cabs, sa = abs(self.c), abs(self.s)
-        c2, g2 = self.a0, self.a2
+        c2, g2 = self.c ** 2, self.a2
         xc = np.clip(xs, -cabs, cabs)
         sin_u = xc / cabs
         cos_u = np.sqrt((cabs - xc) * (cabs + xc)) / cabs
@@ -242,7 +239,7 @@ class LimitDensity:
         [R_k(t) - w_k t (1 + t)^k] / (1 - t)``; that division is exact
         and leaves positive coefficients, so no difference cancels.
         """
-        sa, c2 = abs(self.s), self.a0
+        sa, c2 = abs(self.s), self.c ** 2
         p = 1.0 / (1.0 + sa)
         wallis, poly = 1.0, np.array([1.0])
         for k in range(1, n + 1):
@@ -266,12 +263,3 @@ class LimitDensity:
         val = self._even_moment((r + 1) // 2) * (-self.weight) ** (r % 2)
         return val + (self.delta if r == 0 else 0.0)
 
-
-def theorem2_density(params: WalkParams, x):
-    """Density of the weak limit of ``X_t/t`` at ``x`` (ac part only)."""
-    return LimitDensity.from_params(params).density(x)
-
-
-def limit_cdf(params: WalkParams, x):
-    """Distribution function of the weak limit of ``X_t/t`` at ``x``."""
-    return LimitDensity.from_params(params).cdf(x)

@@ -58,11 +58,6 @@ __all__ = [
     "asymptotic_amplitude",
 ]
 
-#: Below this, the distinguished real factor of an eigenvector form is
-#: considered ill-conditioned and the co-factor form is used instead.
-BRANCH_RADICAND_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class SpectralPair:
     """Eigenvalues and eigenvectors of the momentum-space coin at each k.
@@ -90,26 +85,16 @@ def _eigenvector(c: float, s: float, cos_k: np.ndarray, sin_k: np.ndarray,
                  r_a: np.ndarray, sign: float) -> np.ndarray:
     """Unit eigenvectors for the branch with eigenvalue ``sign*rA + ic sin k``.
 
-    Two algebraically equivalent co-factor forms exist,
-
-        (s e^{ik},  sign*rA - c cos k)   and   ((sign*rA + c cos k) e^{ik},  s),
-
-    and each has one real factor that can suffer catastrophic
-    cancellation when ``|c cos k|`` approaches ``rA``.  The small member
-    of the pair is recovered stably from the product identity
-    ``(rA - c cos k)(rA + c cos k) = s**2`` and the better-conditioned
-    form is selected per ``k``.
+    The co-factor form is ``(s e^{ik}, sign*rA - c cos k)``.  Its real
+    entry cancels when ``sign*c cos k`` approaches ``rA``; there it is
+    taken from the product identity ``(rA - c cos k)(rA + c cos k) =
+    s**2`` as ``s**2 / (rA + |c cos k|)``, so no difference is formed.
+    The first entry has modulus ``|s| > 0`` at every ``k``.
     """
     proj = sign * c * cos_k
     big = r_a + np.abs(proj)
-    small = s * s / big
-    # W is the radicand of this branch's normalizer, w its co-factor
-    w = np.where(proj > 0, small, big)
-    W = np.where(proj > 0, big, small)
-    phase = cos_k + 1j * sin_k
-    stable = W >= BRANCH_RADICAND_TOL
-    v = np.stack([np.where(stable, s * phase, sign * W * phase),
-                  np.where(stable, sign * w, s)], axis=-1)
+    w = np.where(proj > 0, s * s / big, big)
+    v = np.stack([s * (cos_k + 1j * sin_k), sign * w], axis=-1)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
@@ -197,7 +182,7 @@ def inverse_transform(state: FourierState, t: int) -> StateVector:
     sublattice = state.sublattice(t)  # checks t before amps is sized
     amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
     amps[::2] = sublattice
-    return StateVector(time=t, offset=-t, amps=amps)
+    return StateVector(time=t, amps=amps)
 
 
 def spectral_evolve(

@@ -20,13 +20,11 @@ from qwalk import (
     eigensystem,
     evolve,
     initial_state,
-    limit_moment,
     moment,
     rescaled_cdf_distance,
     spectral_evolve,
     step,
     theorem1_limit,
-    theorem2_density,
 )
 from qwalk.coin import build_coins, fourier_coin
 
@@ -130,7 +128,7 @@ def test_criterion_6_density_normalization():
                 * (1.0 - w * xs))
         worst_reduction = max(
             worst_reduction,
-            float(np.max(np.abs(theorem2_density(params, xs) - bare))))
+            float(np.max(np.abs(LimitDensity.from_params(params).density(xs) - bare))))
     report(6, worst <= 1e-8 and worst_reduction <= 1e-13,
            f"|delta + integral(f_ac) - 1| at most {worst:.2e} over 20 sets "
            f"(tol 1e-8); matching-angle reduction off the bare density by at "
@@ -156,7 +154,8 @@ def test_criterion_7_weak_convergence():
 def test_criterion_8_moment_consistency():
     params = dataclasses.replace(SHOWCASE, tau=2000)
     dist = distribution(evolve(params, Schedule.half_time(), 4002))
-    errs = [abs(moment(dist, r) - limit_moment(params, r)) for r in (0, 1, 2)]
+    dens = LimitDensity.from_params(params)
+    errs = [abs(moment(dist, r) - dens.moment(r)) for r in (0, 1, 2)]
     first = abs(moment(dist, 1))
     report(8, max(errs) <= 5e-3 and first <= 1e-12,
            f"moment errors at t=4002: r=0 {errs[0]:.2e}, r=1 {errs[1]:.2e}, "

@@ -11,6 +11,7 @@ from oracles import (EDGE_THETAS, brute_force_probability, origin_mass_even_trac
 from qwalk import (
     ConvergenceTrace,
     ExcludedAngleError,
+    LimitDensity,
     Schedule,
     WalkParams,
     delta_mass,
@@ -19,7 +20,6 @@ from qwalk import (
     fourier_mass,
     fourier_moment,
     initial_state,
-    limit_moment,
     localized_mass,
     mass_trace,
     moment,
@@ -27,6 +27,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.spectral import Propagator
 
 # frozen regression values for the showcase walk (theta=pi/4, theta1=0,
 # symmetric spinor); recorded from a calibration run of this code
@@ -95,6 +96,23 @@ def test_mass_trace_of_usual_walk_decays(hadamard_params):
     assert trace.values[2] < 5e-3
 
 
+def test_mass_trace_checks_order_before_propagating(example_params, monkeypatch):
+    calls = []
+    state = Propagator.state
+
+    def counting_state(self, *args):
+        calls.append(args)
+        return state(self, *args)
+
+    monkeypatch.setattr(Propagator, "state", counting_state)
+    for taus in ((200, 3, 100), (4, 4)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mass_trace(example_params, 1, "odd", taus)
+    assert calls == []
+    mass_trace(example_params, 1, "odd", (3, 4))
+    assert len(calls) == 2
+
+
 def test_origin_mass_oscillates_but_cesaro_converges(example_params):
     # oracle agrees with the per-tau simulation before we trust the sweep
     fast = origin_mass_even_trace(example_params, 30)
@@ -153,6 +171,38 @@ def test_distance_small_for_usual_walk(hadamard_params):
     assert d < 0.02
 
 
+def brute_force_distance(params, dist):
+    """Sup of |F - G| on a dense grid and on both sides of every jump.
+
+    ``F`` is the collapsed lattice distribution function, rebuilt here:
+    the mass on ``|x| <= sqrt(t)`` sits at 0, every other site at ``x/t``.
+    """
+    t = dist.time
+    xs = np.arange(-t, t + 1)
+    far = np.abs(xs) > math.sqrt(t)
+    jumps = xs[far] / t
+    cum = np.concatenate(([0.0], np.cumsum(dist.values[far])))
+    atom = float(np.sum(dist.values[~far]))
+    jumps_and_zero = np.append(jumps, 0.0)
+    ys = np.concatenate((np.linspace(-1.01, 1.01, 200_001),
+                         np.nextafter(jumps_and_zero, -np.inf),
+                         np.nextafter(jumps_and_zero, np.inf), jumps_and_zero))
+    lattice = cum[np.searchsorted(jumps, ys, side="right")] + atom * (ys >= 0.0)
+    limit = LimitDensity.from_params(params).cdf(ys)
+    return float(np.max(np.abs(lattice - limit)))
+
+
+def test_distance_is_the_exact_supremum(example_params, hadamard_params):
+    # the jump-point evaluation misses no larger gap between the jumps
+    walks = [example_params, hadamard_params, *sample_params(seed=54, n=4)]
+    for i, base in enumerate(walks):
+        for tau in (3, 40, 400):
+            params = dataclasses.replace(base, tau=tau)
+            dist = distribution(evolve(params, Schedule.half_time(), 2 * tau + 1 + i % 2))
+            exact = rescaled_cdf_distance(params, dist)
+            assert abs(brute_force_distance(params, dist) - exact) < 1e-13
+
+
 def test_localized_mass_estimates_delta(example_params):
     expected = delta_mass(example_params)
     errors = []
@@ -183,9 +233,10 @@ def test_moments_stay_inside_ballistic_front():
 def test_moments_converge_to_limit(example_params):
     p = dataclasses.replace(example_params, tau=1000)
     dist = distribution(evolve(p, Schedule.half_time(), 2002))
-    assert abs(moment(dist, 0) - limit_moment(example_params, 0)) < 1e-12
+    dens = LimitDensity.from_params(example_params)
+    assert abs(moment(dist, 0) - dens.moment(0)) < 1e-12
     assert moment(dist, 1) == 0.0
-    assert abs(moment(dist, 2) - limit_moment(example_params, 2)) < 1e-3
+    assert abs(moment(dist, 2) - dens.moment(2)) < 1e-3
 
 
 def test_limit_moment_symmetric_weight_kills_odd_orders():
@@ -195,12 +246,12 @@ def test_limit_moment_symmetric_weight_kills_odd_orders():
         for theta, theta1 in ((math.pi / 4, 0.0), (0.8, 2.1)):
             p = WalkParams(theta=theta, theta1=theta1, tau=0, alpha=alpha, beta=beta)
             for r in (1, 3, 5):
-                assert abs(limit_moment(p, r)) < 1e-14
+                assert abs(LimitDensity.from_params(p).moment(r)) < 1e-14
 
 
 def test_limit_moment_normalization():
     for params in sample_params(seed=53, n=10):
-        assert abs(limit_moment(params, 0) - 1.0) < 1e-10
+        assert abs(LimitDensity.from_params(params).moment(0) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)

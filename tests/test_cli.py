@@ -15,6 +15,7 @@ import qwalk.spectral
 from oracles import EDGE_THETAS
 from qwalk import (
     Distribution,
+    LimitDensity,
     Schedule,
     ScheduleKind,
     WalkParams,
@@ -22,7 +23,6 @@ from qwalk import (
     distribution,
     evolve,
     inverse_transform,
-    limit_moment,
     localized_mass,
     mass_trace,
     moment,
@@ -478,7 +478,7 @@ def test_compare_report_schema(tmp_path, example_params):
     for entry in report["moments"]:
         assert entry["walk"] == moment(dist, entry["r"])
         assert abs(entry["walk"] - moment(reference, entry["r"])) <= ROUTE_TOL
-        assert entry["limit"] == limit_moment(p, entry["r"])
+        assert entry["limit"] == LimitDensity.from_params(p).moment(entry["r"])
 
 
 def test_compare_evolves_once(monkeypatch):
@@ -702,3 +702,14 @@ def test_tracer_targets_resolve(monkeypatch, tmp_path):
                                "--out", str(tmp_path / "trace.csv")]) == 0
     assert qwalk.cli.emit is original
     assert recorder.layer_totals()["cli.emit"]["calls"] == 1
+
+
+def test_benchmark_modules_import_and_build(monkeypatch):
+    # perfbench/checks.py imports qwalk names at load time; a deleted one
+    # would fail every benchmark op, so import it and build each workload
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        ops = workloads.build(name, 0)
+        assert ops and ops == workloads.build(name, 0)

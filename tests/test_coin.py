@@ -15,7 +15,6 @@ from qwalk import (
     WalkParams,
     build_coins,
     fourier_coin,
-    shift_matrix,
 )
 
 
@@ -72,12 +71,6 @@ def test_non_numeric_values_rejected(field, value):
     WalkParams(**{**args, "theta": 1, "theta1": np.float64(0.5)})
 
 
-def test_excluded_angle_tolerance_is_adjustable():
-    make_params(0.05)
-    with pytest.raises(ExcludedAngleError):
-        make_params(0.05, angle_tol=0.1)
-
-
 def test_swap_angle_unrestricted():
     # theta1 may sit on the excluded set; only theta is constrained
     make_params(0.7, theta1=math.pi / 2)
@@ -111,10 +104,12 @@ def test_params_are_frozen():
         p.theta = 1.0
 
 
-def test_shift_matrix():
-    assert np.array_equal(shift_matrix(0.0), np.eye(2))
-    r = shift_matrix(0.3)
+def test_fourier_coin_of_identity_is_the_shift():
+    # R(k) = diag(e^{ik}, e^{-ik}), read off as the Fourier coin of the identity
+    assert np.array_equal(fourier_coin(np.eye(2), 0.0), np.eye(2))
+    r = fourier_coin(np.eye(2), 0.3)
     assert r[0, 1] == 0 and r[1, 0] == 0
+    assert r[0, 0] == np.exp(0.3j) and r[1, 1] == np.exp(-0.3j)
     assert np.allclose(r @ r.conj().T, np.eye(2), atol=1e-15)
 
 

@@ -54,7 +54,7 @@ def test_kernel_matches_dense_window_bit_for_bit(theta, schedule, tau, swap_step
             if t > 0:
                 prev = refs[t - 1] if t - 1 in refs else dense_window_amplitudes(
                     p, t - 1, swap_steps)
-                before = StateVector(time=t - 1, offset=1 - t, amps=prev)
+                before = StateVector(time=t - 1, amps=prev)
                 assert_same_bits(step(before, p, schedule).amps, ref)
         # unsorted and repeated times: one state per distinct time, in order
         states = list(snapshots(p, schedule, (302, 2, 0, 301, 2, 1, 302)))
@@ -182,7 +182,7 @@ def test_norm_conserved_for_random_params():
     for i, params in enumerate(sample_params(seed=22, n=6, tau=7)):
         state = evolve(params, Schedule.half_time(), 100 + 80 * i)
         assert abs(state.norm_sq() - 1.0) < 1e-12
-        assert abs(distribution(state).total() - 1.0) < 1e-12
+        assert abs(np.sum(distribution(state).values) - 1.0) < 1e-12
 
 
 def test_wrong_parity_sites_hold_exact_zeros(example_params):
@@ -230,11 +230,9 @@ def test_time_cap_env_override(example_params, monkeypatch):
 
 def test_state_vector_validation():
     with pytest.raises(ValueError):
-        StateVector(time=1, offset=-1, amps=np.zeros((2, 2), dtype=complex))
+        StateVector(time=1, amps=np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
-        StateVector(time=1, offset=0, amps=np.zeros((3, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(time=-1, offset=1, amps=np.zeros((1, 2), dtype=complex))
+        StateVector(time=-1, amps=np.zeros((1, 2), dtype=complex))
 
 
 def test_state_amplitudes_are_read_only(example_params):

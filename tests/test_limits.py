@@ -12,11 +12,9 @@ from qwalk import (
     WalkParams,
     asymptotic_amplitude,
     delta_mass,
-    limit_cdf,
     limit_mass_total,
     limit_masses,
     theorem1_limit,
-    theorem2_density,
 )
 from qwalk.limits import MAX_MOMENT_ORDER
 
@@ -112,7 +110,8 @@ def test_limit_masses_table(example_params):
 
 
 def test_density_showcase_at_origin(hadamard_params):
-    assert abs(theorem2_density(hadamard_params, 0.0) - 1.0 / math.pi) < 1e-15
+    density = LimitDensity.from_params(hadamard_params).density(0.0)
+    assert abs(density - 1.0 / math.pi) < 1e-15
 
 
 def test_density_vanishes_outside_support(example_params):
@@ -162,16 +161,17 @@ def test_density_coefficients():
     for params in sample_params(seed=47, n=10):
         dens = LimitDensity.from_params(params)
         g = params.c1 * params.s - params.s1 * params.c
-        assert dens.a0 == params.c ** 2
+        assert dens.c == params.c
         assert dens.a2 == g * g
         assert dens.delta == delta_mass(params)
-        # the quartic numerator a2 x^4 + a1 x^2 + a0 has a0 + a1 + a2 = 0,
-        # so it factors as (1 - x^2)(a0 - a2 x^2)
+        # the quartic numerator a2 x^4 + a1 x^2 + a0 with a0 = c^2 has
+        # a0 + a1 + a2 = 0, so it factors as (1 - x^2)(a0 - a2 x^2)
+        a0 = dens.c ** 2
         a1 = 2.0 * params.s1 * params.c * g - params.c1 ** 2
-        assert abs(dens.a0 + a1 + dens.a2) < 1e-15
+        assert abs(a0 + a1 + dens.a2) < 1e-15
         xs = np.linspace(-1.0, 1.0, 9)
-        factored = (1.0 - xs ** 2) * (dens.a0 - dens.a2 * xs ** 2)
-        assert np.allclose(dens.a2 * xs ** 4 + a1 * xs ** 2 + dens.a0, factored,
+        factored = (1.0 - xs ** 2) * (a0 - dens.a2 * xs ** 2)
+        assert np.allclose(dens.a2 * xs ** 4 + a1 * xs ** 2 + a0, factored,
                            rtol=0.0, atol=1e-15)
 
 
@@ -214,12 +214,6 @@ def test_moments(example_params):
     assert abs(dens.moment(2) - 0.17677669529663695) < 1e-12
     with pytest.raises(ValueError):
         dens.moment(-1)
-
-
-def test_module_level_wrappers(example_params):
-    dens = LimitDensity.from_params(example_params)
-    assert theorem2_density(example_params, 0.3) == dens.density(0.3)
-    assert limit_cdf(example_params, 0.3) == dens.cdf(0.3)
 
 
 def check_limit_laws(params):
@@ -265,7 +259,7 @@ def test_limit_laws_at_edge_angles(theta):
        exponent=st.floats(-8.99, -0.5), theta1=st.floats(0.0, 2 * math.pi),
        chi=st.floats(0.0, math.pi / 2), phase=st.floats(0.0, 2 * math.pi))
 def test_limit_laws_near_excluded_angles(quarter, side, exponent, theta1, chi, phase):
-    # theta down to angle_tol = 1e-9 from a multiple of pi/2, either side
+    # theta down to EXCLUDED_ANGLE_TOL = 1e-9 from a multiple of pi/2, either side
     theta = quarter * math.pi / 2 + side * 10.0 ** exponent
     params = WalkParams(theta=theta, theta1=theta1, tau=0, alpha=math.cos(chi),
                         beta=math.sin(chi) * complex(math.cos(phase), math.sin(phase)))

@@ -29,8 +29,9 @@ from qwalk import (
 from qwalk.spectral import grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
-#: k near +-pi/2 and +-pi drives one co-factor form of the eigenvectors
-#: towards 0/0.
+#: At k = 0 and +-pi one branch's eigenvector entry sign*rA - c cos k
+#: would cancel (the code takes it as s**2/(rA + |c cos k|)); at
+#: k = +-pi/2 the two eigenvalues are closest.
 DELICATE_KS = [0.0, math.pi / 2, -math.pi / 2, math.pi - 1e-9,
                math.pi / 2 + 1e-8, math.pi / 2 - 1e-8, -math.pi]
 
