@@ -51,7 +51,6 @@ from .spectral import (
     SpectralPair,
     asymptotic_amplitude,
     eigensystem,
-    inverse_transform,
     spectral_evolve,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "fourier_mass",
     "fourier_moment",
     "initial_state",
-    "inverse_transform",
     "limit_mass_total",
     "limit_masses",
     "localized_mass",

@@ -31,7 +31,7 @@ from .analysis import (
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import StateVector, check_time, distribution, evolve, snapshots
 from .limits import LimitDensity, delta_mass, limit_masses
-from .spectral import eigensystem, inverse_transform, spectral_evolve, wavenumber_grid
+from .spectral import eigensystem, spectral_evolve, wavenumber_grid
 
 __all__ = ["EmptyOutput", "Table", "emit", "main"]
 
@@ -295,7 +295,7 @@ def _cmd_spectral_check(args) -> int:
     params, schedule = _resolve_walk(args)
     direct = evolve(params, schedule, args.t)
     fourier = spectral_evolve(params, schedule, args.t, n_grid=args.n_grid)
-    deviation = float(np.max(np.abs(direct.amps - fourier.amps)))
+    deviation = float(np.max(np.abs(direct.sites - fourier.sites)))
     print(f"max entrywise deviation at t={args.t}: {deviation:.3e} "
           f"(tolerance {args.tol:.3e})")
     return 0 if deviation <= args.tol else 2
@@ -351,7 +351,7 @@ def _cmd_trace(args) -> int:
     states = tau_sweep(params, schedule, args.parity, args.taus)
     if args.observable == "ks":
         values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
-                                        distribution(inverse_transform(state, t)))
+                                        distribution(StateVector(t, state.sublattice(t))))
                   for tau, (t, state) in zip(args.taus, states)]
     elif args.observable == "mass":
         values = [fourier_mass(state, t, args.x) for t, state in states]
@@ -521,10 +521,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,10 +16,11 @@ requested time ``T``, with ``L[j]`` in slot ``j`` and ``R[j]`` in slot
     L[j] <- a L[j] + b R[j],    R[j+1] <- c L[j] + d R[j]
 
 The coin entries ``a, b, c, d`` are real, so these are six in-place
-scalar multiplies and adds on the ``float64`` views of the buffers.  The
-dense ``(2t+1, 2)`` window of a :class:`StateVector` is filled in only
-when a state is returned.  Everything is deterministic: the
-probabilities are squared amplitude norms, never sampled.
+scalar multiplies and adds on the ``float64`` views of the buffers.  A
+:class:`StateVector` holds the same ``t + 1`` sites; its dense
+``(2t+1, 2)`` window is built only when ``.amps`` is read.  Everything
+is deterministic: the probabilities are squared amplitude norms, never
+sampled.
 
 Stepping costs O(t^2) to reach time ``t``, so this module is the
 reference route, not the production one: the ``qwalk`` commands evolve a
@@ -35,9 +36,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,10 +59,6 @@ __all__ = [
 #: environment variable.
 DEFAULT_MAX_T = 10**6
 
-#: Probabilities more negative than this indicate a real bug rather than
-#: harmless rounding, and are not clamped.
-NEGATIVE_PROB_FLOOR = -1e-15
-
 
 def max_time_cap() -> int:
     """Active evolution-time cap: ``QWALK_MAX_T`` if set, else the default."""
@@ -73,42 +68,40 @@ def max_time_cap() -> int:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Walker amplitudes at a fixed time.
+    """Walker amplitudes at a fixed time, on the sites it can occupy.
 
-    ``amps[i]`` is the 2-component amplitude at position ``i - time``:
-    the window spans ``-time .. time``.  Positions ``x`` with
-    ``x + time`` odd hold exact zeros (the walker moves one site per
-    step).  Instances are read-only.
+    ``sites[j]`` is the 2-component amplitude at ``x = 2*j - time``: the
+    ``time + 1`` sites ``-time, -time+2, ..., time`` (the walker moves
+    one site per step, so ``x + time`` is even).  Instances are read-only.
     """
 
     time: int
-    amps: np.ndarray
+    sites: np.ndarray
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("time must be non-negative")
-        if self.amps.shape != (2 * self.time + 1, 2):
-            raise ValueError(
-                f"amps shape {self.amps.shape} does not match window "
-                f"[-{self.time}, {self.time}]"
-            )
-        self.amps.flags.writeable = False
+        if self.sites.shape != (self.time + 1, 2):
+            raise ValueError(f"sites shape {self.sites.shape} is not "
+                             f"({self.time + 1}, 2), one spinor per occupied site")
+        self.sites.flags.writeable = False
 
     @property
-    def positions(self) -> np.ndarray:
-        """Positions covered by the window, ``-t..t``."""
-        return np.arange(-self.time, self.time + 1)
+    def amps(self) -> np.ndarray:
+        """The dense window: ``amps[i]`` is the amplitude at ``x = i - time``.
 
-    def amplitude(self, x: int) -> np.ndarray:
-        """Amplitude at position ``x`` (zero outside the window)."""
-        i = x + self.time
-        if 0 <= i < self.amps.shape[0]:
-            return self.amps[i]
-        return np.zeros(2, dtype=np.complex128)
+        It spans ``-time .. time``, with exact zeros at the sites where
+        ``x + time`` is odd.  This is the one place the window is built,
+        anew and read-only on every read.
+        """
+        amps = np.zeros((2 * self.time + 1, 2), dtype=np.complex128)
+        amps[::2] = self.sites
+        amps.flags.writeable = False
+        return amps
 
     def norm_sq(self) -> float:
         """Total probability; 1 up to roundoff for any valid state."""
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.sum(np.abs(self.sites) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +121,6 @@ class Distribution:
                              f"window [-{self.time}, {self.time}]")
         self.values.flags.writeable = False
 
-    @cached_property
-    def probs(self) -> Mapping[int, float]:
-        """Read-only map ``x -> P(X_t = x)``, built on first use."""
-        return MappingProxyType(dict(zip(range(-self.time, self.time + 1),
-                                         self.values.tolist())))
-
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Positions ``-t..t`` and probabilities as parallel arrays."""
         return np.arange(-self.time, self.time + 1), self.values
@@ -141,9 +128,7 @@ class Distribution:
 
 def initial_state(params: WalkParams) -> StateVector:
     """State at ``t = 0``: the spinor ``(alpha, beta)`` at the origin."""
-    amps = np.zeros((1, 2), dtype=np.complex128)
-    amps[0] = params.spinor
-    return StateVector(time=0, amps=amps)
+    return StateVector(0, params.spinor[np.newaxis])
 
 
 def check_time(t: int) -> None:
@@ -164,8 +149,8 @@ def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
     t, t_max = start.time, want[-1]
     left = np.zeros(t_max + 1, dtype=np.complex128)
     right = np.zeros(t_max + 1, dtype=np.complex128)
-    left[:t + 1] = start.amps[0::2, 0]
-    right[t_max - t:] = start.amps[0::2, 1]
+    left[:t + 1] = start.sites[:, 0]
+    right[t_max - t:] = start.sites[:, 1]
     lf, rf = left.view(np.float64), right.view(np.float64)
     scratch_b, scratch_c = np.empty_like(lf), np.empty_like(lf)
     # Rows of the coin, plain and swapped: the top row feeds the
@@ -186,18 +171,11 @@ def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
             rv *= d
             rv += cv
         t = target
-        amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
-        amps[0::2, 0] = left[:t + 1]
-        amps[0::2, 1] = right[t_max - t:]
-        yield StateVector(time=t, amps=amps)
+        yield StateVector(t, np.stack((left[:t + 1], right[t_max - t:]), axis=1))
 
 
 def step(state: StateVector, params: WalkParams, schedule: Schedule) -> StateVector:
-    """Advance one time step; the window grows by one site on each side.
-
-    Only the sites ``x = -t, -t+2, ..., t`` of ``state`` are read; the
-    others hold zeros in every state of a walk.
-    """
+    """Advance one time step; the walk reaches one more site."""
     return next(_stepper(state, params, schedule, [state.time + 1]))
 
 
@@ -227,15 +205,8 @@ def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:
     return next(snapshots(params, schedule, (t_final,)))
 
 
-def _clamp_probability(p):
-    """Zero for rounding-level negatives, elementwise; ``p`` otherwise."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < NEGATIVE_PROB_FLOOR):
-        raise ArithmeticError(f"probability {np.min(p)} below the rounding floor")
-    return np.where(p < 0.0, 0.0, p)
-
-
 def distribution(state: StateVector) -> Distribution:
-    """Squared amplitude norms over the whole window."""
-    ps = np.sum(np.abs(state.amps) ** 2, axis=1)
-    return Distribution(time=state.time, values=_clamp_probability(ps))
+    """Squared amplitude norms over the whole window ``-t..t``."""
+    values = np.zeros(2 * state.time + 1)
+    values[::2] = np.sum(np.abs(state.sites) ** 2, axis=1)
+    return Distribution(time=state.time, values=values)

@@ -52,7 +52,6 @@ __all__ = [
     "eigensystem",
     "grid_size",
     "wavenumber_grid",
-    "inverse_transform",
     "spectral_evolve",
     "Propagator",
     "asymptotic_amplitude",
@@ -173,18 +172,6 @@ def wavenumber_grid(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
-def inverse_transform(state: FourierState, t: int) -> StateVector:
-    """The state at time ``t`` back on positions ``-t..t``, by one inverse FFT.
-
-    The sites of :meth:`FourierState.sublattice` go into an array of exact
-    zeros, so the others stay exact zeros, as :class:`StateVector` promises.
-    """
-    sublattice = state.sublattice(t)  # checks t before amps is sized
-    amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
-    amps[::2] = sublattice
-    return StateVector(time=t, amps=amps)
-
-
 def spectral_evolve(
     params: WalkParams,
     schedule: Schedule,
@@ -195,14 +182,14 @@ def spectral_evolve(
 
     The transformed state is the closed-form :class:`Propagator` state at
     ``t_final``; on a grid of ``n_grid >= 2*t_final + 2`` points (default
-    :func:`grid_size`) :func:`inverse_transform` recovers the position
+    :func:`grid_size`) :meth:`FourierState.sublattice` recovers the position
     amplitudes exactly (to roundoff).  ``t_final`` is checked by
     :func:`qwalk.dynamics.check_time`, and the grid against the same cap.
     """
     check_time(t_final)
     n = grid_size(t_final) if n_grid is None else n_grid
-    return inverse_transform(Propagator(params, n).state(schedule, t_final, params.tau),
-                             t_final)
+    state = Propagator(params, n).state(schedule, t_final, params.tau)
+    return StateVector(t_final, state.sublattice(t_final))
 
 
 #: ``i**m`` by ``m % 4``, exact.
@@ -284,7 +271,7 @@ class Propagator:
         """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
 
         The values are ``sum_x e^{-ikx} psi(x)`` for the state that
-        :func:`qwalk.dynamics.evolve` steps to; :func:`inverse_transform`
+        :func:`qwalk.dynamics.evolve` steps to; :meth:`FourierState.sublattice`
         recovers ``psi`` exactly (to roundoff).  The spinor components are
         the rows of one ``(2, n)`` array, updated in place, and the last
         power writes straight into the returned values.

@@ -45,7 +45,7 @@ def test_criterion_1_odd_point_masses():
     start = time.perf_counter()
     dist = distribution(evolve(SHOWCASE, Schedule.half_time(), 2001))
     elapsed = time.perf_counter() - start
-    err = max(abs(dist.probs[x] - P1_LIMIT) for x in (-1, 1))
+    err = max(abs(dist.values[x + dist.time] - P1_LIMIT) for x in (-1, 1))
     report(1, err <= 2e-3 and elapsed < 5.0,
            f"P(+/-1) at t=2001 within {err:.2e} of {P1_LIMIT:.6f} "
            f"(tol 2e-3) in {elapsed:.2f}s (budget 5s)")
@@ -59,8 +59,8 @@ def test_criterion_2_even_point_masses():
     # t=6002.  No correct simulation can land within 2e-3 of the limits at
     # this tau; the check is kept at its required strength regardless.
     dist = distribution(evolve(SHOWCASE, Schedule.half_time(), 2002))
-    err0 = abs(dist.probs[0] - P0_LIMIT)
-    err2 = max(abs(dist.probs[x] - P2_LIMIT) for x in (-2, 2))
+    err0 = abs(dist.values[dist.time] - P0_LIMIT)
+    err2 = max(abs(dist.values[x + dist.time] - P2_LIMIT) for x in (-2, 2))
     report(2, err0 <= 2e-3 and err2 <= 2e-3,
            f"P(0) within {err0:.2e} of {P0_LIMIT:.6f}, P(+/-2) within "
            f"{err2:.2e} of {P2_LIMIT:.6f} (tol 2e-3)")
@@ -104,8 +104,8 @@ def test_criterion_5_unitarity_and_parity():
     for _ in range(5000):
         state = step(state, SHOWCASE, schedule)
         worst_norm = max(worst_norm, abs(state.norm_sq() - 1.0))
-        wrong = (state.positions + state.time) % 2 == 1
-        assert not state.amps[wrong].any()
+        # window index i holds x = i - t, so odd i is the wrong parity
+        assert not state.amps[1::2].any()
     report(5, worst_norm <= 1e-12,
            f"norm drift at most {worst_norm:.2e} over 5000 steps (tol 1e-12); "
            f"wrong-parity sites exactly zero at every step")

@@ -18,11 +18,11 @@ from qwalk import (
     LimitDensity,
     Schedule,
     ScheduleKind,
+    StateVector,
     WalkParams,
     delta_mass,
     distribution,
     evolve,
-    inverse_transform,
     localized_mass,
     mass_trace,
     moment,
@@ -100,12 +100,11 @@ def test_simulate_csv_matches_library(tmp_path, example_params):
     expected = distribution(state)
     reference = distribution(evolve(p, Schedule.half_time(), 5))
     assert len(rows) == 11
-    for row, amp in zip(rows, state.amps):
-        x = int(row["x"])
-        assert row["prob"] == expected.probs[x]
+    for row, amp, prob, ref in zip(rows, state.amps, expected.values, reference.values):
+        assert row["prob"] == prob
         assert [row["amp0_re"], row["amp0_im"], row["amp1_re"], row["amp1_im"]] == \
             [amp[0].real, amp[0].imag, amp[1].real, amp[1].imag]
-        assert abs(row["prob"] - reference.probs[x]) <= ROUTE_TOL
+        assert abs(row["prob"] - ref) <= ROUTE_TOL
 
 
 def test_simulate_writes_stdout_by_default(capsys):
@@ -121,10 +120,11 @@ def test_simulate_json_round_trip(tmp_path, example_params):
                  "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
     expected = distribution(spectral_evolve(example_params, Schedule.half_time(), 4))
-    assert {row["x"]: row["prob"] for row in rows} == expected.probs
+    xs, ps = expected.as_arrays()
+    assert [(row["x"], row["prob"]) for row in rows] == list(zip(xs.tolist(), ps.tolist()))
     reference = distribution(evolve(example_params, Schedule.half_time(), 4))
-    for row in rows:
-        assert abs(row["prob"] - reference.probs[row["x"]]) <= ROUTE_TOL
+    for row, ref in zip(rows, reference.values):
+        assert abs(row["prob"] - ref) <= ROUTE_TOL
 
 
 def test_simulate_requires_exactly_one_time_flag(capsys):
@@ -408,7 +408,7 @@ def test_trace_observables_ks_and_moment(tmp_path, example_params):
     _, rows = read_table(out)
     p = dataclasses.replace(example_params, tau=5)
     ((t, state),) = tau_sweep(example_params, Schedule.half_time(), "odd", (5,))
-    dist = distribution(inverse_transform(state, t))
+    dist = distribution(StateVector(t, state.sublattice(t)))
     assert rows[0]["value"] == rescaled_cdf_distance(p, dist)
     dist = distribution(evolve(p, Schedule.half_time(), 11))
     assert abs(rows[0]["value"] - rescaled_cdf_distance(p, dist)) <= ROUTE_TOL
@@ -700,15 +700,26 @@ def test_tracer_targets_resolve(monkeypatch, tmp_path):
         assert qwalk.cli.emit is not original
         assert qwalk.cli.main(["trace", *WALK, "--observable", "moment", "--taus", "1,4",
                                "--out", str(tmp_path / "trace.csv")]) == 0
+        # the distribution counter reads the dense window: 2t + 1 sites
+        assert qwalk.cli.main(["compare", *WALK, "--tau", "2", "--t", "5",
+                               "--out", str(tmp_path / "report.json")]) == 0
     assert qwalk.cli.emit is original
-    assert recorder.layer_totals()["cli.emit"]["calls"] == 1
+    totals = recorder.layer_totals()
+    assert totals["cli.emit"]["calls"] == 2
+    assert totals["dynamics.distribution"]["calls"] == 1
+    assert totals["dynamics.distribution"]["sites"] == 11
 
 
 def test_benchmark_modules_import_and_build(monkeypatch):
     # perfbench/checks.py imports qwalk names at load time; a deleted one
     # would fail every benchmark op, so import it and build each workload
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    importlib.import_module("checks")
+    checks = importlib.import_module("checks")
+    # the checks read the dense window: -t..t, exact zeros where x + t is odd
+    params = WalkParams(theta=0.7, theta1=0.0, tau=2, alpha=0.6, beta=0.8j)
+    amps = checks.Checker().amps(params, Schedule.half_time(), 5)
+    assert amps.shape == (11, 2)
+    assert np.all(amps[1::2] == 0)
     workloads = importlib.import_module("workloads")
     for name in workloads.WORKLOADS:
         ops = workloads.build(name, 0)

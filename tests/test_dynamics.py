@@ -54,7 +54,7 @@ def test_kernel_matches_dense_window_bit_for_bit(theta, schedule, tau, swap_step
             if t > 0:
                 prev = refs[t - 1] if t - 1 in refs else dense_window_amplitudes(
                     p, t - 1, swap_steps)
-                before = StateVector(time=t - 1, amps=prev)
+                before = StateVector(t - 1, prev[0::2])
                 assert_same_bits(step(before, p, schedule).amps, ref)
         # unsorted and repeated times: one state per distinct time, in order
         states = list(snapshots(p, schedule, (302, 2, 0, 301, 2, 1, 302)))
@@ -64,9 +64,10 @@ def test_kernel_matches_dense_window_bit_for_bit(theta, schedule, tau, swap_step
 
 
 def test_evolve_memory_is_linear_in_the_window(example_params):
-    # The sublattice buffers, the two scratch buffers and the returned
-    # window take 64 bytes per window site; an O(t^2) trap (a kept copy
-    # per step) would need ~t/2 times that.
+    # The sublattice buffers and the two scratch buffers take 64 bytes per
+    # occupied site and the returned state 32 bytes more, about 48 bytes
+    # per window site; an O(t^2) trap (a kept copy per step) would need
+    # ~t/2 times that.
     t = 4000
     tracemalloc.start()
     try:
@@ -96,28 +97,25 @@ def test_initial_state_places_spinor_at_origin():
     p = WalkParams(theta=0.7, theta1=0.2, tau=0, alpha=1.0 + 0.0j, beta=0.0j)
     state = initial_state(p)
     assert state.time == 0
-    assert list(state.positions) == [0]
-    assert np.array_equal(state.amplitude(0), [1.0, 0.0])
+    assert np.array_equal(state.sites, [[1.0, 0.0]])
+    assert np.array_equal(state.amps, [[1.0, 0.0]])
     assert state.norm_sq() == 1.0
-    assert np.array_equal(state.amplitude(3), [0.0, 0.0])
 
 
 def test_single_step_splits_amplitude():
     p = WalkParams(theta=0.7, theta1=0.2, tau=5, alpha=1.0 + 0.0j, beta=0.0j)
     state = step(initial_state(p), p, Schedule.half_time())
-    assert np.array_equal(state.amplitude(-1), [p.c, 0.0])
-    assert np.array_equal(state.amplitude(1), [0.0, p.s])
+    assert np.array_equal(state.sites, [[p.c, 0.0], [0.0, p.s]])
+    assert np.array_equal(state.amps, [[p.c, 0.0], [0.0, 0.0], [0.0, p.s]])
     d = distribution(state)
-    assert d.probs[-1] == p.c ** 2 and d.probs[1] == p.s ** 2
+    assert d.values.tolist() == [p.c ** 2, 0.0, p.s ** 2]
 
 
 def test_two_hadamard_steps(hadamard_params):
     p = dataclasses.replace(hadamard_params, alpha=1.0 + 0.0j, beta=0.0j)
     d = distribution(evolve(p, Schedule.usual(), 2))
-    assert abs(d.probs[-2] - 0.25) < 1e-15
-    assert abs(d.probs[0] - 0.5) < 1e-15
-    assert abs(d.probs[2] - 0.25) < 1e-15
-    assert d.probs[-1] == 0.0 and d.probs[1] == 0.0
+    assert np.allclose(d.values, [0.25, 0.0, 0.5, 0.0, 0.25], rtol=0.0, atol=1e-15)
+    assert d.values[1] == 0.0 and d.values[3] == 0.0
 
 
 @pytest.mark.parametrize("schedule,swap_times", [
@@ -130,9 +128,9 @@ def test_matches_brute_force_oracle(schedule, swap_times):
         t = 10 + 4 * i
         times = {params.tau} if swap_times is None else swap_times
         reference = brute_force_amplitudes(params, t, times)
-        state = evolve(params, schedule, t)
+        amps = evolve(params, schedule, t).amps
         worst = max(
-            float(np.max(np.abs(state.amplitude(x) - spinor)))
+            float(np.max(np.abs(amps[x + t] - spinor)))
             for x, spinor in reference.items()
         )
         assert worst < 1e-13
@@ -141,10 +139,10 @@ def test_matches_brute_force_oracle(schedule, swap_times):
 def test_swap_step_uses_other_coin():
     p = WalkParams(theta=0.7, theta1=1.9, tau=0, alpha=0.6, beta=0.8j)
     swapped = step(initial_state(p), p, Schedule.half_time())
-    assert np.allclose(swapped.amplitude(-1),
+    assert np.allclose(swapped.sites[0],
                        [p.c1 * 0.6 + p.s1 * 0.8j, 0.0], atol=1e-15)
     plain = step(initial_state(p), p, Schedule.usual())
-    assert np.allclose(plain.amplitude(-1),
+    assert np.allclose(plain.sites[0],
                        [p.c * 0.6 + p.s * 0.8j, 0.0], atol=1e-15)
 
 
@@ -167,15 +165,16 @@ def test_symmetric_spinor_gives_symmetric_distribution(example_params, hadamard_
 
 def test_usual_walk_has_no_origin_spike(hadamard_params):
     d = distribution(evolve(hadamard_params, Schedule.usual(), 500))
-    near_origin = max(d.probs.get(x, 0.0) for x in range(-10, 11))
+    near_origin = float(np.max(d.values[d.time - 10:d.time + 11]))
     assert near_origin < 0.01
 
 
 def test_swapped_walk_keeps_an_origin_spike(example_params):
     p = dataclasses.replace(example_params, tau=249)
     d = distribution(evolve(p, Schedule.half_time(), 499))
-    assert d.probs[1] > 0.1 and d.probs[-1] > 0.1
-    assert d.probs[1] > 10 * d.probs[21]
+    at_1, at_minus_1, at_21 = d.values[d.time + np.array([1, -1, 21])]
+    assert at_1 > 0.1 and at_minus_1 > 0.1
+    assert at_1 > 10 * at_21
 
 
 def test_norm_conserved_for_random_params():
@@ -229,33 +228,29 @@ def test_time_cap_env_override(example_params, monkeypatch):
 
 
 def test_state_vector_validation():
-    with pytest.raises(ValueError):
-        StateVector(time=1, amps=np.zeros((2, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(time=-1, amps=np.zeros((1, 2), dtype=complex))
+    StateVector(1, np.zeros((2, 2), dtype=complex))
+    for shape in ((3, 2), (1, 2), (2,), (2, 3), (2, 2, 1)):
+        with pytest.raises(ValueError, match="sites shape"):
+            StateVector(1, np.zeros(shape, dtype=complex))
+    with pytest.raises(ValueError, match="non-negative"):
+        StateVector(-1, np.zeros((0, 2), dtype=complex))
 
 
 def test_state_amplitudes_are_read_only(example_params):
     state = evolve(example_params, Schedule.usual(), 3)
     with pytest.raises(ValueError):
+        state.sites[0, 0] = 1.0
+    with pytest.raises(ValueError):
         state.amps[0, 0] = 1.0
+    assert state.amps.shape == (7, 2)
+    assert np.array_equal(state.amps[0::2], state.sites)
+    assert not state.amps[1::2].any()
 
 
 def test_distribution_arrays_sorted(example_params):
     xs, ps = distribution(evolve(example_params, Schedule.usual(), 6)).as_arrays()
     assert np.all(np.diff(xs) > 0)
     assert xs[0] == -6 and xs[-1] == 6
-
-
-def test_negative_probability_guard():
-    from qwalk.dynamics import _clamp_probability
-    assert _clamp_probability(-1e-16) == 0.0
-    assert _clamp_probability(0.25) == 0.25
-    with pytest.raises(ArithmeticError):
-        _clamp_probability(-1e-14)
-    assert np.array_equal(_clamp_probability(np.array([0.5, -1e-16, 0.0])), [0.5, 0.0, 0.0])
-    with pytest.raises(ArithmeticError):
-        _clamp_probability(np.array([0.5, -1e-14, 0.25]))
 
 
 def test_distribution_window_and_read_only(example_params):
@@ -268,7 +263,3 @@ def test_distribution_window_and_read_only(example_params):
     assert xs.tolist() == list(range(-5, 6)) and ps is d.values
     with pytest.raises(ValueError):
         ps[0] = 1.0
-    with pytest.raises(TypeError):
-        d.probs[0] = 1.0
-    assert d.probs is d.probs
-    assert d.probs == dict(zip(xs.tolist(), ps.tolist()))

@@ -21,7 +21,6 @@ from qwalk import (
     fourier_moment,
     Propagator,
     initial_state,
-    inverse_transform,
     spectral_evolve,
     tau_sweep,
     theorem1_limit,
@@ -149,8 +148,9 @@ def test_propagator_state_is_the_direct_sum(example_params):
         state = evolve(p, Schedule.half_time(), t)
         for n in (2 * t + 2, 2 * t + 9):
             ks = -np.pi + 2.0 * np.pi * np.arange(n) / n
-            direct = np.array([sum(np.exp(-1j * k * x) * state.amplitude(x)
-                                   for x in range(-t, t + 1)) for k in ks])
+            direct = np.array([sum(np.exp(-1j * k * x) * amp
+                                   for x, amp in zip(range(-t, t + 1, 2), state.sites))
+                               for k in ks])
             transformed = Propagator(p, n).state(Schedule.half_time(), t, p.tau)
             assert np.allclose(transformed.grid, ks, rtol=0, atol=1e-15)
             assert float(np.max(np.abs(transformed.values - direct))) < 1e-12
@@ -169,13 +169,11 @@ def test_one_grid_rule_and_one_range_check(example_params):
     assert [grid_size(t) for t in (0, 1, 10)] == [2, 4, 22]
     propagator = Propagator(example_params, 22)
     state = propagator.state(Schedule.half_time(), 10, 3)
-    assert inverse_transform(state, 10).time == 10
     assert state.sublattice(10).shape == (11, 2)
-    # the propagator, the inverse transform and the read-back share one check
+    # the propagator, the read-back and the moments share one check
     for t in (11, -1):
         message = f"t={t} is outside 0..10 of a 22-point grid"
         for reject in (lambda: propagator.state(Schedule.half_time(), t, 3),
-                       lambda: inverse_transform(state, t),
                        lambda: state.sublattice(t),
                        lambda: fourier_moment(state, t, 2)):
             with pytest.raises(ValueError, match=message):
@@ -195,8 +193,7 @@ def test_cross_oracle_small_swapped_walk():
                    alpha=1.0 + 0.0j, beta=0.0j)
     direct = distribution(evolve(p, Schedule.half_time(), 9))
     fourier = distribution(spectral_evolve(p, Schedule.half_time(), 9))
-    xs = sorted(direct.probs)
-    assert max(abs(direct.probs[x] - fourier.probs[x]) for x in xs) < 1e-12
+    assert float(np.max(np.abs(direct.values - fourier.values))) < 1e-12
 
 
 def test_cross_oracle_usual_walk_t100(hadamard_params):
@@ -248,19 +245,18 @@ def test_wrong_parity_sites_are_exact_zeros(schedule):
                 assert float(np.max(np.abs(state.amps - evolve(p, schedule, t).amps))) < 1e-12
 
 
-def test_inverse_transform_of_sweep_states(example_params):
+def test_sublattice_of_sweep_states(example_params):
     # a sweep's grid is sized for its largest time; smaller times read back alike
     taus = (40, 3, 0)
     for (t, state), tau in zip(tau_sweep(example_params, Schedule.half_time(), "even", taus),
                                taus):
-        back = inverse_transform(state, t)
+        back = state.sublattice(t)
         p = dataclasses.replace(example_params, tau=tau)
-        assert np.all(back.amps[1::2] == 0)
-        assert float(np.max(np.abs(back.amps - evolve(p, Schedule.half_time(), t).amps))) < 1e-13
+        assert float(np.max(np.abs(back - evolve(p, Schedule.half_time(), t).sites))) < 1e-13
     with pytest.raises(ValueError):
-        inverse_transform(state, len(state.grid) // 2)  # 2*t + 2 > n
+        state.sublattice(len(state.grid) // 2)  # 2*t + 2 > n
     with pytest.raises(ValueError):
-        inverse_transform(state, -1)
+        state.sublattice(-1)
 
 
 def test_oversized_grid_changes_nothing(example_params):
