@@ -12,7 +12,6 @@ independent Fourier-space evolution.
 
 from .analysis import (
     ConvergenceTrace,
-    fourier_mass,
     fourier_moment,
     localized_mass,
     mass_trace,
@@ -75,7 +74,6 @@ __all__ = [
     "eigensystem",
     "evolve",
     "fourier_coin",
-    "fourier_mass",
     "fourier_moment",
     "initial_state",
     "limit_mass_total",

@@ -8,8 +8,10 @@ against the limit moments.  No sampling is involved anywhere.
 Traces over tau run through :func:`tau_sweep`, which jumps to each
 measurement time with the closed-form momentum-space propagator instead
 of re-stepping the walk from ``t = 0`` for every tau, on the grid of
-:func:`qwalk.spectral.grid_size`; states are read back through
-:meth:`qwalk.spectral.FourierState.sublattice`.
+:func:`qwalk.spectral.grid_size`.  Each state it yields carries its own
+time, so :meth:`qwalk.spectral.FourierState.mass`, :func:`fourier_moment`
+and the read-back :meth:`qwalk.spectral.FourierState.sublattice` take no
+``t``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "ConvergenceTrace",
     "mass_trace",
     "tau_sweep",
-    "fourier_mass",
     "fourier_moment",
     "rescaled_cdf_distance",
     "moment",
@@ -60,15 +61,16 @@ def tau_sweep(
     schedule: Schedule,
     parity: str,
     taus: Iterable[int],
-) -> Iterator[tuple[int, FourierState]]:
+) -> Iterator[FourierState]:
     """Transformed state at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau.
 
     ``params.tau`` is replaced by each entry of ``taus``, in the given
-    order (repeats allowed).  One :class:`qwalk.spectral.Propagator`,
-    whose grid is sized for the largest ``t``, serves every tau, and each
-    state comes straight from it, so an extra tau costs O(n) on that
-    grid.  The arguments are checked at once; the ``(t, state)`` pairs
-    are computed one at a time as they are iterated, so memory stays O(n).
+    order (repeats allowed), and each state carries its own ``time``.  One
+    :class:`qwalk.spectral.Propagator`, whose grid is sized for the largest
+    ``t``, serves every tau, and each state comes straight from it, so an
+    extra tau costs O(n) on that grid.  The arguments are checked at once;
+    the states are computed one at a time as they are iterated, so memory
+    stays O(n).
 
     Raises
     ------
@@ -80,34 +82,29 @@ def tau_sweep(
     taus = [int(tau) for tau in taus]
     if any(tau < 0 for tau in taus):
         raise ValueError(f"taus must be non-negative, got {min(taus)}")
-    times = [2 * tau + offset for tau in taus]
-    t_max = max(times, default=0)
+    t_max = 2 * max(taus) + offset if taus else 0
     check_time(t_max)
     propagator = Propagator(params, grid_size(t_max))
-    return ((t, propagator.state(schedule, t, tau)) for tau, t in zip(taus, times))
+    return (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
 
 
-def fourier_mass(state: FourierState, t: int, x: int) -> float:
-    """``P(X_t = x)`` from a transformed state: one DFT row, O(n)."""
-    if abs(x) > t or (x + t) % 2:
-        return 0.0
-    row = np.exp(1j * x * state.grid)
-    amps = row @ state.values / len(state.grid)
-    return float(np.sum(np.abs(amps) ** 2))
-
-
-def fourier_moment(state: FourierState, t: int, r: int) -> float:
-    """r-th moment of ``X_t/t`` from a transformed state, by one inverse FFT.
-
-    Only the sublattice is read; the other parity holds exact zeros.
-    """
+def _moment(xs: np.ndarray, ps: np.ndarray, t: int, r: int) -> float:
+    """r-th moment of ``X_t/t`` for masses ``ps`` at positions ``xs``."""
     if r < 0:
         raise ValueError(f"moment order must be non-negative, got {r}")
     if t == 0:
         return 1.0 if r == 0 else 0.0
-    xs = np.arange(-t, t + 1, 2)
-    sq = np.abs(state.sublattice(t)) ** 2
-    return float(np.sum((xs / t) ** r * (sq[:, 0] + sq[:, 1])))
+    return float(np.sum((xs / t) ** r * ps))
+
+
+def fourier_moment(state: FourierState, r: int) -> float:
+    """r-th moment of ``X_t/t`` at the state's time, by one inverse FFT.
+
+    Only the sublattice is read; the other parity holds exact zeros.
+    """
+    t = state.time
+    sq = np.abs(state.sublattice().sites) ** 2
+    return _moment(np.arange(-t, t + 1, 2), sq[:, 0] + sq[:, 1], t, r)
 
 
 def mass_trace(
@@ -128,7 +125,7 @@ def mass_trace(
     taus = tuple(int(tau) for tau in taus)
     _check_increasing(taus)
     states = tau_sweep(params, Schedule.half_time(), parity, taus)
-    values = [fourier_mass(state, t, x) for t, state in states]
+    values = [state.mass(x) for state in states]
     return ConvergenceTrace(
         taus=taus,
         observable=f"mass(x={x}, {parity})",
@@ -178,12 +175,8 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
 
 def moment(dist: Distribution, r: int) -> float:
     """r-th moment of the rescaled position ``X_t/t``."""
-    if r < 0:
-        raise ValueError(f"moment order must be non-negative, got {r}")
-    if dist.time == 0:
-        return 1.0 if r == 0 else 0.0
     xs, ps = dist.as_arrays()
-    return float(np.sum((xs / dist.time) ** r * ps))
+    return _moment(xs, ps, dist.time, r)
 
 
 def _window(dist: Distribution) -> np.ndarray:

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
-    fourier_mass,
     fourier_moment,
     localized_mass,
     moment,
@@ -279,15 +278,12 @@ def _cmd_simulate(args) -> int:
     params, schedule = _resolve_walk(args)
     if (args.t is None) == (args.times is None):
         raise ValueError("exactly one of --t / --times is required")
-    if args.times is None:
-        emit(_state_table(spectral_evolve(params, schedule, args.t)), args.format, args.out)
-        return 0
-    times = sorted(set(args.times))
+    times = [args.t] if args.times is None else sorted(set(args.times))
     for t in times:  # every time is checked before the first file is written
         check_time(t)
     for t in times:
-        state = spectral_evolve(params, schedule, t)
-        emit(_state_table(state), args.format, _timed_path(args.out, t))
+        path = args.out if args.times is None else _timed_path(args.out, t)
+        emit(_state_table(spectral_evolve(params, schedule, t)), args.format, path)
     return 0
 
 
@@ -351,12 +347,12 @@ def _cmd_trace(args) -> int:
     states = tau_sweep(params, schedule, args.parity, args.taus)
     if args.observable == "ks":
         values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
-                                        distribution(StateVector(t, state.sublattice(t))))
-                  for tau, (t, state) in zip(args.taus, states)]
+                                        distribution(state.sublattice()))
+                  for tau, state in zip(args.taus, states)]
     elif args.observable == "mass":
-        values = [fourier_mass(state, t, args.x) for t, state in states]
+        values = [state.mass(args.x) for state in states]
     else:
-        values = [fourier_moment(state, t, args.r) for t, state in states]
+        values = [fourier_moment(state, args.r) for state in states]
     table = Table(tau=args.taus, t=[2 * tau + offset for tau in args.taus], value=values)
     emit(table, args.format, args.out, meta={"observable": args.observable})
     return 0
@@ -410,7 +406,7 @@ def _fig_mass_trace(positions: Sequence[int], parity: str):
     sweep = np.arange(251)
     states = tau_sweep(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
                        parity, sweep)
-    probs = [fourier_mass(state, t, x) for t, state in states for x in positions]
+    probs = [state.mass(x) for state in states for x in positions]
     taus = np.repeat(sweep, len(positions))
     return Table(tau=taus, t=2 * taus + parity_offset(parity),
                  x=np.tile(positions, len(sweep)), prob=probs), None

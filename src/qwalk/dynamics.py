@@ -66,7 +66,7 @@ def max_time_cap() -> int:
     return int(raw) if raw else DEFAULT_MAX_T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Walker amplitudes at a fixed time, on the sites it can occupy.
 

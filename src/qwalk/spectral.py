@@ -7,8 +7,10 @@ support ``|x| <= t``, so on a grid of at least :func:`grid_size` points the
 inverse transform is an *exact* finite DFT rather than an approximate
 quadrature (Grimmett, Janson and Scudo, Phys. Rev. E 69 (2004) 026119):
 :class:`Propagator` reaches the transformed state at any time in closed
-form and :meth:`FourierState.sublattice`, the one read-back, brings it back
-to positions with one inverse FFT, in O(t log t) where stepping costs O(t^2).
+form, as a :class:`FourierState` that carries that time, and
+:meth:`FourierState.sublattice`, the one read-back, brings it back to
+positions with one inverse FFT, in O(t log t) where stepping costs O(t^2);
+:meth:`FourierState.mass` reads one site off a DFT row ``e^{ikx}``.
 :func:`spectral_evolve` is that route for one walk and time, which
 ``qwalk simulate``, ``compare`` and figures 1a-3b run on; ``trace`` reads
 every tau off one propagator (:func:`qwalk.analysis.tau_sweep`).
@@ -57,7 +59,7 @@ __all__ = [
     "asymptotic_amplitude",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPair:
     """Eigenvalues and eigenvectors of the momentum-space coin at each k.
 
@@ -117,10 +119,11 @@ def eigensystem(params: WalkParams, k) -> SpectralPair:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierState:
-    """Transformed amplitudes on an equispaced wavenumber grid."""
+    """Transformed amplitudes at time ``time`` on an equispaced wavenumber grid."""
 
+    time: int
     grid: np.ndarray
     values: np.ndarray
 
@@ -134,21 +137,30 @@ class FourierState:
         """Grid average of the squared spinor norm (Plancherel mass)."""
         return float(np.mean(np.sum(np.abs(self.values) ** 2, axis=1)))
 
-    def sublattice(self, t: int) -> np.ndarray:
-        """Amplitudes at ``x = -t, -t+2, ..., t``, as ``(t + 1, 2)``, by one inverse FFT.
+    def sublattice(self) -> StateVector:
+        """The position-space state at :attr:`time`, by one inverse FFT.
 
         Site ``x`` sits in slot ``x mod n`` of the plain inverse DFT, times
-        ``e^{-ikx}`` at ``k = -pi``: ``(-1)^x = (-1)^t`` on this sublattice.
+        ``e^{-ikx}`` at ``k = -pi``: ``(-1)^x = (-1)^t`` on the sites
+        ``x = -t, -t+2, ..., t``.
         """
-        n = self.grid.shape[0]
-        _check_on_grid(t, n)
+        t, n = self.time, self.grid.shape[0]
         full = np.fft.ifft(self.values, axis=0)
         out = np.empty((t + 1, 2), dtype=np.complex128)
         left = (t + 1) // 2  # sites x = -t, -t+2, ... < 0 sit in slots n + x
         sign = -1.0 if t % 2 else 1.0
         np.multiply(full[n - t::2], sign, out=out[:left])
         np.multiply(full[t % 2:t + 1:2], sign, out=out[left:])
-        return out
+        return StateVector(t, out)
+
+    def mass(self, x: int) -> float:
+        """``P(X_t = x)`` at :attr:`time`: one DFT row ``mean(e^{ikx} values)``, O(n)."""
+        t = self.time
+        if abs(x) > t or (x + t) % 2:
+            return 0.0
+        row = np.exp(1j * x * self.grid)
+        amps = row @ self.values / len(self.grid)
+        return float(np.sum(np.abs(amps) ** 2))
 
 
 def grid_size(t: int) -> int:
@@ -158,13 +170,6 @@ def grid_size(t: int) -> int:
     place the Fourier route's even size ``2*t + 2`` is written down.
     """
     return 2 * t + 2
-
-
-def _check_on_grid(t: int, n: int) -> None:
-    """Reject a time ``t`` that an ``n``-point grid does not hold exactly."""
-    if not (t >= 0 and grid_size(t) <= n):
-        raise ValueError(f"t={t} is outside 0..{(n - 2) // 2} "
-                         f"of a {n}-point grid (2*t+2 <= {n})")
 
 
 def wavenumber_grid(n: int) -> np.ndarray:
@@ -180,16 +185,15 @@ def spectral_evolve(
 ) -> StateVector:
     """Evolve in momentum space and inverse-DFT back to positions.
 
-    The transformed state is the closed-form :class:`Propagator` state at
-    ``t_final``; on a grid of ``n_grid >= 2*t_final + 2`` points (default
-    :func:`grid_size`) :meth:`FourierState.sublattice` recovers the position
+    This is ``Propagator(params, n_grid).state(schedule, t_final,
+    params.tau).sublattice()``: on a grid of ``n_grid >= 2*t_final + 2``
+    points (default :func:`grid_size`) the read-back recovers the position
     amplitudes exactly (to roundoff).  ``t_final`` is checked by
     :func:`qwalk.dynamics.check_time`, and the grid against the same cap.
     """
     check_time(t_final)
     n = grid_size(t_final) if n_grid is None else n_grid
-    state = Propagator(params, n).state(schedule, t_final, params.tau)
-    return StateVector(t_final, state.sublattice(t_final))
+    return Propagator(params, n).state(schedule, t_final, params.tau).sublattice()
 
 
 #: ``i**m`` by ``m % 4``, exact.
@@ -271,21 +275,26 @@ class Propagator:
         """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
 
         The values are ``sum_x e^{-ikx} psi(x)`` for the state that
-        :func:`qwalk.dynamics.evolve` steps to; :meth:`FourierState.sublattice`
-        recovers ``psi`` exactly (to roundoff).  The spinor components are
+        :func:`qwalk.dynamics.evolve` steps to, and the state's ``time`` is
+        ``t_final``; :meth:`FourierState.sublattice` recovers ``psi``
+        exactly (to roundoff).  This is the one place a time is checked
+        against the grid: ``t_final`` must satisfy ``0 <= t_final`` and
+        ``grid_size(t_final) <= n``.  The spinor components are
         the rows of one ``(2, n)`` array, updated in place, and the last
         power writes straight into the returned values.
         """
         p = self.params
         n = self.grid.shape[0]
-        _check_on_grid(t_final, n)
+        if not (t_final >= 0 and grid_size(t_final) <= n):
+            raise ValueError(f"t={t_final} is outside 0..{(n - 2) // 2} "
+                             f"of a {n}-point grid (2*t+2 <= {n})")
         g = np.empty((2, n), dtype=np.complex128)
         g[0], g[1] = p.alpha, p.beta
         done = 0
         for swap in schedule.swaps_before(t_final, tau):
             g = self._coin(self._power(g, swap - done, out=g), p.c1, p.s1)
             done = swap + 1
-        return FourierState(grid=self.grid, values=self._power(g, t_final - done).T)
+        return FourierState(t_final, self.grid, self._power(g, t_final - done).T)
 
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:

@@ -17,7 +17,6 @@ from qwalk import (
     delta_mass,
     distribution,
     evolve,
-    fourier_mass,
     fourier_moment,
     initial_state,
     localized_mass,
@@ -27,6 +26,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.coin import parity_offset
 from qwalk.spectral import Propagator
 
 # frozen regression values for the showcase walk (theta=pi/4, theta1=0,
@@ -40,23 +40,26 @@ SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({5, 17}))
 SWEEP_POSITIONS = (-2, -1, 0, 1, 2)
 
 
-def gather_fourier_moment(state, t, r):
+def gather_fourier_moment(state, r):
     """``fourier_moment`` as it was, a gather from the plain inverse DFT."""
+    t = state.time
     xs = np.arange(-t, t + 1, 2)
     sq = np.abs(np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]) ** 2
     return float(np.sum((xs / t) ** r * (sq[:, 0] + sq[:, 1])))
 
 
 def assert_sweep_matches_evolve(params, schedule, parity, taus, tol):
-    """Masses and moments of tau_sweep against position-space evolve."""
-    for tau, (t, state) in zip(taus, tau_sweep(params, schedule, parity, taus)):
+    """Times, masses and moments of tau_sweep against position-space evolve."""
+    for tau, state in zip(taus, tau_sweep(params, schedule, parity, taus)):
+        t = 2 * tau + parity_offset(parity)
+        assert state.time == t
         dist = distribution(evolve(dataclasses.replace(params, tau=tau), schedule, t))
         xs, ps = dist.as_arrays()
         probs = dict(zip(xs.tolist(), ps.tolist()))  # |x| > t has no entry
         for x in SWEEP_POSITIONS:
-            assert abs(fourier_mass(state, t, x) - probs.get(x, 0.0)) <= tol
+            assert abs(state.mass(x) - probs.get(x, 0.0)) <= tol
         for r in range(5):
-            assert abs(fourier_moment(state, t, r) - moment(dist, r)) <= tol
+            assert abs(fourier_moment(state, r) - moment(dist, r)) <= tol
 
 
 def test_trace_container_validation():
@@ -297,8 +300,8 @@ def test_sweep_matches_evolve_over_accepted_angles(theta, theta1, tau, parity, s
 
 def test_sweep_keeps_order_and_repeats(example_params):
     taus = (9, 2, 9, 0)
-    swept = [fourier_mass(state, t, 1)
-             for t, state in tau_sweep(example_params, Schedule.half_time(), "odd", taus)]
+    swept = [state.mass(1)
+             for state in tau_sweep(example_params, Schedule.half_time(), "odd", taus)]
     assert swept[0] == swept[2]
     trace = mass_trace(example_params, 1, "odd", (0, 2, 9))
     assert swept[1] == trace.values[1] and swept[3] == trace.values[0]
@@ -315,11 +318,11 @@ def test_sweep_validation(example_params, monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         tau_sweep(example_params, schedule, "odd", (1, 5))
     tau_sweep(example_params, schedule, "odd", (1, 4))
-    (t, state), = tau_sweep(example_params, schedule, "even", (2,))
+    state, = tau_sweep(example_params, schedule, "even", (2,))
     with pytest.raises(ValueError):
-        fourier_moment(state, t, -1)
-    assert fourier_mass(state, t, 1) == 0.0  # wrong parity
-    assert fourier_mass(state, t, 8) == 0.0  # beyond the light cone
+        fourier_moment(state, -1)
+    assert state.mass(1) == 0.0  # wrong parity
+    assert state.mass(8) == 0.0  # beyond the light cone
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
@@ -327,6 +330,6 @@ def test_fourier_moment_equals_the_gather_bit_for_bit(example_params, schedule):
     # the shared read-back only flips signs, which |psi|^2 drops exactly
     taus = (0, 1, 4, 30, 7)
     for parity in ("odd", "even"):
-        for t, state in tau_sweep(example_params, schedule, parity, taus):
+        for state in tau_sweep(example_params, schedule, parity, taus):
             for r in (0, 1, 2, 3, 8):
-                assert fourier_moment(state, t, r) == gather_fourier_moment(state, t, r)
+                assert fourier_moment(state, r) == gather_fourier_moment(state, r)

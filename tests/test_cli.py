@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import importlib
 import json
 import math
@@ -18,7 +19,6 @@ from qwalk import (
     LimitDensity,
     Schedule,
     ScheduleKind,
-    StateVector,
     WalkParams,
     delta_mass,
     distribution,
@@ -216,6 +216,60 @@ def test_byte_identical_reruns(tmp_path):
         assert filecmp.cmp(c, d, shallow=False)
 
 
+#: sha256 prefixes of the stdout of CLI commands on the walk ``PINNED_W``,
+#: and of the files that ``simulate --times`` writes.
+PINNED_W = ["--theta", "0.7", "--theta1", "2.1"]
+PINNED_OUTPUTS = (
+    (["simulate", *PINNED_W, "--tau", "100", "--t", "201"], "25d40894bf74"),
+    (["simulate", *PINNED_W, "--schedule", "usual", "--t", "300"], "37be454dbaf1"),
+    (["simulate", *PINNED_W, "--schedule", "multi", "--swap-steps", "3,10,40",
+      "--t", "151", "--format", "json"], "268212f33de4"),
+    (["compare", *PINNED_W, "--tau", "200", "--t", "401", "--moments", "0,1,2,4"],
+     "a17a9f1f9286"),
+    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "34fd48076c9d"),
+    (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
+      "--taus", "0,7,100"], "cf268770ae0a"),
+    (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
+     "860a2d07a498"),
+    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "7aa9b8f4a5a0"),
+    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
+     "c20049aed0e4"),
+    *((["figures", "--paper-fig", fig], digest) for fig, digest in (
+        ("1a", "065c45a0c872"), ("1b", "1954d5f93dec"), ("2a", "5f2c489af38d"),
+        ("2b", "cecc65dffeff"), ("3a", "dac7d691cf84"), ("3b", "debe43afde4b"),
+        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "38cd4fb78980"),
+        ("5b", "62b76ec3d4f5"), ("5c", "fffe8ba61f2f"), ("7a", "9a03ec421e88"),
+        ("7b", "ae82e593effc"))),
+)
+PINNED_TIMES = {"sim_t3.csv": "3358538e6d15", "sim_t101.csv": "d9805c480412",
+                "sim_t102.csv": "7910d99c1341"}
+
+
+def test_cli_outputs_match_pinned_hashes(tmp_path, capsys):
+    """CLI output is pinned byte for byte, run in-process through ``main``.
+
+    A change that alters output on purpose updates the hash in this table
+    and lists the command and the reason in CHANGES.md.
+    """
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:12]
+
+    mismatches = []
+    for argv, want in PINNED_OUTPUTS:
+        assert main(argv) == 0, argv
+        got = digest(capsys.readouterr().out.encode())
+        if got != want:
+            mismatches.append(f"qwalk {' '.join(argv)}: pinned {want}, got {got}")
+    argv = ["simulate", *PINNED_W, "--tau", "50", "--times", "3,101,102",
+            "--out", str(tmp_path / "sim.csv")]
+    assert main(argv) == 0 and capsys.readouterr().out == ""
+    for name, want in PINNED_TIMES.items():
+        got = digest((tmp_path / name).read_bytes())
+        if got != want:
+            mismatches.append(f"qwalk {' '.join(argv)} -> {name}: pinned {want}, got {got}")
+    assert not mismatches, "\n".join(mismatches)
+
+
 def test_preset_equals_explicit_spinor(tmp_path):
     root = "0.7071067811865476"
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -407,8 +461,8 @@ def test_trace_observables_ks_and_moment(tmp_path, example_params):
                  "--parity", "odd", "--out", str(out)]) == 0
     _, rows = read_table(out)
     p = dataclasses.replace(example_params, tau=5)
-    ((t, state),) = tau_sweep(example_params, Schedule.half_time(), "odd", (5,))
-    dist = distribution(StateVector(t, state.sublattice(t)))
+    (state,) = tau_sweep(example_params, Schedule.half_time(), "odd", (5,))
+    dist = distribution(state.sublattice())
     assert rows[0]["value"] == rescaled_cdf_distance(p, dist)
     dist = distribution(evolve(p, Schedule.half_time(), 11))
     assert abs(rows[0]["value"] - rescaled_cdf_distance(p, dist)) <= ROUTE_TOL

@@ -18,7 +18,6 @@ from qwalk import (
     eigensystem,
     evolve,
     fourier_coin,
-    fourier_moment,
     Propagator,
     initial_state,
     spectral_evolve,
@@ -169,18 +168,28 @@ def test_one_grid_rule_and_one_range_check(example_params):
     assert [grid_size(t) for t in (0, 1, 10)] == [2, 4, 22]
     propagator = Propagator(example_params, 22)
     state = propagator.state(Schedule.half_time(), 10, 3)
-    assert state.sublattice(10).shape == (11, 2)
-    # the propagator, the read-back and the moments share one check
+    assert state.time == 10 and state.sublattice().sites.shape == (11, 2)
+    # the propagator checks the time once; its states read back at that time
     for t in (11, -1):
-        message = f"t={t} is outside 0..10 of a 22-point grid"
-        for reject in (lambda: propagator.state(Schedule.half_time(), t, 3),
-                       lambda: state.sublattice(t),
-                       lambda: fourier_moment(state, t, 2)):
-            with pytest.raises(ValueError, match=message):
-                reject()
+        with pytest.raises(ValueError, match=f"t={t} is outside 0..10 of a 22-point grid"):
+            propagator.state(Schedule.half_time(), t, 3)
     # a 23-point grid holds no more times than a 22-point one
     with pytest.raises(ValueError, match="outside 0..10 of a 23-point grid"):
         Propagator(example_params, 23).state(Schedule.usual(), 11, 0)
+
+
+def test_array_records_compare_and_hash_by_identity(example_params):
+    # == and hash must not reach the arrays: equal contents are distinct records
+    def records():
+        propagator = Propagator(example_params, 8)
+        return (evolve(example_params, Schedule.half_time(), 3),
+                propagator.state(Schedule.half_time(), 3, 1),
+                eigensystem(example_params, [0.0, 1.0]))
+    first, second = records(), records()
+    for a, b in zip(first, second):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+    assert len({*first, *first, *second}) == 6
 
 
 def test_spectral_evolve_time_zero(example_params):
@@ -248,15 +257,12 @@ def test_wrong_parity_sites_are_exact_zeros(schedule):
 def test_sublattice_of_sweep_states(example_params):
     # a sweep's grid is sized for its largest time; smaller times read back alike
     taus = (40, 3, 0)
-    for (t, state), tau in zip(tau_sweep(example_params, Schedule.half_time(), "even", taus),
-                               taus):
-        back = state.sublattice(t)
+    for state, tau in zip(tau_sweep(example_params, Schedule.half_time(), "even", taus), taus):
+        back = state.sublattice()
+        assert back.time == state.time == 2 * tau + 2
         p = dataclasses.replace(example_params, tau=tau)
-        assert float(np.max(np.abs(back - evolve(p, Schedule.half_time(), t).sites))) < 1e-13
-    with pytest.raises(ValueError):
-        state.sublattice(len(state.grid) // 2)  # 2*t + 2 > n
-    with pytest.raises(ValueError):
-        state.sublattice(-1)
+        direct = evolve(p, Schedule.half_time(), back.time).sites
+        assert float(np.max(np.abs(back.sites - direct))) < 1e-13
 
 
 def test_oversized_grid_changes_nothing(example_params):
@@ -316,9 +322,9 @@ def test_amplitude_norms_sum_to_delta():
             assert abs(total - expected) < 1e-10
 
 
-def positions_of(state, t):
+def positions_of(state):
     """Inverse DFT of a transformed state back to the window ``-t..t``."""
-    xs = np.arange(-t, t + 1)
+    xs = np.arange(-state.time, state.time + 1)
     signs = np.where(xs % 2 == 0, 1.0, -1.0)
     return signs[:, None] * np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]
 
@@ -332,7 +338,7 @@ def test_propagate_matches_evolve(schedule):
                 direct = evolve(p, schedule, t).amps
                 # the grid of t and the larger grid of a longer sweep
                 for t_max in (t, t + 5):
-                    got = positions_of(Propagator(p, 2 * t_max + 2).state(schedule, t, tau), t)
+                    got = positions_of(Propagator(p, 2 * t_max + 2).state(schedule, t, tau))
                     assert float(np.max(np.abs(got - direct))) < 1e-12
 
 
@@ -342,7 +348,7 @@ def test_propagate_at_edge_angles(theta):
         p = WalkParams(theta=theta, theta1=0.9, tau=150, alpha=0.6, beta=0.8j)
         for t in (301, 302):
             direct = evolve(p, schedule, t).amps
-            got = positions_of(Propagator(p, 2 * t + 2).state(schedule, t, p.tau), t)
+            got = positions_of(Propagator(p, 2 * t + 2).state(schedule, t, p.tau))
             assert float(np.max(np.abs(got - direct))) <= 1e-12
 
 
