@@ -289,6 +289,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectral_check(args) -> int:
     params, schedule = _resolve_walk(args)
+    if args.n_grid is not None and args.n_grid < args.t + 1:
+        raise ValueError(f"--n-grid must be at least t + 1 = {args.t + 1}, got {args.n_grid}")
     direct = evolve(params, schedule, args.t)
     fourier = spectral_evolve(params, schedule, args.t, n_grid=args.n_grid)
     deviation = float(np.max(np.abs(direct.sites - fourier.sites)))
@@ -462,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
             "compare position-space and Fourier-space evolutions")
     p.add_argument("--t", type=int, required=True, help="final time")
     p.add_argument("--n-grid", type=int, default=None,
-                   help="wavenumber grid size, at least 2t+2 (default 2t+2)")
+                   help="points on the half-circle wavenumber grid, at least t+1 "
+                        "(default: the smallest 2^a 3^b 5^c >= t+1)")
     p.add_argument("--tol", type=_tolerance, default=SPECTRAL_CHECK_TOL,
                    help="max allowed entrywise deviation")
 

@@ -20,7 +20,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,7 +138,8 @@ class WalkParams:
         return np.array([self.alpha, self.beta], dtype=np.complex128)
 
 
-class CoinSet(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class CoinSet:
     """The main coin ``U`` and the swap coin ``H``, as 2x2 complex arrays."""
 
     u: np.ndarray
@@ -157,7 +157,7 @@ def build_coins(params: WalkParams) -> CoinSet:
     notation only: the stepping code applies the rows directly.
     """
     mats = CoinSet(_reflection(params.c, params.s), _reflection(params.c1, params.s1))
-    for mat in mats:
+    for mat in (mats.u, mats.h):
         mat.flags.writeable = False
     return mats
 

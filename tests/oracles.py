@@ -199,3 +199,58 @@ def limit_law_reference(theta, theta1, alpha, beta, points=(), orders=(), dps=40
         moments = [m + (delta if r == 0 else 0) for m, r in zip(moments, orders)]
         return {"delta": float(delta), "cdf": [float(v) for v in cdf],
                 "total": float(below[half] + delta), "moments": [float(v) for v in moments]}
+
+
+def exact_fourier_amplitudes(params, t, k, swap_sets, dps=40):
+    """Transformed states at one wavenumber ``k`` by ``dps``-digit matrix powers.
+
+    ``U(k) = R(k) U`` and ``H(k) = R(k) H`` with ``R(k) = diag(e^{ik},
+    e^{-ik})`` are built from the same doubles as the package: ``k``, the
+    coin entries and the spinor are taken exactly.  For each collection of
+    swap steps ``s_1 < ... < s_r`` (those below ``t`` count) the state is
+    ``U(k)^(t - 1 - s_r) H(k) ... H(k) U(k)^(s_1) psi0``.  Each power of
+    ``U(k)`` is a product of its repeated squares, shared by all the
+    collections, which shares nothing with the package's closed form.
+    Returns one pair of complex components per collection.
+    """
+    def apply(m, v):
+        return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+    def square(m):
+        return tuple(tuple(m[i][0] * m[0][j] + m[i][1] * m[1][j] for j in range(2))
+                     for i in range(2))
+
+    def power(m, v):
+        for i, sq in enumerate(squares):
+            if m >> i & 1:
+                v = apply(sq, v)
+        return v
+
+    with mp.workdps(dps):
+        e = mp.expj(mp.mpf(k))
+        u = ((e * params.c, e * params.s), (params.s / e, -params.c / e))
+        h = ((e * params.c1, e * params.s1), (params.s1 / e, -params.c1 / e))
+        squares = [u]
+        for _ in range(t.bit_length() - 1):
+            squares.append(square(squares[-1]))
+        out = []
+        for steps in swap_sets:
+            v, done = (mp.mpc(params.alpha), mp.mpc(params.beta)), 0
+            for step in sorted(s for s in steps if s < t):
+                v, done = apply(h, power(step - done, v)), step + 1
+            v = power(t - done, v)
+            out.append((complex(v[0]), complex(v[1])))
+        return out
+
+
+def dft_rows(state, xs):
+    """The amplitudes at ``xs`` by direct DFT rows ``mean_m e^{i k_m x} values``.
+
+    ``state`` is a transformed state on the half circle ``k_m = -pi + pi m
+    / n``; ``k_m x = pi (m - n) x / n`` is reduced mod ``2 pi`` in
+    integers, so a row keeps its accuracy at large ``|x|``.  One row per
+    ``x``, O(n) each, and no FFT.
+    """
+    n = len(state.grid)
+    return np.array([np.exp(1j * np.pi / n * (np.arange(-n, 0) * x % (2 * n)))
+                     @ state.values / n for x in xs])

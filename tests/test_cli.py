@@ -220,29 +220,29 @@ def test_byte_identical_reruns(tmp_path):
 #: and of the files that ``simulate --times`` writes.
 PINNED_W = ["--theta", "0.7", "--theta1", "2.1"]
 PINNED_OUTPUTS = (
-    (["simulate", *PINNED_W, "--tau", "100", "--t", "201"], "25d40894bf74"),
-    (["simulate", *PINNED_W, "--schedule", "usual", "--t", "300"], "37be454dbaf1"),
+    (["simulate", *PINNED_W, "--tau", "100", "--t", "201"], "4f95bc08a3a6"),
+    (["simulate", *PINNED_W, "--schedule", "usual", "--t", "300"], "83dd12ba8b01"),
     (["simulate", *PINNED_W, "--schedule", "multi", "--swap-steps", "3,10,40",
-      "--t", "151", "--format", "json"], "268212f33de4"),
+      "--t", "151", "--format", "json"], "aac5e72aa0af"),
     (["compare", *PINNED_W, "--tau", "200", "--t", "401", "--moments", "0,1,2,4"],
-     "a17a9f1f9286"),
-    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "34fd48076c9d"),
+     "0b3f6f766873"),
+    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "2a6be98dae08"),
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
-      "--taus", "0,7,100"], "cf268770ae0a"),
+      "--taus", "0,7,100"], "8b9afa14c43b"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
-     "860a2d07a498"),
-    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "7aa9b8f4a5a0"),
+     "3d3039ab8654"),
+    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "4e731ebf8708"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
-     "c20049aed0e4"),
+     "b3c983e262c6"),
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
-        ("1a", "065c45a0c872"), ("1b", "1954d5f93dec"), ("2a", "5f2c489af38d"),
-        ("2b", "cecc65dffeff"), ("3a", "dac7d691cf84"), ("3b", "debe43afde4b"),
-        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "38cd4fb78980"),
-        ("5b", "62b76ec3d4f5"), ("5c", "fffe8ba61f2f"), ("7a", "9a03ec421e88"),
+        ("1a", "f1cf3a78771f"), ("1b", "fb8a1e9e76d7"), ("2a", "5f2c489af38d"),
+        ("2b", "cecc65dffeff"), ("3a", "7e31dc5fbbd7"), ("3b", "b2b40db53435"),
+        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "3f917f4e2532"),
+        ("5b", "16c6a2733365"), ("5c", "b660926331ad"), ("7a", "9a03ec421e88"),
         ("7b", "ae82e593effc"))),
 )
-PINNED_TIMES = {"sim_t3.csv": "3358538e6d15", "sim_t101.csv": "d9805c480412",
-                "sim_t102.csv": "7910d99c1341"}
+PINNED_TIMES = {"sim_t3.csv": "3ccbc87d30e7", "sim_t101.csv": "8bf9b2e12886",
+                "sim_t102.csv": "e534c128f565"}
 
 
 def test_cli_outputs_match_pinned_hashes(tmp_path, capsys):
@@ -366,6 +366,20 @@ def test_spectral_check_exit_codes(capsys):
     assert "max entrywise deviation" in capsys.readouterr().out
     assert main(["spectral-check", *WALK, "--tau", "3", "--t", "20",
                  "--tol", "1e-30"]) == 2
+
+
+def test_spectral_check_grid_holds_t_plus_1_points(monkeypatch, capsys):
+    argv = ["spectral-check", *WALK, "--tau", "9", "--t", "20", "--n-grid"]
+    assert main([*argv, "21"]) == 0
+    capsys.readouterr()
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran on a grid that cannot hold t")
+    monkeypatch.setattr(qwalk.cli, "evolve", no_route)
+    monkeypatch.setattr(qwalk.cli, "spectral_evolve", no_route)
+    for n_grid in ("20", "1", "0", "-5"):
+        assert main([*argv, n_grid]) == 1
+        assert f"at least t + 1 = 21, got {n_grid}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ("nan", "-inf", "inf", "-1e-12", "-0.5", "x"))

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EDGE_THETAS, sample_params
+from oracles import EDGE_THETAS, dft_rows, exact_fourier_amplitudes, sample_params
 from qwalk import (
     Schedule,
     WalkParams,
@@ -24,7 +25,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
-from qwalk.spectral import grid_size
+from qwalk.spectral import FourierState, grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: At k = 0 and +-pi one branch's eigenvector entry sign*rA - c cos k
@@ -141,12 +142,12 @@ def test_eigensystem_at_edge_angles_matches_mpmath(theta):
 
 
 def test_propagator_state_is_the_direct_sum(example_params):
-    # values are sum_x e^{-ikx} psi(x) on the grid -pi + 2 pi j / n
+    # values are sum_x e^{-ikx} psi(x) on the half circle -pi + pi j / n
     p = dataclasses.replace(example_params, tau=6)
     for t in (0, 7, 30):
         state = evolve(p, Schedule.half_time(), t)
-        for n in (2 * t + 2, 2 * t + 9):
-            ks = -np.pi + 2.0 * np.pi * np.arange(n) / n
+        for n in (t + 1, t + 8):
+            ks = -np.pi + np.pi * np.arange(n) / n
             direct = np.array([sum(np.exp(-1j * k * x) * amp
                                    for x, amp in zip(range(-t, t + 1, 2), state.sites))
                                for k in ks])
@@ -159,23 +160,30 @@ def test_plancherel_identity(example_params):
     p = dataclasses.replace(example_params, tau=6)
     for t in (0, 7, 30):
         state = evolve(p, Schedule.half_time(), t)
-        for n in (2 * t + 2, 2 * t + 9):
+        for n in (t + 1, t + 8):
             transformed = Propagator(p, n).state(Schedule.half_time(), t, p.tau)
             assert abs(transformed.norm_sq() - state.norm_sq()) < 1e-12
 
 
 def test_one_grid_rule_and_one_range_check(example_params):
-    assert [grid_size(t) for t in (0, 1, 10)] == [2, 4, 22]
-    propagator = Propagator(example_params, 22)
-    state = propagator.state(Schedule.half_time(), 10, 3)
-    assert state.time == 10 and state.sublattice().sites.shape == (11, 2)
-    # the propagator checks the time once; its states read back at that time
-    for t in (11, -1):
-        with pytest.raises(ValueError, match=f"t={t} is outside 0..10 of a 22-point grid"):
+    assert [grid_size(t) for t in (0, 1, 10, 10**6)] == [1, 2, 12, 1012500]
+    propagator = Propagator(example_params, 12)
+    state = propagator.state(Schedule.half_time(), 11, 3)
+    assert state.time == 11 and state.sublattice().sites.shape == (12, 2)
+    # the state checks its time against its grid, however it was built
+    for t in (12, -1):
+        with pytest.raises(ValueError, match=f"t={t} is outside 0..11 of a 12-point grid"):
             propagator.state(Schedule.half_time(), t, 3)
-    # a 23-point grid holds no more times than a 22-point one
-    with pytest.raises(ValueError, match="outside 0..10 of a 23-point grid"):
-        Propagator(example_params, 23).state(Schedule.usual(), 11, 0)
+    for t in (12, 13):
+        with pytest.raises(ValueError, match=f"t={t} is outside 0..11 of a 12-point grid"):
+            FourierState(t, state.grid, state.values)
+
+
+def test_grid_size_is_the_smallest_5_smooth_size():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(15) for b in range(10) for c in range(7))
+    for t in range(10**4 + 1):
+        assert grid_size(t) == smooth[bisect.bisect_left(smooth, t + 1)], t
 
 
 def test_array_records_compare_and_hash_by_identity(example_params):
@@ -184,12 +192,13 @@ def test_array_records_compare_and_hash_by_identity(example_params):
         propagator = Propagator(example_params, 8)
         return (evolve(example_params, Schedule.half_time(), 3),
                 propagator.state(Schedule.half_time(), 3, 1),
-                eigensystem(example_params, [0.0, 1.0]))
+                eigensystem(example_params, [0.0, 1.0]),
+                build_coins(example_params))
     first, second = records(), records()
     for a, b in zip(first, second):
         assert a == a and a != b
         assert hash(a) == hash(a)
-    assert len({*first, *first, *second}) == 6
+    assert len({*first, *first, *second}) == 8
 
 
 def test_spectral_evolve_time_zero(example_params):
@@ -223,8 +232,8 @@ def test_cross_oracle_random_params_both_schedules():
 
 def test_spectral_evolve_rejects_small_grid(example_params):
     with pytest.raises(ValueError):
-        spectral_evolve(example_params, Schedule.usual(), 10, n_grid=21)
-    spectral_evolve(example_params, Schedule.usual(), 10, n_grid=22)
+        spectral_evolve(example_params, Schedule.usual(), 10, n_grid=10)
+    spectral_evolve(example_params, Schedule.usual(), 10, n_grid=11)
     with pytest.raises(ValueError):
         spectral_evolve(example_params, Schedule.usual(), -1)
 
@@ -236,10 +245,10 @@ def test_spectral_evolve_respects_time_cap(example_params, monkeypatch):
     spectral_evolve(example_params, Schedule.half_time(), 10)
     # the grid is refused before it is allocated, whatever the time
     with pytest.raises(ValueError, match="cap"):
-        spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=23)
-    spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=22)
+        spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=13)
+    spectral_evolve(example_params, Schedule.half_time(), 5, n_grid=12)
     with pytest.raises(ValueError, match="cap"):
-        Propagator(example_params, 23)
+        Propagator(example_params, 13)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
@@ -248,7 +257,7 @@ def test_wrong_parity_sites_are_exact_zeros(schedule):
     for params in sample_params(seed=38, n=3):
         p = dataclasses.replace(params, tau=7)
         for t in (0, 1, 2, 15, 16, 301):
-            for n_grid in (2 * t + 2, 2 * t + 3, 4 * t + 7):
+            for n_grid in (t + 1, 2 * t + 3, 4 * t + 7):
                 state = spectral_evolve(p, schedule, t, n_grid=n_grid)
                 assert np.all(state.amps[1::2] == 0)
                 assert float(np.max(np.abs(state.amps - evolve(p, schedule, t).amps))) < 1e-12
@@ -323,10 +332,11 @@ def test_amplitude_norms_sum_to_delta():
 
 
 def positions_of(state):
-    """Inverse DFT of a transformed state back to the window ``-t..t``."""
-    xs = np.arange(-state.time, state.time + 1)
-    signs = np.where(xs % 2 == 0, 1.0, -1.0)
-    return signs[:, None] * np.fft.ifft(state.values, axis=0)[xs % len(state.grid)]
+    """The window ``-t..t`` of a transformed state, zeros at the other parity."""
+    t = state.time
+    amps = np.zeros((2 * t + 1, 2), dtype=np.complex128)
+    amps[::2] = dft_rows(state, range(-t, t + 1, 2))
+    return amps
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
@@ -338,7 +348,7 @@ def test_propagate_matches_evolve(schedule):
                 direct = evolve(p, schedule, t).amps
                 # the grid of t and the larger grid of a longer sweep
                 for t_max in (t, t + 5):
-                    got = positions_of(Propagator(p, 2 * t_max + 2).state(schedule, t, tau))
+                    got = positions_of(Propagator(p, grid_size(t_max)).state(schedule, t, tau))
                     assert float(np.max(np.abs(got - direct))) < 1e-12
 
 
@@ -348,22 +358,59 @@ def test_propagate_at_edge_angles(theta):
         p = WalkParams(theta=theta, theta1=0.9, tau=150, alpha=0.6, beta=0.8j)
         for t in (301, 302):
             direct = evolve(p, schedule, t).amps
-            got = positions_of(Propagator(p, 2 * t + 2).state(schedule, t, p.tau))
+            got = positions_of(Propagator(p, grid_size(t)).state(schedule, t, p.tau))
             assert float(np.max(np.abs(got - direct))) <= 1e-12
 
 
 def test_propagate_time_zero_and_norm(example_params):
-    state = Propagator(example_params, 2 * 3 + 2).state(Schedule.half_time(), 0, 2)
-    assert np.array_equal(state.values, np.tile(example_params.spinor, (8, 1)))
-    state = Propagator(example_params, 2 * 900 + 2).state(Schedule.half_time(), 900, 40)
+    state = Propagator(example_params, grid_size(3)).state(Schedule.half_time(), 0, 2)
+    assert np.array_equal(state.values, np.tile(example_params.spinor, (4, 1)))
+    state = Propagator(example_params, grid_size(900)).state(Schedule.half_time(), 900, 40)
     assert abs(state.norm_sq() - 1.0) < 1e-12
 
 
 def test_propagator_grid_validation(example_params):
     with pytest.raises(ValueError):
-        Propagator(example_params, 2 * -1 + 2)
-    propagator = Propagator(example_params, 2 * 10 + 2)
+        Propagator(example_params, 0)
+    propagator = Propagator(example_params, 11)
     with pytest.raises(ValueError):
         propagator.state(Schedule.usual(), 11, 0)
     with pytest.raises(ValueError):
         propagator.state(Schedule.usual(), -1, 0)
+
+
+@pytest.mark.parametrize("t", [10**4, 2 * 10**5])
+def test_long_time_states_match_exact_matrix_powers(t):
+    # The closed form's error is the float64 conditioning of U(k)^t, a
+    # relative error of about t*eps that stepping shares.  At 10^4 every
+    # angle runs every schedule; at 2*10^5 the angles take turns.
+    n, tau = grid_size(t), t // 2 - 1
+    ms = sorted({0, 1, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1,
+                 *np.random.default_rng(t).integers(0, n, 4).tolist()})
+    bound = t * np.finfo(float).eps
+    for i, theta in enumerate((0.7,) + EDGE_THETAS):
+        p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
+        schedules = SCHEDULES if t <= 10**4 else SCHEDULES[i % 3:i % 3 + 1]
+        propagator = Propagator(p, n)
+        states = [propagator.state(schedule, t, tau) for schedule in schedules]
+        for m in ms:
+            exact = exact_fourier_amplitudes(
+                p, t, propagator.grid[m], [s.swaps_before(t, tau) for s in schedules])
+            for schedule, state, want in zip(schedules, states, exact):
+                err = float(np.max(np.abs(state.values[m] - want)))
+                assert err <= bound, (theta, schedule.kind, m, err / bound)
+
+
+@pytest.mark.parametrize("t", [10**4, 2 * 10**5])
+def test_read_back_matches_direct_dft_rows(t):
+    # a phase e^{-ikt} taken from the float product t*k is off by ~t*eps
+    # in angle, which puts 1e-12 on the sites at 2*10^5; the norm cannot see it
+    tau = t // 2 - 1
+    p = WalkParams(theta=0.7, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
+    state = Propagator(p, grid_size(t)).state(Schedule.half_time(), t, tau)
+    rng = np.random.default_rng(t)
+    xs = [-t, -t + 2, -t + 4, -2, 0, 2, t - 4, t - 2, t,
+          *(2 * rng.integers(0, t // 2, 11) - t).tolist()]
+    sites = state.sublattice().sites
+    err = float(np.max(np.abs(sites[[(x + t) // 2 for x in xs]] - dft_rows(state, xs))))
+    assert err < 5e-14
