@@ -31,6 +31,8 @@ __all__ = [
     "mass_trace",
     "tau_sweep",
     "fourier_moment",
+    "check_measurement_time",
+    "check_moment_order",
     "rescaled_cdf_distance",
     "moment",
     "localized_mass",
@@ -88,10 +90,21 @@ def tau_sweep(
     return (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
 
 
-def _moment(xs: np.ndarray, ps: np.ndarray, t: int, r: int) -> float:
-    """r-th moment of ``X_t/t`` for masses ``ps`` at positions ``xs``."""
+def check_measurement_time(tau: int, t: int) -> None:
+    """Refuse a time ``t`` other than ``2*tau + 1`` or ``2*tau + 2``."""
+    if t not in (2 * tau + 1, 2 * tau + 2):
+        raise ValueError(f"t must be 2*tau+1 or 2*tau+2 for tau={tau}, got {t}")
+
+
+def check_moment_order(r: int) -> None:
+    """Refuse a negative moment order."""
     if r < 0:
         raise ValueError(f"moment order must be non-negative, got {r}")
+
+
+def _moment(xs: np.ndarray, ps: np.ndarray, t: int, r: int) -> float:
+    """r-th moment of ``X_t/t`` for masses ``ps`` at positions ``xs``."""
+    check_moment_order(r)
     if t == 0:
         return 1.0 if r == 0 else 0.0
     return float(np.sum((xs / t) ** r * ps))
@@ -152,10 +165,7 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     give the exact supremum.
     """
     t = dist.time
-    if t not in (2 * params.tau + 1, 2 * params.tau + 2):
-        raise ValueError(
-            f"t must be 2*tau+1 or 2*tau+2 for tau={params.tau}, got {t}"
-        )
+    check_measurement_time(params.tau, t)
     xs, ps = dist.as_arrays()
     inside = _window(dist)
     points = np.append(xs[~inside] / t, 0.0)

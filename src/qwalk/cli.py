@@ -21,6 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
+    check_measurement_time,
+    check_moment_order,
     fourier_moment,
     localized_mass,
     moment,
@@ -346,6 +348,8 @@ def _cmd_trace(args) -> int:
     offset = parity_offset(args.parity)
     if args.observable == "ks":
         _require_half_time(schedule, "trace --observable ks")
+    if args.observable == "moment":
+        check_moment_order(args.r)
     states = tau_sweep(params, schedule, args.parity, args.taus)
     if args.observable == "ks":
         values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
@@ -365,6 +369,7 @@ def _cmd_compare(args) -> int:
     _require_half_time(schedule, "compare")
     dens = LimitDensity.from_params(params)
     limits = [dens.moment(r) for r in args.moments]  # rejects orders before evolving
+    check_measurement_time(params.tau, args.t)
     dist = distribution(spectral_evolve(params, schedule, args.t))
     report = {
         "ks_distance": rescaled_cdf_distance(params, dist),

@@ -244,17 +244,27 @@ def spectral_evolve(
 #: ``i**m`` by ``m % 4``, exact.
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
+#: Chebyshev rows a :class:`Propagator` keeps: a sweep in increasing tau
+#: reuses at most the last three ``j`` (``tau - 1``, ``tau``, ``tau + 1``).
+_KEPT_ROWS = 3
+
 
 class Propagator:
-    """Closed-form momentum-space evolution for one main coin on one grid.
+    """Closed-form momentum-space evolution for one walk on one grid.
 
     Each constant-coin stretch of a schedule is one closed-form power of
     ``U(k)`` (see the module docstring) and each swap step one
     application of the swap coin, so a state costs
-    ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.  Everything that
-    depends only on ``theta`` and the grid is computed once here and
-    shared by every :meth:`state` call, which is what makes a sweep over
-    many times cheap.
+    ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
+    Computed once here and shared by every :meth:`state` call: the grid,
+    ``e^{ik}``, ``sin w``, ``w`` and ``sgn(x)``; the coin ``V psi0`` that
+    starts every first stretch; and the real Chebyshev row ``U_{j-1}(x)``
+    of each ``j``, of which the last three used are kept.  A half-time
+    state at ``t = 2*tau + 1`` needs the rows ``tau - 1`` and ``tau``, one
+    at ``2*tau + 2`` also ``tau + 1``, so in a sweep of increasing tau an
+    extra state costs one new ``sin`` row over the grid and two coin
+    applications.  The kept arrays are read-only, and a state is the same,
+    bit for bit, whichever states were asked for before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
     n_grid`` (see the module docstring), so it holds every time ``t <
@@ -272,12 +282,21 @@ class Propagator:
                              f"for the configured cap {cap}")
         self.params = params
         self.grid = -np.pi + np.pi * np.arange(n_grid) / n_grid
-        self.grid.flags.writeable = False
         self._eik = np.exp(1j * self.grid)
         x = params.c * np.sin(self.grid)
         self._sin_w = np.hypot(params.s, params.c * np.cos(self.grid))
         self._w = np.arctan2(self._sin_w, np.abs(x))
         self._sign = np.where(x < 0, -1.0, 1.0)
+        self._rows: dict[int, np.ndarray] = {}  # j -> U_{j-1}(x), least recently used first
+        self._first_coin = self._coin(self._initial(), params.c, params.s)
+        for kept in (self.grid, self._eik, self._sin_w, self._w, self._sign, self._first_coin):
+            kept.flags.writeable = False
+
+    def _initial(self):
+        # the initial spinor at every grid point, as rows of a new (2, n) array
+        g = np.empty((2, self.grid.shape[0]), dtype=np.complex128)
+        g[0], g[1] = self.params.alpha, self.params.beta
+        return g
 
     def _coin(self, g, a, b):
         # rows (a, b) and (b, -a), then the shift e^{+-ik}, into a new array
@@ -295,23 +314,33 @@ class Propagator:
         return u
 
     def _chebyshev(self, j, phase):
-        # i^phase U_{j-1}(x)
-        cheb = np.multiply(j, self._w)
-        np.sin(cheb, out=cheb)
-        cheb /= self._sin_w
-        if (j - 1) % 2:
-            cheb *= self._sign
-        return _I_POWERS[phase % 4] * cheb
+        # i^phase U_{j-1}(x); the real row is kept for the last _KEPT_ROWS j
+        row = self._rows.pop(j, None)
+        if row is None:
+            if len(self._rows) == _KEPT_ROWS:
+                del self._rows[next(iter(self._rows))]
+            row = np.multiply(j, self._w)
+            np.sin(row, out=row)
+            row /= self._sin_w
+            if (j - 1) % 2:
+                row *= self._sign
+            row.flags.writeable = False
+        self._rows[j] = row
+        return _I_POWERS[phase % 4] * row
 
-    def _power(self, g, m, out=None):
-        # U^m g = i^(m-1) U_{m-1}(x) (U g) - i^m U_{m-2}(x) g, written to
-        # ``out``; g is overwritten.  The default ``out`` is the transpose of
-        # a new (n, 2) array, allocated last to keep the peak memory low.
+    def _power(self, g, m, vg=None, out=None):
+        # U^m g = i^(m-1) U_{m-1}(x) (V g) - i^m U_{m-2}(x) g, written to
+        # ``out``; g is overwritten.  ``vg`` is a kept V g, which is never
+        # written; without it V g is computed into a scratch array.  The
+        # default ``out`` is the transpose of a new (n, 2) array, allocated
+        # last to keep the peak memory low.
         if m == 0:
             first, second = g, 0.0
         else:
-            first = self._coin(g, self.params.c, self.params.s)
-            np.multiply(self._chebyshev(m, m - 1), first, out=first)
+            scratch = vg is None
+            if scratch:
+                vg = self._coin(g, self.params.c, self.params.s)
+            first = np.multiply(self._chebyshev(m, m - 1), vg, out=vg if scratch else None)
             second = np.multiply(self._chebyshev(m - 1, m), g, out=g)
         if out is None:
             out = np.empty(g.shape[::-1], dtype=np.complex128).T
@@ -329,13 +358,12 @@ class Propagator:
         and the last power writes straight into the returned values.
         """
         p = self.params
-        g = np.empty((2, self.grid.shape[0]), dtype=np.complex128)
-        g[0], g[1] = p.alpha, p.beta
+        g, vg = self._initial(), self._first_coin
         done = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g = self._coin(self._power(g, swap - done, out=g), p.c1, p.s1)
-            done = swap + 1
-        return FourierState(t_final, self.grid, self._power(g, t_final - done).T)
+            g = self._coin(self._power(g, swap - done, vg, out=g), p.c1, p.s1)
+            vg, done = None, swap + 1
+        return FourierState(t_final, self.grid, self._power(g, t_final - done, vg).T)
 
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:

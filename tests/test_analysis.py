@@ -266,6 +266,15 @@ def test_sweep_matches_evolve(schedule):
             assert_sweep_matches_evolve(params, schedule, parity, (0, 3, 12, 40), 1e-13)
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_reversed_sweep_yields_reversed_states(schedule, example_params):
+    taus = list(range(41))
+    for parity in ("odd", "even"):
+        forward = [s.values for s in tau_sweep(example_params, schedule, parity, taus)]
+        backward = [s.values for s in tau_sweep(example_params, schedule, parity, taus[::-1])]
+        assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
+
+
 @pytest.mark.parametrize("theta", EDGE_THETAS)
 def test_sweep_at_edge_angles_to_tau_1000(theta):
     params = WalkParams(theta=theta, theta1=0.9, tau=0, alpha=0.6, beta=0.8j)

@@ -520,6 +520,16 @@ def test_trace_respects_time_cap(tmp_path, monkeypatch, capsys):
         assert main([*args, "--taus", "4,0,5", "--out", out]) == 1
 
 
+def test_trace_rejects_a_negative_order_before_propagating(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("trace propagated before checking --r")
+
+    monkeypatch.setattr(qwalk.spectral.Propagator, "state", never)
+    assert main(["trace", *WALK, "--observable", "moment", "--r", "-1",
+                 "--taus", "3,4"]) == 1
+    assert "moment order must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_trace_flag_validation(capsys):
     assert main(["trace", *WALK, "--observable", "mass", "--taus", "1"]) == 1
     assert "--x" in capsys.readouterr().err
@@ -612,6 +622,16 @@ def test_cli_routes_match_position_space(theta, tmp_path):
 def test_compare_rejects_mismatched_time(capsys):
     assert main(["compare", *WALK, "--tau", "10", "--t", "20"]) == 1
     assert "2*tau" in capsys.readouterr().err
+
+
+def test_compare_checks_the_time_before_evolving(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("compare evolved before checking --t")
+
+    monkeypatch.setattr(qwalk.cli, "spectral_evolve", never)
+    assert main(["compare", "--theta", "0.7", "--theta1", "2", "--tau", "5",
+                 "--t", "1000000"]) == 1
+    assert "t must be 2*tau+1 or 2*tau+2 for tau=5, got 1000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schedule", [["usual"], ["multi", "--swap-steps", "3"]])

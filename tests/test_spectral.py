@@ -379,6 +379,31 @@ def test_propagator_grid_validation(example_params):
         propagator.state(Schedule.usual(), -1, 0)
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_reused_propagator_matches_fresh_ones_bit_for_bit(schedule):
+    # repeats, decreasing tau, t = 0 and tau >= t, in a scrambled order
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    n = grid_size(61)
+    pairs = [(2 * tau + offset, tau) for tau in (0, 1, 2, 9, 10, 30) for offset in (1, 2)]
+    pairs += [(0, 0), (0, 4), (3, 3), (5, 9), (9, 4), (21, 10), (21, 10), (61, 0)]
+    np.random.default_rng(15).shuffle(pairs)
+    shared = Propagator(p, n)
+    for t, tau in pairs + pairs[::-1]:
+        got = shared.state(schedule, t, tau).values
+        assert np.array_equal(got, Propagator(p, n).state(schedule, t, tau).values), (t, tau)
+
+
+def test_propagator_keeps_read_only_arrays_and_three_rows(example_params):
+    propagator = Propagator(example_params, grid_size(602))
+    for tau in range(301):
+        for offset in (1, 2):
+            propagator.state(Schedule.half_time(), 2 * tau + offset, tau)
+    assert len(propagator._rows) <= 3
+    kept = [value for value in vars(propagator).values() if isinstance(value, np.ndarray)]
+    kept += propagator._rows.values()
+    assert kept and not any(array.flags.writeable for array in kept)
+
+
 @pytest.mark.parametrize("t", [10**4, 2 * 10**5])
 def test_long_time_states_match_exact_matrix_powers(t):
     # The closed form's error is the float64 conditioning of U(k)^t, a
