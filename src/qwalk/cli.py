@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import numbers
 import os
 import sys
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +56,8 @@ class Table:
     """Row data held as named columns of equal length.
 
     A column is a numpy array or a sequence of Python numbers.  Rows as
-    Python objects are built only for JSON output; CSV text is formatted
-    one column at a time.
+    Python objects are built only for JSON output; a CSV row is formatted
+    by one ``%`` operation.
     """
 
     def __init__(self, **columns) -> None:
@@ -77,14 +77,24 @@ class Table:
 
 
 def _column_text(col) -> list[str]:
-    # One pass per column: floats with 17 significant digits, as _fmt does.
     if isinstance(col, np.ndarray):
-        if col.dtype.kind == "f":
-            return list(map(format, col.tolist(), repeat(".17g")))
-        if col.dtype.kind in "iu":
-            return list(map(str, col.tolist()))
         col = col.tolist()
     return list(map(_fmt, col))
+
+
+#: The ``%`` conversion of a numpy column by dtype kind.  ``'%.17g' % v``
+#: and ``format(v, '.17g')`` of :func:`_fmt` are the same float repr.
+_CELL = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _csv_rows(table: Table):
+    """The CSV lines of ``table``'s rows, each made by one ``%`` operation."""
+    cells, columns = [], []
+    for col in table.columns:
+        cell = _CELL.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
+        cells.append(cell or "%s")
+        columns.append(col.tolist() if cell else _column_text(col))
+    return map(",".join(cells).__mod__, zip(*columns))
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
@@ -105,7 +115,7 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
             raise ValueError("csv output requires a table of row data, not a flat object")
         lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()] if meta else []
         lines.append(",".join(data.keys))
-        lines.extend(map(",".join, zip(*map(_column_text, data.columns))))
+        lines.extend(_csv_rows(data))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         if isinstance(data, Table):
@@ -451,12 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, handler, help_text: str, walk: bool = True,
-            with_tau: bool = True, default_format: str = "csv") -> argparse.ArgumentParser:
+            with_tau: bool = True, formats=("csv", "json")) -> argparse.ArgumentParser:
+        # the first of ``formats`` is the default
         p = sub.add_parser(name, help=help_text)
         if walk:
             _add_walk_arguments(p, with_tau=with_tau)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=handler)
         return p
 
@@ -507,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "costs O(n) per tau and runs in-process")
 
     p = add("compare", _cmd_compare, "simulation vs limit-law report (half-time only)",
-            default_format="json")
+            formats=("json",))
     p.add_argument("--t", type=int, required=True,
                    help="measurement time (2*tau+1 or 2*tau+2)")
     p.add_argument("--moments", type=_parse_int_list, default=(0, 1, 2),
@@ -520,9 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call of main, not at import, and reused by every
+    # later call: argparse keeps no state between parses, and the handlers
+    # it dispatches to look up emit and the evolutions by name when called.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

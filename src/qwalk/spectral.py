@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,12 +134,16 @@ class FourierState:
 
     ``grid`` is ``k_m = -pi + pi m / n`` for ``m < n``, and an ``n``-point
     grid holds the times ``0 <= time < n``; any other time is refused here,
-    the one place that rule is checked.
+    the one place that rule is checked.  ``dft_rows`` keeps the last
+    ``_KEPT_DFT_ROWS`` rows that :meth:`mass` read, by ``x``; the states of
+    one :class:`Propagator` share it, so a sweep builds each row once and
+    frees it with its states.
     """
 
     time: int
     grid: np.ndarray
     values: np.ndarray
+    dft_rows: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = self.grid.shape[0]
@@ -171,7 +175,8 @@ class FourierState:
         t, n = self.time, self.grid.shape[0]
         if abs(x) > t or (x + t) % 2:
             return 0.0
-        amps = _dft_row(n, x) @ self.values / n
+        row = _kept(self.dft_rows, x, _KEPT_DFT_ROWS, functools.partial(_dft_row, n))
+        amps = row @ self.values / n
         return float(np.sum(np.abs(amps) ** 2))
 
 
@@ -194,6 +199,18 @@ def _dft_row(n: int, x: int) -> np.ndarray:
     any rounding, so the phase is good to ``eps`` at any ``x``.
     """
     return _roots_of_unity(n)[np.arange(-n, 0) * x % (2 * n)]
+
+
+def _kept(cache: dict, key, limit: int, build) -> np.ndarray:
+    """``cache[key]``, built read-only on a miss; the ``limit`` last used keys stay."""
+    value = cache.pop(key, None)
+    if value is None:
+        if len(cache) == limit:
+            del cache[next(iter(cache))]  # the least recently used
+        value = build(key)
+        value.flags.writeable = False
+    cache[key] = value
+    return value
 
 
 def grid_size(t: int) -> int:
@@ -248,6 +265,11 @@ _I_POWERS = (1.0, 1j, -1.0, -1j)
 #: reuses at most the last three ``j`` (``tau - 1``, ``tau``, ``tau + 1``).
 _KEPT_ROWS = 3
 
+#: DFT rows the states of one :class:`Propagator` keep for
+#: :meth:`FourierState.mass`: a trace reads one ``x`` per tau, figures 5a
+#: and 5c two.
+_KEPT_DFT_ROWS = 2
+
 
 class Propagator:
     """Closed-form momentum-space evolution for one walk on one grid.
@@ -263,7 +285,9 @@ class Propagator:
     state at ``t = 2*tau + 1`` needs the rows ``tau - 1`` and ``tau``, one
     at ``2*tau + 2`` also ``tau + 1``, so in a sweep of increasing tau an
     extra state costs one new ``sin`` row over the grid and two coin
-    applications.  The kept arrays are read-only, and a state is the same,
+    applications.  Its states share one ``dft_rows`` dict, so
+    :meth:`FourierState.mass` builds the row of an ``x`` once per sweep, not
+    once per state.  The kept arrays are read-only, and a state is the same,
     bit for bit, whichever states were asked for before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
@@ -288,6 +312,7 @@ class Propagator:
         self._w = np.arctan2(self._sin_w, np.abs(x))
         self._sign = np.where(x < 0, -1.0, 1.0)
         self._rows: dict[int, np.ndarray] = {}  # j -> U_{j-1}(x), least recently used first
+        self._dft_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
         self._first_coin = self._coin(self._initial(), params.c, params.s)
         for kept in (self.grid, self._eik, self._sin_w, self._w, self._sign, self._first_coin):
             kept.flags.writeable = False
@@ -313,20 +338,18 @@ class Propagator:
         np.multiply(np.conjugate(self._eik, out=tmp), u1, out=u1)
         return u
 
+    def _chebyshev_row(self, j):
+        # U_{j-1}(x) = sgn(x)^{j-1} sin(j w) / sin w
+        row = np.multiply(j, self._w)
+        np.sin(row, out=row)
+        row /= self._sin_w
+        if (j - 1) % 2:
+            row *= self._sign
+        return row
+
     def _chebyshev(self, j, phase):
         # i^phase U_{j-1}(x); the real row is kept for the last _KEPT_ROWS j
-        row = self._rows.pop(j, None)
-        if row is None:
-            if len(self._rows) == _KEPT_ROWS:
-                del self._rows[next(iter(self._rows))]
-            row = np.multiply(j, self._w)
-            np.sin(row, out=row)
-            row /= self._sin_w
-            if (j - 1) % 2:
-                row *= self._sign
-            row.flags.writeable = False
-        self._rows[j] = row
-        return _I_POWERS[phase % 4] * row
+        return _I_POWERS[phase % 4] * _kept(self._rows, j, _KEPT_ROWS, self._chebyshev_row)
 
     def _power(self, g, m, vg=None, out=None):
         # U^m g = i^(m-1) U_{m-1}(x) (V g) - i^m U_{m-2}(x) g, written to
@@ -363,7 +386,8 @@ class Propagator:
         for swap in schedule.swaps_before(t_final, tau):
             g = self._coin(self._power(g, swap - done, vg, out=g), p.c1, p.s1)
             vg, done = None, swap + 1
-        return FourierState(t_final, self.grid, self._power(g, t_final - done, vg).T)
+        return FourierState(t_final, self.grid, self._power(g, t_final - done, vg).T,
+                            self._dft_rows)
 
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:

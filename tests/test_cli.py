@@ -1,14 +1,22 @@
+import contextlib
 import csv
 import dataclasses
 import filecmp
 import hashlib
 import importlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qwalk.cli
 import qwalk.dynamics
@@ -34,6 +42,7 @@ from qwalk import (
 from qwalk.cli import EmptyOutput, Table, emit, main
 from qwalk.limits import MAX_MOMENT_ORDER
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 THETA = str(math.pi / 4)
 WALK = ["--theta", THETA, "--theta1", "0"]
 SUBCOMMANDS = ["simulate", "spectral-check", "eigen", "limits", "density",
@@ -654,10 +663,18 @@ def test_compare_rejects_moment_orders_above_the_maximum(capsys):
         assert out.out == "" and f"0..{MAX_MOMENT_ORDER}" in out.err
 
 
-def test_compare_csv_format_rejected(capsys):
-    assert main(["compare", *WALK, "--tau", "2", "--t", "5",
-                 "--format", "csv"]) == 1
-    assert "row data" in capsys.readouterr().err
+def test_compare_csv_format_rejected(monkeypatch, capsys):
+    # compare writes a flat report, which has no CSV form: a usage error
+    # before anything is evolved, not a failure in emit after the work
+    def never(*args, **kwargs):
+        raise AssertionError("compare evolved before rejecting --format csv")
+
+    monkeypatch.setattr(qwalk.cli, "spectral_evolve", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", *WALK, "--tau", "2", "--t", "5", "--format", "csv"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "--format: invalid choice: 'csv'" in err and err.startswith("usage: qwalk compare")
 
 
 @pytest.mark.parametrize("fig", FIGURES)
@@ -768,6 +785,23 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
             "0.33333333333333331"]
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1e300)
+@example(0.1)
+def test_percent_17g_is_format_17g(value):
+    # emit formats a float array's row with '%.17g', _fmt a single float
+    # with format(v, '.17g'); both must print the same round-trip text
+    assert "%.17g" % value == format(value, ".17g")
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         Table(x=np.arange(3), p=np.zeros(2))
@@ -812,3 +846,83 @@ def test_benchmark_modules_import_and_build(monkeypatch):
     for name in workloads.WORKLOADS:
         ops = workloads.build(name, 0)
         assert ops and ops == workloads.build(name, 0)
+
+
+def _fresh_cli(argv, cwd, max_t):
+    """``python -m qwalk.cli argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+    env.pop("QWALK_MAX_T", None)
+    if max_t is not None:
+        env["QWALK_MAX_T"] = max_t
+    proc = subprocess.run([sys.executable, "-m", "qwalk.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_calls_like_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main reuses its parser; each call must still behave as the same
+    # command alone in a fresh process: exit code, stdout, stderr, files
+    calls = [
+        (None, ["limits", *PINNED_W, "--parity", "odd", "--xmax", "3"]),
+        (None, ["trace", *PINNED_W, "--observable", "mass", "--x", "1",
+                "--taus", "0,3,30", "--out", "trace.csv"]),
+        (None, ["trace", *PINNED_W, "--observable", "bogus", "--taus", "1"]),  # usage
+        (None, ["trace", *PINNED_W, "--observable", "mass", "--taus", "1"]),  # validation
+        ("10", ["simulate", *PINNED_W, "--t", "20"]),  # the cap is read at call time
+        (None, ["--help"]),
+        ("30", ["simulate", *PINNED_W, "--tau", "9", "--t", "20", "--out", "sim.csv"]),
+        (None, ["compare", *PINNED_W, "--tau", "9", "--t", "20"]),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("COLUMNS", "80")
+    # build the parser while other streams are installed: no call below
+    # may write to the streams of the call that built it
+    qwalk.cli._parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["limits", *PINNED_W, "--parity", "even", "--xmax", "1"]) == 0
+    codes = []
+    for max_t, argv in calls:
+        if max_t is None:
+            monkeypatch.delenv("QWALK_MAX_T", raising=False)
+        else:
+            monkeypatch.setenv("QWALK_MAX_T", max_t)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_cli(argv, fresh, max_t), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 1, 1, 0, 0, 0]
+    assert sorted(p.name for p in here.iterdir()) == ["sim.csv", "trace.csv"]
+    for name in ("sim.csv", "trace.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main call, so a fresh import (the
+    # benchmark's setup time) does not pay for it, and the second call reuses it
+    code = textwrap.dedent("""
+        import argparse, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import qwalk.cli
+        counts = [len(built)]
+        for _ in range(2):
+            qwalk.cli.main(["eigen", "--theta", "0.7", "--k-samples", "2"])
+            counts.append(len(built))
+        print(*counts, file=sys.stderr)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120, check=True)
+    at_import, first, second = map(int, proc.stderr.split())
+    assert at_import == 0
+    assert first == 1 + len(SUBCOMMANDS)  # the parser and one per subcommand
+    assert second == first

@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
+import gc
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +27,8 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
-from qwalk.spectral import FourierState, grid_size
+import qwalk.spectral
+from qwalk.spectral import FourierState, _dft_row, grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: At k = 0 and +-pi one branch's eigenvector entry sign*rA - c cos k
@@ -439,3 +442,46 @@ def test_read_back_matches_direct_dft_rows(t):
     sites = state.sublattice().sites
     err = float(np.max(np.abs(sites[[(x + t) // 2 for x in xs]] - dft_rows(state, xs))))
     assert err < 5e-14
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_sweep_mass_equals_a_fresh_dft_row_bit_for_bit(parity):
+    # the states of one sweep share their DFT rows; a kept row must give
+    # the bits of a row built afresh, also after it was evicted and rebuilt
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    states = list(tau_sweep(p, Schedule.half_time(), parity, [0, 1, 2, 9, 30, 9, 61]))
+    xs = (1, -1, 2, -2, 0, 1, 1, -2)
+    for state in states:
+        n = len(state.grid)
+        assert state.dft_rows is states[0].dft_rows
+        for x in xs:
+            got = state.mass(x)
+            if abs(x) > state.time or (x + state.time) % 2:
+                assert got == 0.0
+                continue
+            fresh = _dft_row(n, x) @ state.values / n
+            assert got == float(np.sum(np.abs(fresh) ** 2)), (state.time, x)
+            assert len(state.dft_rows) <= 2
+            assert not any(row.flags.writeable for row in state.dft_rows.values())
+    # a sweep that reads one x builds its row once
+    x, rows = (1 if parity == "odd" else 2), set()
+    for state in tau_sweep(p, Schedule.half_time(), parity, range(1, 20)):
+        state.mass(x)
+        rows.add(id(state.dft_rows[x]))
+    assert len(rows) == 1
+
+
+def test_sweep_frees_its_dft_rows():
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    states = list(tau_sweep(p, Schedule.half_time(), "odd", range(40)))
+    for state in states:
+        state.mass(1)
+        state.mass(-3)
+    refs = [weakref.ref(row) for row in states[0].dft_rows.values()]
+    assert len(refs) == 2
+    del states, state
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # no module-level cache holds a row: only the table of roots is kept
+    cached = [name for name, value in vars(qwalk.spectral).items() if hasattr(value, "cache_info")]
+    assert cached == ["_roots_of_unity"]
