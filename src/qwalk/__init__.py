@@ -12,7 +12,6 @@ independent Fourier-space evolution.
 
 from .analysis import (
     ConvergenceTrace,
-    fourier_moment,
     localized_mass,
     mass_trace,
     moment,
@@ -74,7 +73,6 @@ __all__ = [
     "eigensystem",
     "evolve",
     "fourier_coin",
-    "fourier_moment",
     "initial_state",
     "limit_mass_total",
     "limit_masses",

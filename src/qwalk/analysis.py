@@ -9,13 +9,14 @@ Traces over tau run through :func:`tau_sweep`, which jumps to each
 measurement time with the closed-form momentum-space propagator instead
 of re-stepping the walk from ``t = 0`` for every tau, on the grid of
 :func:`qwalk.spectral.grid_size`.  Each state it yields carries its own
-time, so :meth:`qwalk.spectral.FourierState.mass`, :func:`fourier_moment`
-and the read-back :meth:`qwalk.spectral.FourierState.sublattice` take no
-``t``.
+time, so :meth:`qwalk.spectral.FourierState.mass` and the read-back
+:meth:`qwalk.spectral.FourierState.sublattice` take no ``t``; a moment
+along a trace is :func:`moment` of the read-back's distribution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,7 +31,6 @@ __all__ = [
     "ConvergenceTrace",
     "mass_trace",
     "tau_sweep",
-    "fourier_moment",
     "check_measurement_time",
     "check_moment_order",
     "rescaled_cdf_distance",
@@ -102,24 +102,6 @@ def check_moment_order(r: int) -> None:
         raise ValueError(f"moment order must be non-negative, got {r}")
 
 
-def _moment(xs: np.ndarray, ps: np.ndarray, t: int, r: int) -> float:
-    """r-th moment of ``X_t/t`` for masses ``ps`` at positions ``xs``."""
-    check_moment_order(r)
-    if t == 0:
-        return 1.0 if r == 0 else 0.0
-    return float(np.sum((xs / t) ** r * ps))
-
-
-def fourier_moment(state: FourierState, r: int) -> float:
-    """r-th moment of ``X_t/t`` at the state's time, by one inverse FFT.
-
-    Only the sublattice is read; the other parity holds exact zeros.
-    """
-    t = state.time
-    sq = np.abs(state.sublattice().sites) ** 2
-    return _moment(np.arange(-t, t + 1, 2), sq[:, 0] + sq[:, 1], t, r)
-
-
 def mass_trace(
     params: WalkParams,
     x: int,
@@ -168,10 +150,9 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     check_measurement_time(params.tau, t)
     xs, ps = dist.as_arrays()
     inside = _window(dist)
-    points = np.append(xs[~inside] / t, 0.0)
-    masses = np.append(ps[~inside], np.sum(ps[inside]))
-    order = np.argsort(points)
-    points, masses = points[order], masses[order]
+    # the sites are sorted, so the atom goes between the two outer runs
+    points = np.concatenate((xs[:inside.start] / t, [0.0], xs[inside.stop:] / t))
+    masses = np.concatenate((ps[:inside.start], [np.sum(ps[inside])], ps[inside.stop:]))
     lattice_right = np.cumsum(masses)
     lattice_left = lattice_right - masses
     dens = LimitDensity.from_params(params)
@@ -185,14 +166,19 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
 
 def moment(dist: Distribution, r: int) -> float:
     """r-th moment of the rescaled position ``X_t/t``."""
+    check_moment_order(r)
+    t = dist.time
+    if t == 0:
+        return 1.0 if r == 0 else 0.0
     xs, ps = dist.as_arrays()
-    return _moment(xs, ps, dist.time, r)
+    return float(np.sum((xs / t) ** r * ps))
 
 
-def _window(dist: Distribution) -> np.ndarray:
-    """Mask of the sublinear window ``|x| <= sqrt(t)`` over ``-t..t``."""
-    xs, _ = dist.as_arrays()
-    return np.abs(xs) <= dist.time ** 0.5
+def _window(dist: Distribution) -> slice:
+    """The sublinear window ``|x| <= sqrt(t)``, a slice of the occupied sites."""
+    t, half = dist.time, math.isqrt(dist.time)
+    # site j sits at x = 2j - t, so -half <= x <= half is this range of j
+    return slice((t - half + 1) // 2, (t + half) // 2 + 1)
 
 
 def localized_mass(dist: Distribution) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from .analysis import (
     check_measurement_time,
     check_moment_order,
-    fourier_moment,
     localized_mass,
     moment,
     rescaled_cdf_distance,
@@ -266,9 +265,15 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     return params, schedule
 
 
+def _dense_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Printed rows: ``x = -t..t``, probabilities, amplitudes; zeros where ``x + t`` is odd."""
+    amps = state.amps
+    sq = np.abs(amps) ** 2
+    return np.arange(-state.time, state.time + 1), sq[:, 0] + sq[:, 1], amps
+
+
 def _state_table(state: StateVector) -> Table:
-    xs, ps = distribution(state).as_arrays()
-    a = state.amps
+    xs, ps, a = _dense_rows(state)
     return Table(x=xs, prob=ps, amp0_re=a[:, 0].real, amp0_im=a[:, 0].imag,
                  amp1_re=a[:, 1].real, amp1_im=a[:, 1].imag)
 
@@ -368,7 +373,7 @@ def _cmd_trace(args) -> int:
     elif args.observable == "mass":
         values = [state.mass(args.x) for state in states]
     else:
-        values = [fourier_moment(state, args.r) for state in states]
+        values = [moment(distribution(state.sublattice()), args.r) for state in states]
     table = Table(tau=args.taus, t=[2 * tau + offset for tau in args.taus], value=values)
     emit(table, args.format, args.out, meta={"observable": args.observable})
     return 0
@@ -402,8 +407,7 @@ def _figure_params(init: str, theta1: float, tau: int) -> WalkParams:
 
 def _fig_distribution(init: str, theta1: float, tau: int,
                       schedule: Schedule, t: int):
-    dist = distribution(spectral_evolve(_figure_params(init, theta1, tau), schedule, t))
-    xs, ps = dist.as_arrays()
+    xs, ps, _ = _dense_rows(spectral_evolve(_figure_params(init, theta1, tau), schedule, t))
     return Table(x=xs, prob=ps), None
 
 
@@ -411,7 +415,7 @@ def _fig_spacetime(init: str, theta1: float, tau: int, schedule: Schedule):
     params = _figure_params(init, theta1, tau)
     ts, xs, ps = [], [], []
     for state in snapshots(params, schedule, range(101)):
-        x, p = distribution(state).as_arrays()
+        x, p, _ = _dense_rows(state)
         ts.append(np.full_like(x, state.time))
         xs.append(x)
         ps.append(p)

@@ -17,10 +17,11 @@ requested time ``T``, with ``L[j]`` in slot ``j`` and ``R[j]`` in slot
 
 The coin entries ``a, b, c, d`` are real, so these are six in-place
 scalar multiplies and adds on the ``float64`` views of the buffers.  A
-:class:`StateVector` holds the same ``t + 1`` sites; its dense
-``(2t+1, 2)`` window is built only when ``.amps`` is read.  Everything
-is deterministic: the probabilities are squared amplitude norms, never
-sampled.
+:class:`StateVector` holds the same ``t + 1`` sites and a
+:class:`Distribution` their masses; the dense ``(2t+1, 2)`` window is
+built only when ``.amps`` is read, for the rows the CLI prints.
+Everything is deterministic: the probabilities are squared amplitude
+norms, never sampled.
 
 Stepping costs O(t^2) to reach time ``t``, so this module is the
 reference route, not the production one: the ``qwalk`` commands evolve a
@@ -92,7 +93,8 @@ class StateVector:
 
         It spans ``-time .. time``, with exact zeros at the sites where
         ``x + time`` is odd.  This is the one place the window is built,
-        anew and read-only on every read.
+        anew and read-only on every read; its readers are the rows the CLI
+        prints and the benchmark's output checks.
         """
         amps = np.zeros((2 * self.time + 1, 2), dtype=np.complex128)
         amps[::2] = self.sites
@@ -106,24 +108,27 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Exact position distribution at a fixed time.
+    """Exact position distribution at a fixed time, on the occupied sites.
 
-    ``values[i]`` is ``P(X_t = i - time)`` over the window ``-time..time``;
-    the array is read-only.
+    ``values[j]`` is ``P(X_t = 2*j - time)``, the layout of
+    :attr:`StateVector.sites`: every other site has probability exactly 0.
+    The array is read-only.
     """
 
     time: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (2 * self.time + 1,):
-            raise ValueError(f"values shape {self.values.shape} does not match "
-                             f"window [-{self.time}, {self.time}]")
+        if self.time < 0:
+            raise ValueError("time must be non-negative")
+        if self.values.shape != (self.time + 1,):
+            raise ValueError(f"values shape {self.values.shape} is not "
+                             f"({self.time + 1},), one mass per occupied site")
         self.values.flags.writeable = False
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions ``-t..t`` and probabilities as parallel arrays."""
-        return np.arange(-self.time, self.time + 1), self.values
+        """Occupied positions ``-t, -t+2, ..., t`` and their probabilities."""
+        return np.arange(-self.time, self.time + 1, 2), self.values
 
 
 def initial_state(params: WalkParams) -> StateVector:
@@ -206,7 +211,7 @@ def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:
 
 
 def distribution(state: StateVector) -> Distribution:
-    """Squared amplitude norms over the whole window ``-t..t``."""
-    values = np.zeros(2 * state.time + 1)
-    values[::2] = np.sum(np.abs(state.sites) ** 2, axis=1)
-    return Distribution(time=state.time, values=values)
+    """Squared amplitude norms on the occupied sites ``-t, -t+2, ..., t``."""
+    sq = np.abs(state.sites) ** 2
+    # two columns: a plain add is bit-identical to np.sum(axis=1), and faster
+    return Distribution(time=state.time, values=sq[:, 0] + sq[:, 1])

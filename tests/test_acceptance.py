@@ -45,10 +45,14 @@ def test_criterion_1_odd_point_masses():
     start = time.perf_counter()
     dist = distribution(evolve(SHOWCASE, Schedule.half_time(), 2001))
     elapsed = time.perf_counter() - start
-    err = max(abs(dist.values[x + dist.time] - P1_LIMIT) for x in (-1, 1))
+    err = max(abs(dist.values[(x + dist.time) // 2] - P1_LIMIT) for x in (-1, 1))
+    # P(+/-1) minus its limit has period 4 in tau: -1.84e-3 at tau = 1000
+    # and 1001, +2.48e-3 at 1002 and 1003.  The check passes at tau = 1000
+    # and is kept at full strength.
     report(1, err <= 2e-3 and elapsed < 5.0,
            f"P(+/-1) at t=2001 within {err:.2e} of {P1_LIMIT:.6f} "
-           f"(tol 2e-3) in {elapsed:.2f}s (budget 5s)")
+           f"(tol 2e-3; margin depends on tau mod 4, +2.48e-3 at tau=1002) "
+           f"in {elapsed:.2f}s (budget 5s)")
 
 
 def test_criterion_2_even_point_masses():
@@ -59,8 +63,8 @@ def test_criterion_2_even_point_masses():
     # t=6002.  No correct simulation can land within 2e-3 of the limits at
     # this tau; the check is kept at its required strength regardless.
     dist = distribution(evolve(SHOWCASE, Schedule.half_time(), 2002))
-    err0 = abs(dist.values[dist.time] - P0_LIMIT)
-    err2 = max(abs(dist.values[x + dist.time] - P2_LIMIT) for x in (-2, 2))
+    err0 = abs(dist.values[dist.time // 2] - P0_LIMIT)
+    err2 = max(abs(dist.values[(x + dist.time) // 2] - P2_LIMIT) for x in (-2, 2))
     report(2, err0 <= 2e-3 and err2 <= 2e-3,
            f"P(0) within {err0:.2e} of {P0_LIMIT:.6f}, P(+/-2) within "
            f"{err2:.2e} of {P2_LIMIT:.6f} (tol 2e-3)")

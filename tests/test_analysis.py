@@ -10,6 +10,7 @@ from oracles import (EDGE_THETAS, brute_force_probability, dft_rows,
                      origin_mass_even_trace, sample_params)
 from qwalk import (
     ConvergenceTrace,
+    Distribution,
     ExcludedAngleError,
     LimitDensity,
     Schedule,
@@ -17,7 +18,6 @@ from qwalk import (
     delta_mass,
     distribution,
     evolve,
-    fourier_moment,
     initial_state,
     localized_mass,
     mass_trace,
@@ -40,8 +40,13 @@ SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({5, 17}))
 SWEEP_POSITIONS = (-2, -1, 0, 1, 2)
 
 
-def rows_fourier_moment(state, r):
-    """``fourier_moment`` off direct DFT rows, one per occupied site, no FFT."""
+def sweep_moment(state, r):
+    """The moment a trace reads off a transformed state."""
+    return moment(distribution(state.sublattice()), r)
+
+
+def rows_moment(state, r):
+    """``sweep_moment`` off direct DFT rows, one per occupied site, no FFT."""
     t = state.time
     xs = np.arange(-t, t + 1, 2)
     sq = np.abs(dft_rows(state, xs)) ** 2
@@ -55,11 +60,11 @@ def assert_sweep_matches_evolve(params, schedule, parity, taus, tol):
         assert state.time == t
         dist = distribution(evolve(dataclasses.replace(params, tau=tau), schedule, t))
         xs, ps = dist.as_arrays()
-        probs = dict(zip(xs.tolist(), ps.tolist()))  # |x| > t has no entry
+        probs = dict(zip(xs.tolist(), ps.tolist()))  # no entry: wrong parity or |x| > t
         for x in SWEEP_POSITIONS:
             assert abs(state.mass(x) - probs.get(x, 0.0)) <= tol
         for r in range(5):
-            assert abs(fourier_moment(state, r) - moment(dist, r)) <= tol
+            assert abs(sweep_moment(state, r) - moment(dist, r)) <= tol
 
 
 def test_trace_container_validation():
@@ -183,7 +188,7 @@ def brute_force_distance(params, dist):
     the mass on ``|x| <= sqrt(t)`` sits at 0, every other site at ``x/t``.
     """
     t = dist.time
-    xs = np.arange(-t, t + 1)
+    xs = np.arange(-t, t + 1, 2)  # values[j] is the mass at x = 2j - t
     far = np.abs(xs) > math.sqrt(t)
     jumps = xs[far] / t
     cum = np.concatenate(([0.0], np.cumsum(dist.values[far])))
@@ -206,6 +211,17 @@ def test_distance_is_the_exact_supremum(example_params, hadamard_params):
             dist = distribution(evolve(params, Schedule.half_time(), 2 * tau + 1 + i % 2))
             exact = rescaled_cdf_distance(params, dist)
             assert abs(brute_force_distance(params, dist) - exact) < 1e-13
+
+
+@pytest.mark.parametrize("t", (1, 2, 3, 4, 9, 16, 10**4))
+def test_localized_mass_window_edges(t):
+    # at a perfect square t the edge sites x = +-sqrt(t) are in the window
+    dist = Distribution(time=t, values=np.random.default_rng(t).random(t + 1))
+    xs, ps = dist.as_arrays()
+    inside = np.abs(xs) <= math.sqrt(t)
+    assert localized_mass(dist) == float(np.sum(ps[inside]))
+    if math.isqrt(t) ** 2 == t:
+        assert xs[inside][0] == -math.isqrt(t) and xs[inside][-1] == math.isqrt(t)
 
 
 def test_localized_mass_estimates_delta(example_params):
@@ -329,7 +345,7 @@ def test_sweep_validation(example_params, monkeypatch):
     tau_sweep(example_params, schedule, "odd", (1, 4))
     state, = tau_sweep(example_params, schedule, "even", (2,))
     with pytest.raises(ValueError):
-        fourier_moment(state, -1)
+        sweep_moment(state, -1)
     assert state.mass(1) == 0.0  # wrong parity
     assert state.mass(8) == 0.0  # beyond the light cone
 
@@ -341,4 +357,4 @@ def test_fourier_moment_equals_the_direct_dft_rows(example_params, schedule):
     for parity in ("odd", "even"):
         for state in tau_sweep(example_params, schedule, parity, taus):
             for r in (0, 1, 2, 3, 8):
-                assert abs(fourier_moment(state, r) - rows_fourier_moment(state, r)) < 1e-14
+                assert abs(sweep_moment(state, r) - rows_moment(state, r)) < 1e-14

@@ -109,10 +109,15 @@ def test_simulate_csv_matches_library(tmp_path, example_params):
     expected = distribution(state)
     reference = distribution(evolve(p, Schedule.half_time(), 5))
     assert len(rows) == 11
-    for row, amp, prob, ref in zip(rows, state.amps, expected.values, reference.values):
-        assert row["prob"] == prob
+    for row, amp in zip(rows, state.amps):
         assert [row["amp0_re"], row["amp0_im"], row["amp1_re"], row["amp1_im"]] == \
             [amp[0].real, amp[0].imag, amp[1].real, amp[1].imag]
+    # the printed rows keep the sites where x + t is odd, as exact zeros
+    assert [row["prob"] for row in rows[1::2]] == [0.0] * 5
+    xs, ps = expected.as_arrays()
+    assert [row["x"] for row in rows[::2]] == xs.tolist()
+    for row, prob, ref in zip(rows[::2], ps, reference.values, strict=True):
+        assert row["prob"] == prob
         assert abs(row["prob"] - ref) <= ROUTE_TOL
 
 
@@ -130,9 +135,10 @@ def test_simulate_json_round_trip(tmp_path, example_params):
     rows = json.loads(out.read_text())
     expected = distribution(spectral_evolve(example_params, Schedule.half_time(), 4))
     xs, ps = expected.as_arrays()
-    assert [(row["x"], row["prob"]) for row in rows] == list(zip(xs.tolist(), ps.tolist()))
+    assert [(row["x"], row["prob"]) for row in rows[::2]] == list(zip(xs.tolist(), ps.tolist()))
+    assert [(row["x"], row["prob"]) for row in rows[1::2]] == [(x, 0.0) for x in (-3, -1, 1, 3)]
     reference = distribution(evolve(example_params, Schedule.half_time(), 4))
-    for row, ref in zip(rows, reference.values):
+    for row, ref in zip(rows[::2], reference.values, strict=True):
         assert abs(row["prob"] - ref) <= ROUTE_TOL
 
 
@@ -234,7 +240,7 @@ PINNED_OUTPUTS = (
     (["simulate", *PINNED_W, "--schedule", "multi", "--swap-steps", "3,10,40",
       "--t", "151", "--format", "json"], "aac5e72aa0af"),
     (["compare", *PINNED_W, "--tau", "200", "--t", "401", "--moments", "0,1,2,4"],
-     "0b3f6f766873"),
+     "0d7d320c3098"),
     (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "2a6be98dae08"),
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
       "--taus", "0,7,100"], "8b9afa14c43b"),
@@ -614,7 +620,7 @@ def test_cli_routes_match_position_space(theta, tmp_path):
                 assert np.all(amps[1::2] == 0)  # x + t odd: exact zeros
                 probs = np.array([r["prob"] for r in rows])
                 assert abs(math.fsum(probs) - 1.0) <= ROUTE_TOL
-                dist = Distribution(time=t, values=probs)
+                dist = Distribution(time=t, values=probs[::2])
                 for r in (0, 1, 2, 3):
                     assert abs(moment(dist, r) - moment(ref_dist, r)) <= ROUTE_TOL
             if schedule.kind is not ScheduleKind.HALF_TIME:
@@ -822,14 +828,15 @@ def test_tracer_targets_resolve(monkeypatch, tmp_path):
         assert qwalk.cli.emit is not original
         assert qwalk.cli.main(["trace", *WALK, "--observable", "moment", "--taus", "1,4",
                                "--out", str(tmp_path / "trace.csv")]) == 0
-        # the distribution counter reads the dense window: 2t + 1 sites
         assert qwalk.cli.main(["compare", *WALK, "--tau", "2", "--t", "5",
                                "--out", str(tmp_path / "report.json")]) == 0
     assert qwalk.cli.emit is original
     totals = recorder.layer_totals()
     assert totals["cli.emit"]["calls"] == 2
-    assert totals["dynamics.distribution"]["calls"] == 1
-    assert totals["dynamics.distribution"]["sites"] == 11
+    # one distribution per traced tau (t = 3, 9) and one for compare (t = 5);
+    # the counter reads the dense window, 2t + 1 sites
+    assert totals["dynamics.distribution"]["calls"] == 3
+    assert totals["dynamics.distribution"]["sites"] == 7 + 19 + 11
 
 
 def test_benchmark_modules_import_and_build(monkeypatch):
