@@ -249,6 +249,11 @@ PINNED_OUTPUTS = (
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "4e731ebf8708"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
      "b3c983e262c6"),
+    # normal, subnormal and exact-zero masses
+    (["limits", *PINNED_W, "--parity", "odd", "--xmax", "500"], "c67742183d09"),
+    (["density", *PINNED_W, "--points", "2001"], "c817f4d7776a"),
+    (["eigen", "--theta", "0.7", "--k-samples", "1000"], "28452ef5ba72"),
+    (["eigen", "--theta", "0.7", "--k-samples", "1000", "--format", "json"], "addee8a7ef80"),
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
         ("1a", "f1cf3a78771f"), ("1b", "fb8a1e9e76d7"), ("2a", "5f2c489af38d"),
         ("2b", "cecc65dffeff"), ("3a", "7e31dc5fbbd7"), ("3b", "b2b40db53435"),
