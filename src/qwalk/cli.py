@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -55,8 +56,8 @@ class Table:
     """Row data held as named columns of equal length.
 
     A column is a numpy array or a sequence of Python numbers.  Rows as
-    Python objects are built only for JSON output; a CSV row is formatted
-    by one ``%`` operation.
+    Python objects are built only for JSON output; CSV text is made one
+    column at a time over blocks of rows (:func:`_csv_blocks`).
     """
 
     def __init__(self, **columns) -> None:
@@ -75,37 +76,260 @@ class Table:
         return [dict(zip(self.keys, row)) for row in zip(*values)]
 
 
-def _column_text(col) -> list[str]:
-    if isinstance(col, np.ndarray):
-        col = col.tolist()
-    return list(map(_fmt, col))
+# CSV cells are built as "slots": fixed-width runs of ASCII bytes in which
+# NUL marks an unused position, so a whole block of rows is made with array
+# operations and one bytes.translate that deletes the NULs.  Slots are
+# little-endian 32- or 64-bit words, which fixes where each byte of a word
+# sits whatever the machine's byte order.
+_U4 = np.dtype("<u4")
+_U8 = np.dtype("<u8")
+
+#: Slot bytes of one block of rows: the writer's working memory is a few
+#: times this, however long the table.
+_BLOCK_BYTES = 1 << 19
+#: Slot bytes assumed per cell when sizing a block (a float slot's width).
+_CELL_BYTES = 32
+
+#: Decimal exponents ``k`` of the ``10**k`` table of :func:`_float_tables`.
+#: A float is formatted by the table when ``1e-290 < |v| < 1e290``, which
+#: needs ``k = 16 - e`` for exponents ``e`` from -291 to 290.
+_K_MIN, _K_MAX = -276, 308
+#: Exponents ``X`` of the prefix and suffix tables: -300..300.
+_X_MAX = 300
+#: Clears the low 27 bits of a float64: the high part of an exact split.
+_SPLIT = np.uint64(0xFFFFFFFFF8000000)
 
 
-#: The ``%`` conversion of a numpy column by dtype kind.  ``'%.17g' % v``
-#: and ``format(v, '.17g')`` of :func:`_fmt` are the same float repr.
-_CELL = {"f": "%.17g", "i": "%d", "u": "%d"}
+@functools.cache
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Digit text of ``c = 0..9999`` ("0042" as one word) and, per place
+    of a 4-digit chunk in a 17-digit significand, how many significant
+    digits reach through that chunk once trailing zeros are dropped."""
+    c = np.arange(10000)
+    digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
+    text = np.ascontiguousarray(digits + ord("0"), dtype=np.uint8).view(_U4).ravel()
+    need = np.select([c % 10 != 0, c % 100 != 0, c % 1000 != 0, c != 0], [4, 3, 2, 1], 0)
+    # chunk j holds significand digits 4j - 3 .. 4j (digit 0 stands alone)
+    reach = np.stack([np.where(c != 0, 4 * j - 3 + need, 0) for j in range(1, 5)])
+    return text, reach.astype(np.uint8)
 
 
-def _csv_rows(table: Table):
-    """The CSV lines of ``table``'s rows, each made by one ``%`` operation."""
-    cells, columns = [], []
+def _slot_words(texts: list[bytes], width: int) -> np.ndarray:
+    """Byte strings as rows of ``width`` NUL-padded bytes, in 4-byte words."""
+    return np.array(texts, dtype=f"S{width}").view(_U4).reshape(len(texts), -1)
+
+
+@functools.cache
+def _float_tables():
+    """Tables of the float slot (see :func:`_float_slots`), built on first use.
+
+    ``10**k`` for ``k`` in ``_K_MIN.._K_MAX`` as a double-double ``hi +
+    lo`` (``hi`` correctly rounded, ``lo`` the rounded remainder), with
+    ``hi`` split into 26 + 27 bits for an exact product; per exponent
+    ``X``: the word of sign, "0." and leading zeros, the word holding the
+    ``e+XX`` suffix, where the point goes and the fewest digits printed;
+    per ``(point, kept digits)``: the masks that place the digits.
+    """
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den  # int / int is correctly rounded
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    hi_hi = (hi.view(np.uint64) & _SPLIT).view(np.float64)
+    pow10 = (hi, hi_hi, hi - hi_hi, np.array(lo))
+
+    prefix, suffix, point, least = [], [], [], []
+    for x in range(-_X_MAX, _X_MAX + 1):
+        if not -4 <= x < 17:  # C's %g rule for precision 17: d.ddde+XX
+            prefix.append(b"")
+            suffix.append(b"\0e%+03d" % x)
+            point.append(1)
+            least.append(1)
+        elif x < 0:  # 0.000ddd
+            prefix.append(b"\0" + b"0." + b"0" * (-x - 1))
+            suffix.append(b"")
+            point.append(18)
+            least.append(1)
+        else:  # ddd.ddd
+            prefix.append(b"")
+            suffix.append(b"")
+            point.append(x + 1)
+            least.append(x + 1)
+    prefix = _slot_words(prefix, 8).view(_U8).ravel()
+    suffix = _slot_words(suffix, 8).view(_U8).ravel()
+
+    # Digit j sits at slot byte 7 + j; with a point after digit p - 1 the
+    # digits from p on move up one byte.  ``keep`` digits are printed.
+    masks = np.zeros((3, 18 * 19, 32), np.uint8)
+    for p in range(19):
+        for keep in range(18):
+            case = masks[:, p * 18 + keep]
+            case[0, 7:7 + min(p, keep)] = 0xFF
+            if keep > p:
+                case[1, 8 + p:8 + keep] = 0xFF
+                case[2, 7 + p] = ord(".")
+    words = masks.view(_U8).transpose(0, 2, 1).copy()
+    return pow10, prefix, suffix, np.array(point), np.array(least), words
+
+
+def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m * 10**k`` as ``p + r``: ``p`` the rounded product, ``r`` the rest.
+
+    ``r`` is ``m * lo`` plus the exact error of ``m * hi``, found by
+    splitting both factors at 27 low bits (a mask, where Veltkamp's
+    ``x * (2**27 + 1)`` would overflow near 1e308).  Its error is below
+    1e-14 for ``p`` in ``[1e16, 1e17]``.
+    """
+    (hi, hi_hi, hi_lo, lo) = _float_tables()[0]
+    j = k - _K_MIN
+    b_hi, b_lo = hi_hi[j], hi_lo[j]
+    m_hi = (m.view(np.uint64) & _SPLIT).view(np.float64)
+    m_lo = m - m_hi
+    p = m * hi[j]
+    err = ((m_hi * b_hi - p) + m_hi * b_lo + m_lo * b_hi) + m_lo * b_lo
+    return p, err + m * lo[j]
+
+
+def _float_slots(a: np.ndarray, sep: int) -> np.ndarray:
+    """``'%.17g' % v`` of each float as a 32-byte slot, ``sep`` after it.
+
+    The 17-digit significand ``N`` is ``|v| * 10**(16 - e)`` rounded, from
+    :func:`_scaled` with ``e`` from ``log10`` and fixed up by a decade
+    where that product falls outside ``[1e16, 1e17)``.  Zeros print as
+    ``0``/``-0`` from ``N = 0``.  Python formats what the tables do not
+    decide: non-finite values, ``|v|`` outside ``(1e-290, 1e290)`` and
+    products within 1e-6 of a rounding tie.
+
+    Slot bytes: 0 sign, 1-5 "0." and leading zeros, 7-24 the digits and
+    point, 25-29 the exponent, 31 ``sep``.
+    """
+    pow10, prefix, suffix, point, least, masks = _float_tables()
+    mag = np.abs(a)
+    table = (mag > 1e-290) & (mag < 1e290)
+    idx = np.flatnonzero(table)
+    m = mag[idx]
+    e = np.floor(np.log10(m)).astype(np.int64)
+    p, r = _scaled(m, 16 - e)
+    decade = ((p - 1e17) + r >= 0).view(np.int8) - ((p - 1e16) + r < 0).view(np.int8)
+    moved = np.flatnonzero(decade)
+    if len(moved):
+        e[moved] += decade[moved]
+        p[moved], r[moved] = _scaled(m[moved], 16 - e[moved])
+    undecided = (((p - 1e17) + r >= 0) | ((p - 1e16) + r < 0)
+                 | (np.abs(r - np.floor(r) - 0.5) < 1e-6))
+    sig = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    carry = sig == 10 ** 17  # rounded up into the next decade
+    sig[carry] = 10 ** 16
+    e += carry
+
+    n = len(a)
+    big, x = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    big[idx], x[idx] = sig, e
+    text, reach = _chunk_tables()
+    d0, rest = np.divmod(big, 10 ** 16)
+    upper, lower = np.divmod(rest, 10 ** 8)
+    chunks = (*np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4))
+    digits = np.zeros((n, 6), _U4)  # d0 at byte 7, the chunks at 8-23
+    digits[:, 1] = text[d0]
+    for j, c in enumerate(chunks):
+        digits[:, j + 2] = text[c]
+    keep = np.maximum(np.maximum(reach[0][chunks[0]], reach[1][chunks[1]]),
+                      np.maximum(reach[2][chunks[2]], reach[3][chunks[3]]))
+    xi = x + _X_MAX
+    keep = np.maximum(keep, least[xi])
+    case = point[xi] * 18 + keep
+    g = digits.view(_U8)
+    moved_up = (g[:, 0] << 8, (g[:, 1] << 8) | (g[:, 0] >> 56),
+                (g[:, 2] << 8) | (g[:, 1] >> 56), g[:, 2] >> 56)
+    out = np.empty((n, 4), _U8)
+    for w in range(4):
+        out[:, w] = moved_up[w] & masks[1][w][case]
+        if w < 3:
+            out[:, w] |= (g[:, w] & masks[0][w][case]) | masks[2][w][case]
+    out[:, 0] |= prefix[xi] | np.signbit(a).view(np.uint8) * np.uint64(ord("-"))
+    out[:, 3] |= suffix[xi] | np.uint64(sep << 56)
+
+    rest_idx = np.concatenate([np.flatnonzero(~table & (mag != 0)), idx[undecided]])
+    if len(rest_idx):
+        cells = [b"%.17g" % v for v in a[rest_idx].tolist()]
+        words = _slot_words([c.ljust(31, b"\0") + bytes([sep]) for c in cells], 32)
+        out[rest_idx] = words.view(_U8)
+    return out.view(_U4)
+
+
+#: ``10**1 .. 10**19``: an integer's digit count is one more than the
+#: number of these it reaches.
+_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
+#: Masks keeping the last ``d`` bytes of a 4-byte chunk, ``d = 0..4``.
+_LAST_BYTES = np.array([0, 0xFF << 24, 0xFFFF << 16, 0xFFFFFF << 8, 0xFFFFFFFF], _U4)
+
+
+def _int_slots(v: np.ndarray, sep: int) -> np.ndarray:
+    """``str(i)`` of each integer as a slot: sign word, 4-digit chunks, ``sep``."""
+    text, _ = _chunk_tables()
+    neg = v < 0
+    u = v.astype(np.uint64)
+    u = np.where(neg, ~u + 1, u)  # |v| in two's complement, int64 min included
+    ndigits = np.searchsorted(_POW10_U64, u, side="right") + 1
+    q = (int(ndigits.max(initial=1)) + 3) // 4
+    out = np.zeros((len(v), q + 2), _U4)
+    out[:, 0] = neg * ord("-")
+    for j in range(q, 0, -1):
+        u, c = np.divmod(u, np.uint64(10 ** 4))
+        out[:, j] = text[c] & _LAST_BYTES[np.clip(ndigits - 4 * (q - j), 0, 4)]
+    out[:, q + 1] = sep
+    return out
+
+
+def _text_slots(cells, sep: int) -> np.ndarray:
+    """:func:`_fmt` text of each Python value as a slot with ``sep`` after it."""
+    texts = [_fmt(v).encode() + bytes([sep]) for v in cells]
+    return _slot_words(texts, -(-max(map(len, texts)) // 4) * 4)
+
+
+def _block_rows(ncols: int) -> int:
+    """Rows per block of a table with ``ncols`` columns."""
+    return max(1, _BLOCK_BYTES // (_CELL_BYTES * ncols))
+
+
+def _csv_blocks(table: Table):
+    """The CSV text of ``table``'s rows, one block of rows at a time.
+
+    A float column prints as ``'%.17g' % v``, an integer column as
+    ``str(i)``; any other column (a Python sequence, or an array of
+    another kind) prints its values' :func:`_fmt` text.  Slots are built
+    column by column; NUL bytes inside a value's text would be dropped.
+    """
+    columns = []
     for col in table.columns:
-        cell = _CELL.get(col.dtype.kind) if isinstance(col, np.ndarray) else None
-        cells.append(cell or "%s")
-        columns.append(col.tolist() if cell else _column_text(col))
-    return map(",".join(cells).__mod__, zip(*columns))
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            columns.append((_float_slots, col.astype(np.float64, copy=False)))
+        elif isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+            columns.append((_int_slots, col))
+        else:
+            columns.append((_text_slots, col.tolist() if isinstance(col, np.ndarray) else col))
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    rows = _block_rows(len(columns))
+    for lo in range(0, len(table), rows):
+        block = np.hstack([slots(col[lo:lo + rows], sep)
+                           for (slots, col), sep in zip(columns, seps)])
+        yield block.tobytes().translate(None, b"\0").decode()
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
          meta: dict | None = None) -> None:
     """Write a :class:`Table` or a flat object (dict).
 
-    CSV output has a header row, LF newlines and floats with 17
-    significant digits (round-trip exact); ``meta`` entries become
-    leading ``# key = value`` comment lines.  JSON output round-trips
-    floats exactly as well; for a table it is a list of row objects,
-    which ``meta`` wraps in an object, and ``meta`` is merged in front of
-    a flat object.
+    CSV output has a header row and LF newlines; a float prints as C's
+    ``%.17g`` (17 significant digits, round-trip exact), an integer in
+    decimal, and ``meta`` entries become leading ``# key = value`` comment
+    lines.  The rows are formatted and written a block at a time.  JSON
+    output round-trips floats exactly as well; for a table it is a list
+    of row objects, which ``meta`` wraps in an object, and ``meta`` is
+    merged in front of a flat object.
     """
     if not data:
         raise EmptyOutput("refusing to emit an empty table")
@@ -114,22 +338,21 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
             raise ValueError("csv output requires a table of row data, not a flat object")
         lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()] if meta else []
         lines.append(",".join(data.keys))
-        lines.extend(_csv_rows(data))
-        text = "\n".join(lines) + "\n"
+        parts = itertools.chain(["\n".join(lines) + "\n"], _csv_blocks(data))
     elif fmt == "json":
         if isinstance(data, Table):
             payload = {**meta, "rows": data.rows()} if meta else data.rows()
         else:
             payload = {**meta, **data} if meta else data
-        text = json.dumps(payload, indent=2) + "\n"
+        parts = [json.dumps(payload, indent=2) + "\n"]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -132,10 +132,14 @@ def limit_masses(params: WalkParams, parity: str, xmax: int) -> np.ndarray:
     return masses
 
 
-def _atan_excess(z: np.ndarray) -> np.ndarray:
-    """``z - atan(z)`` for ``z >= 0``, from its series where the difference cancels."""
-    z2 = z * z
-    return np.where(z < 0.1, z * z2 * np.polyval(_ATAN_SERIES, z2), z - np.arctan(z))
+def _atan_excess(z: np.ndarray, atan_z: np.ndarray) -> np.ndarray:
+    """``z - atan_z`` for ``z >= 0``, from its series where the difference cancels."""
+    excess = z - atan_z
+    small = z < 0.1
+    zs = z[small]
+    z2 = zs * zs
+    excess[small] = zs * z2 * np.polyval(_ATAN_SERIES, z2)
+    return excess
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,11 @@ class LimitDensity:
         xs = np.asarray(x, dtype=float)
         cabs, sa = abs(self.c), abs(self.s)
         c2, g2 = self.c ** 2, self.a2
-        xc = np.clip(xs, -cabs, cabs)
+        # The ac part is 0 at and below -|c| and constant at and above |c|:
+        # the closed form runs on the points inside (and NaN) and on |c|.
+        below, above = xs <= -cabs, xs >= cabs
+        inside = ~(below | above)
+        xc = np.append(xs[inside], cabs)
         sin_u = xc / cabs
         cos_u = np.sqrt((cabs - xc) * (cabs + xc)) / cabs
         u = np.arctan2(sin_u, cos_u) + 0.5 * np.pi
@@ -223,8 +231,12 @@ class LimitDensity:
         turn = np.arctan2(-c2 / (1.0 + sa) * sin_u * cos_u, cos_u ** 2 + sa * sin_u ** 2)
         d_over_c2 = turn / c2 + u / (1.0 + sa)
         z = cabs * cos_u / sa
-        odd = (1.0 - g2) * np.arctan(z) + g2 * (self.s / self.c) ** 2 * _atan_excess(z)
-        ac = (phi - g2 * d_over_c2 + self.weight * odd) / np.pi
+        atan_z = np.arctan(z)
+        odd = (1.0 - g2) * atan_z + g2 * (self.s / self.c) ** 2 * _atan_excess(z, atan_z)
+        ac_in = (phi - g2 * d_over_c2 + self.weight * odd) / np.pi
+        ac = np.zeros(xs.shape)
+        ac[inside] = ac_in[:-1]
+        ac[above] = ac_in[-1]
         vals = ac + self.delta * (xs >= 0.0)
         return float(vals) if vals.ndim == 0 else vals
 

@@ -796,21 +796,93 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
             "0.33333333333333331"]
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.floats())
-@example(0.0)
-@example(-0.0)
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(math.inf)
-@example(-math.inf)
-@example(math.nan)
-@example(1e300)
-@example(0.1)
-def test_percent_17g_is_format_17g(value):
-    # emit formats a float array's row with '%.17g', _fmt a single float
-    # with format(v, '.17g'); both must print the same round-trip text
-    assert "%.17g" % value == format(value, ".17g")
+def emitted_cells(column: np.ndarray) -> list[str]:
+    """The CSV cells ``emit`` writes for a one-column table."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(Table(v=column), "csv")
+    return out.getvalue().splitlines()[1:]
+
+
+def expected_cells(column: np.ndarray) -> list[str]:
+    """``'%.17g' % v`` per float and ``str(i)`` per integer."""
+    if column.dtype.kind == "f":
+        return ["%.17g" % v for v in column.tolist()]
+    return [str(i) for i in column.tolist()]
+
+
+#: Each power of ten that is a normal or subnormal double, with the
+#: doubles on both sides of it, of both signs: where the decimal exponent
+#: and the rounding of the 17th digit change.
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+DECADE_EDGES = np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0.0),
+                               np.nextafter(POWERS_OF_TEN, np.inf)])
+DECADE_EDGES = np.concatenate([DECADE_EDGES, -DECADE_EDGES])
+
+
+@pytest.mark.parametrize("column", (
+    DECADE_EDGES,
+    np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, 0.5, 1234567890123456.75, 1e-290, 1e290,
+              9.9999999999999995e-5, 1e16 - 2, 1e17 - 16, 99999999999999999.0]),
+    np.array([0, -1, 9, 10, 99999, -100000, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18]),
+    np.array([0, 2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1], dtype=np.uint64),
+    np.arange(256, dtype=np.uint8),
+    np.arange(-128, 128, dtype=np.int8),
+    np.linspace(-1.0, 1.0, 40001, dtype=np.float32),
+), ids=("decade-edges", "float-specials", "int64", "uint64", "uint8", "int8", "float32"))
+def test_csv_cells_print_as_percent_17g_and_str(column):
+    assert emitted_cells(column) == expected_cells(column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@example([0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0xFFF8000000000001])
+def test_csv_float_cells_for_any_bit_pattern(bits):
+    # nan payloads, infinities, subnormals and normals alike
+    column = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert emitted_cells(column) == expected_cells(column)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=64))
+def test_csv_int_cells_for_any_int64(values):
+    column = np.array(values, dtype=np.int64)
+    assert emitted_cells(column) == expected_cells(column)
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_csv_blocks_join_exactly(extra, tmp_path):
+    # a table one row short of, exactly at and one row past a block
+    n = qwalk.cli._block_rows(3) + extra
+    rng = np.random.default_rng(n)
+    floats = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(np.float64)
+    ints = rng.integers(-2 ** 63, 2 ** 63, size=n, dtype=np.int64)
+    texts = [float(v) for v in rng.standard_normal(n)]
+    path = tmp_path / "t.csv"
+    emit(Table(x=ints, v=floats, w=texts), "csv", str(path), meta={"n": n})
+    rows = [dict(x=i, v=v, w=w) for i, v, w in zip(ints.tolist(), floats.tolist(), texts)]
+    assert path.read_text() == row_formatter_text(rows, "csv", {"n": n})
+
+
+def test_csv_writer_memory_is_bounded(tmp_path):
+    # the writer formats a block of rows at a time; its peak allocation
+    # must not grow with the table the way a whole-text writer's does
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    table = Table(**{f"c{j}": rng.standard_normal(10 ** 6) for j in range(5)})
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        emit(table, "csv", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    path.unlink()
+    assert size > 80 * 10 ** 6
+    assert peak < size / 10, (peak, size)
 
 
 def test_table_validation():
