@@ -76,19 +76,19 @@ class Table:
         return [dict(zip(self.keys, row)) for row in zip(*values)]
 
 
-# CSV cells are built as "slots": fixed-width runs of ASCII bytes in which
-# NUL marks an unused position, so a whole block of rows is made with array
-# operations and one bytes.translate that deletes the NULs.  Slots are
-# little-endian 32- or 64-bit words, which fixes where each byte of a word
-# sits whatever the machine's byte order.
+# CSV text is built in "slots": fixed-width rows of ASCII bytes, one per
+# cell, in which NUL marks an unused position, so a block of rows is made
+# with array operations and one bytes.translate that deletes the NULs.  The
+# slots are computed as little-endian 32- and 64-bit words, which fixes the
+# byte each part of a word lands on whatever the machine's byte order.
 _U4 = np.dtype("<u4")
 _U8 = np.dtype("<u8")
 
-#: Slot bytes of one block of rows: the writer's working memory is a few
-#: times this, however long the table.
-_BLOCK_BYTES = 1 << 19
-#: Slot bytes assumed per cell when sizing a block (a float slot's width).
-_CELL_BYTES = 32
+#: Bytes of the largest temporaries of a float column in one block, at 32
+#: bytes a row.  Below 128 KiB the allocator reuses them; blocks of 10 000
+#: rows page-faulted on every column (about 500 faults each).
+_BLOCK_BYTES = 96 * 1024
+_BLOCK_ROWS = _BLOCK_BYTES // 32
 
 #: Decimal exponents ``k`` of the ``10**k`` table of :func:`_float_tables`.
 #: A float is formatted by the table when ``1e-290 < |v| < 1e290``, which
@@ -114,9 +114,9 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
     return text, reach.astype(np.uint8)
 
 
-def _slot_words(texts: list[bytes], width: int) -> np.ndarray:
-    """Byte strings as rows of ``width`` NUL-padded bytes, in 4-byte words."""
-    return np.array(texts, dtype=f"S{width}").view(_U4).reshape(len(texts), -1)
+def _padded(texts: list[bytes], width: int) -> np.ndarray:
+    """Byte strings as rows of ``width`` bytes, NUL-padded."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
 
 
 @functools.cache
@@ -158,8 +158,8 @@ def _float_tables():
             suffix.append(b"")
             point.append(x + 1)
             least.append(x + 1)
-    prefix = _slot_words(prefix, 8).view(_U8).ravel()
-    suffix = _slot_words(suffix, 8).view(_U8).ravel()
+    prefix = _padded(prefix, 8).view(_U8).ravel()
+    suffix = _padded(suffix, 8).view(_U8).ravel()
 
     # Digit j sits at slot byte 7 + j; with a point after digit p - 1 the
     # digits from p on move up one byte.  ``keep`` digits are printed.
@@ -171,8 +171,7 @@ def _float_tables():
             if keep > p:
                 case[1, 8 + p:8 + keep] = 0xFF
                 case[2, 7 + p] = ord(".")
-    words = masks.view(_U8).transpose(0, 2, 1).copy()
-    return pow10, prefix, suffix, np.array(point), np.array(least), words
+    return pow10, prefix, suffix, np.array(point), np.array(least), masks.view(_U8)
 
 
 def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +192,8 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, err + m * lo[j]
 
 
-def _float_slots(a: np.ndarray, sep: int) -> np.ndarray:
-    """``'%.17g' % v`` of each float as a 32-byte slot, ``sep`` after it.
+def _float_slots(a: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each float as a 30-byte slot.
 
     The 17-digit significand ``N`` is ``|v| * 10**(16 - e)`` rounded, from
     :func:`_scaled` with ``e`` from ``log10`` and fixed up by a decade
@@ -204,7 +203,7 @@ def _float_slots(a: np.ndarray, sep: int) -> np.ndarray:
     products within 1e-6 of a rounding tie.
 
     Slot bytes: 0 sign, 1-5 "0." and leading zeros, 7-24 the digits and
-    point, 25-29 the exponent, 31 ``sep``.
+    point, 25-29 the exponent.  They are made as four 64-bit words.
     """
     pow10, prefix, suffix, point, least, masks = _float_tables()
     mag = np.abs(a)
@@ -226,38 +225,37 @@ def _float_slots(a: np.ndarray, sep: int) -> np.ndarray:
     e += carry
 
     n = len(a)
-    big, x = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    big, x = np.zeros(n, np.uint64), np.zeros(n, np.int64)
     big[idx], x[idx] = sig, e
     text, reach = _chunk_tables()
-    d0, rest = np.divmod(big, 10 ** 16)
-    upper, lower = np.divmod(rest, 10 ** 8)
-    chunks = (*np.divmod(upper, 10 ** 4), *np.divmod(lower, 10 ** 4))
-    digits = np.zeros((n, 6), _U4)  # d0 at byte 7, the chunks at 8-23
-    digits[:, 1] = text[d0]
+    d0 = big // 10 ** 16
+    upper = (big - d0 * 10 ** 16) // 10 ** 8
+    lower = big - d0 * 10 ** 16 - upper * 10 ** 8
+    c1, c3 = upper // 10 ** 4, lower // 10 ** 4
+    # below 2**63, so viewed as the index type at no cost
+    chunks = [c.view(np.int64) for c in (c1, upper - c1 * 10 ** 4, c3, lower - c3 * 10 ** 4)]
+    digits = np.zeros((n, 8), _U4)  # d0 at byte 7, the chunks at 8-23
+    digits[:, 1] = text[d0.view(np.int64)]
     for j, c in enumerate(chunks):
         digits[:, j + 2] = text[c]
     keep = np.maximum(np.maximum(reach[0][chunks[0]], reach[1][chunks[1]]),
                       np.maximum(reach[2][chunks[2]], reach[3][chunks[3]]))
     xi = x + _X_MAX
-    keep = np.maximum(keep, least[xi])
-    case = point[xi] * 18 + keep
-    g = digits.view(_U8)
-    moved_up = (g[:, 0] << 8, (g[:, 1] << 8) | (g[:, 0] >> 56),
-                (g[:, 2] << 8) | (g[:, 1] >> 56), g[:, 2] >> 56)
-    out = np.empty((n, 4), _U8)
-    for w in range(4):
-        out[:, w] = moved_up[w] & masks[1][w][case]
-        if w < 3:
-            out[:, w] |= (g[:, w] & masks[0][w][case]) | masks[2][w][case]
+    case = point[xi] * 18 + np.maximum(keep, least[xi])
+    g = digits.view(_U8).ravel()
+    moved_up = g << 8
+    moved_up[1:] |= g[:-1] >> 56  # word 3 of a slot is 0: nothing crosses slots
+    g &= np.take(masks[0], case, axis=0).ravel()
+    g |= moved_up & np.take(masks[1], case, axis=0).ravel()
+    g |= np.take(masks[2], case, axis=0).ravel()
+    out = g.reshape(n, 4)
     out[:, 0] |= prefix[xi] | np.signbit(a).view(np.uint8) * np.uint64(ord("-"))
-    out[:, 3] |= suffix[xi] | np.uint64(sep << 56)
+    out[:, 3] |= suffix[xi]
 
     rest_idx = np.concatenate([np.flatnonzero(~table & (mag != 0)), idx[undecided]])
     if len(rest_idx):
-        cells = [b"%.17g" % v for v in a[rest_idx].tolist()]
-        words = _slot_words([c.ljust(31, b"\0") + bytes([sep]) for c in cells], 32)
-        out[rest_idx] = words.view(_U8)
-    return out.view(_U4)
+        out[rest_idx] = _padded([b"%.17g" % v for v in a[rest_idx].tolist()], 32).view(_U8)
+    return out.view(np.uint8)[:, :30]
 
 
 #: ``10**1 .. 10**19``: an integer's digit count is one more than the
@@ -267,32 +265,26 @@ _POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
 _LAST_BYTES = np.array([0, 0xFF << 24, 0xFFFF << 16, 0xFFFFFF << 8, 0xFFFFFFFF], _U4)
 
 
-def _int_slots(v: np.ndarray, sep: int) -> np.ndarray:
-    """``str(i)`` of each integer as a slot: sign word, 4-digit chunks, ``sep``."""
+def _int_slots(v: np.ndarray) -> np.ndarray:
+    """``str(i)`` of each integer as a slot: a sign word, then 4-digit chunks."""
     text, _ = _chunk_tables()
     neg = v < 0
     u = v.astype(np.uint64)
     u = np.where(neg, ~u + 1, u)  # |v| in two's complement, int64 min included
     ndigits = np.searchsorted(_POW10_U64, u, side="right") + 1
     q = (int(ndigits.max(initial=1)) + 3) // 4
-    out = np.zeros((len(v), q + 2), _U4)
+    out = np.empty((len(v), q + 1), _U4)
     out[:, 0] = neg * ord("-")
     for j in range(q, 0, -1):
         u, c = np.divmod(u, np.uint64(10 ** 4))
         out[:, j] = text[c] & _LAST_BYTES[np.clip(ndigits - 4 * (q - j), 0, 4)]
-    out[:, q + 1] = sep
-    return out
+    return out.view(np.uint8)
 
 
-def _text_slots(cells, sep: int) -> np.ndarray:
-    """:func:`_fmt` text of each Python value as a slot with ``sep`` after it."""
-    texts = [_fmt(v).encode() + bytes([sep]) for v in cells]
-    return _slot_words(texts, -(-max(map(len, texts)) // 4) * 4)
-
-
-def _block_rows(ncols: int) -> int:
-    """Rows per block of a table with ``ncols`` columns."""
-    return max(1, _BLOCK_BYTES // (_CELL_BYTES * ncols))
+def _text_slots(cells) -> np.ndarray:
+    """:func:`_fmt` text of each value as a slot as wide as the longest."""
+    texts = np.array(list(map(_fmt, cells)), dtype="S")
+    return texts.view(np.uint8).reshape(len(texts), -1)
 
 
 def _csv_blocks(table: Table):
@@ -300,8 +292,7 @@ def _csv_blocks(table: Table):
 
     A float column prints as ``'%.17g' % v``, an integer column as
     ``str(i)``; any other column (a Python sequence, or an array of
-    another kind) prints its values' :func:`_fmt` text.  Slots are built
-    column by column; NUL bytes inside a value's text would be dropped.
+    another kind) prints its values' :func:`_fmt` text.
     """
     columns = []
     for col in table.columns:
@@ -312,11 +303,12 @@ def _csv_blocks(table: Table):
         else:
             columns.append((_text_slots, col.tolist() if isinstance(col, np.ndarray) else col))
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    rows = _block_rows(len(columns))
-    for lo in range(0, len(table), rows):
-        block = np.hstack([slots(col[lo:lo + rows], sep)
-                           for (slots, col), sep in zip(columns, seps)])
-        yield block.tobytes().translate(None, b"\0").decode()
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        parts = []
+        for (slots, col), sep in zip(columns, seps):
+            part = slots(col[lo:lo + _BLOCK_ROWS])
+            parts += [part, np.full((len(part), 1), sep, np.uint8)]
+        yield np.hstack(parts).tobytes().translate(None, b"\0").decode()
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,

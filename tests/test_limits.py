@@ -180,6 +180,15 @@ def test_cdf_support_bounds(example_params):
     assert dens.cdf(-1.0) == 0.0
     assert abs(dens.cdf(1.0) - 1.0) < 1e-8
     assert abs(dens.cdf(abs(example_params.c)) - 1.0) < 1e-8
+    for params in sample_params(seed=47, n=8):
+        dens = LimitDensity.from_params(params)
+        cabs = abs(params.c)
+        below = dens.cdf(np.array([-2.0, -1.0, np.nextafter(-cabs, -2.0), -cabs]))
+        above = dens.cdf(np.array([cabs, np.nextafter(cabs, 2.0), 1.0, 2.0, np.inf]))
+        assert np.all(below == 0.0)
+        # constant from |c| on: the closed form's value at |c|, within rounding of 1
+        assert np.all(above == dens.cdf(cabs)) and abs(above[0] - 1.0) < 1e-12
+        assert np.isnan(dens.cdf(np.nan)) and np.isnan(dens.cdf(np.array([np.nan, 0.1]))[0])
 
 
 def test_cdf_jump_at_origin_is_delta():
@@ -203,8 +212,8 @@ def test_cdf_monotone_and_vectorized():
         assert values.shape == xs.shape
         assert float(np.min(np.diff(values))) > -1e-12
         assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
-        # scalar and array paths may differ in summation order only
-        assert abs(values[50] - dens.cdf(float(xs[50]))) < 1e-14
+        # a scalar is evaluated as a one-point array
+        assert values[50] == dens.cdf(float(xs[50]))
 
 
 def test_moments(example_params):
