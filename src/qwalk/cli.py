@@ -192,24 +192,17 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, err + m * lo[j]
 
 
-def _float_slots(a: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` of each float as a 30-byte slot.
+def _significands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17-digit significands ``N`` and exponents ``e`` of ``1e-290 < m < 1e290``.
 
-    The 17-digit significand ``N`` is ``|v| * 10**(16 - e)`` rounded, from
-    :func:`_scaled` with ``e`` from ``log10`` and fixed up by a decade
-    where that product falls outside ``[1e16, 1e17)``.  Zeros print as
-    ``0``/``-0`` from ``N = 0``.  Python formats what the tables do not
-    decide: non-finite values, ``|v|`` outside ``(1e-290, 1e290)`` and
-    products within 1e-6 of a rounding tie.
-
-    Slot bytes: 0 sign, 1-5 "0." and leading zeros, 7-24 the digits and
-    point, 25-29 the exponent.  They are made as four 64-bit words.
+    ``N`` is ``m * 10**(16 - e)`` rounded to an integer in ``[1e16, 1e17)``,
+    from :func:`_scaled` with ``e`` from ``log10`` and fixed up by a
+    decade where that product falls outside the range; a product that
+    rounds up to ``1e17`` takes the next decade.  The third array marks
+    what this does not decide: a product within 1e-6 of a rounding tie,
+    where ``r``'s error (below 1e-14) could flip the rounding, and one
+    still outside the range after the fix-up.
     """
-    pow10, prefix, suffix, point, least, masks = _float_tables()
-    mag = np.abs(a)
-    table = (mag > 1e-290) & (mag < 1e290)
-    idx = np.flatnonzero(table)
-    m = mag[idx]
     e = np.floor(np.log10(m)).astype(np.int64)
     p, r = _scaled(m, 16 - e)
     decade = ((p - 1e17) + r >= 0).view(np.int8) - ((p - 1e16) + r < 0).view(np.int8)
@@ -220,13 +213,32 @@ def _float_slots(a: np.ndarray) -> np.ndarray:
     undecided = (((p - 1e17) + r >= 0) | ((p - 1e16) + r < 0)
                  | (np.abs(r - np.floor(r) - 0.5) < 1e-6))
     sig = p.astype(np.int64) + np.rint(r).astype(np.int64)
-    carry = sig == 10 ** 17  # rounded up into the next decade
+    carry = sig == 10 ** 17
     sig[carry] = 10 ** 16
     e += carry
+    return sig, e, undecided
 
+
+def _float_slots(a: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each float as a 30-byte slot.
+
+    Finite ``v`` with ``1e-290 < |v| < 1e290`` print from
+    :func:`_significands`, and zeros as ``0``/``-0`` from ``N = 0``.
+    Python formats the rest: non-finite values, ``|v|`` outside that
+    range and what :func:`_significands` leaves undecided.
+
+    Slot bytes: 0 sign, 1-5 "0." and leading zeros, 7-24 the digits and
+    point, 25-29 the exponent.  They are made as four 64-bit words.
+    """
+    _, prefix, suffix, point, least, masks = _float_tables()
+    mag = np.abs(a)
+    table = (mag > 1e-290) & (mag < 1e290)
+    idx = np.flatnonzero(table)
+    sig, e, undecided = _significands(mag[idx])
     n = len(a)
     big, x = np.zeros(n, np.uint64), np.zeros(n, np.int64)
     big[idx], x[idx] = sig, e
+
     text, reach = _chunk_tables()
     d0 = big // 10 ** 16
     upper = (big - d0 * 10 ** 16) // 10 ** 8
@@ -252,9 +264,9 @@ def _float_slots(a: np.ndarray) -> np.ndarray:
     out[:, 0] |= prefix[xi] | np.signbit(a).view(np.uint8) * np.uint64(ord("-"))
     out[:, 3] |= suffix[xi]
 
-    rest_idx = np.concatenate([np.flatnonzero(~table & (mag != 0)), idx[undecided]])
-    if len(rest_idx):
-        out[rest_idx] = _padded([b"%.17g" % v for v in a[rest_idx].tolist()], 32).view(_U8)
+    rest = np.concatenate([np.flatnonzero(~table & (mag != 0)), idx[undecided]])
+    if len(rest):
+        out[rest] = _padded([b"%.17g" % v for v in a[rest].tolist()], 32).view(_U8)
     return out.view(np.uint8)[:, :30]
 
 

@@ -221,8 +221,8 @@ class LimitDensity:
         c2, g2 = self.c ** 2, self.a2
         # The ac part is 0 at and below -|c| and constant at and above |c|:
         # the closed form runs on the points inside (and NaN) and on |c|.
-        below, above = xs <= -cabs, xs >= cabs
-        inside = ~(below | above)
+        above = xs >= cabs
+        inside = ~(above | (xs <= -cabs))
         xc = np.append(xs[inside], cabs)
         sin_u = xc / cabs
         cos_u = np.sqrt((cabs - xc) * (cabs + xc)) / cabs

@@ -796,7 +796,7 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
             "0.33333333333333331"]
 
 
-def emitted_cells(column: np.ndarray) -> list[str]:
+def emitted_cells(column) -> list[str]:
     """The CSV cells ``emit`` writes for a one-column table."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -842,6 +842,8 @@ def test_csv_float_cells_for_any_bit_pattern(bits):
     # nan payloads, infinities, subnormals and normals alike
     column = np.array(bits, dtype=np.uint64).view(np.float64)
     assert emitted_cells(column) == expected_cells(column)
+    # Python floats take the per-cell format(v, ".17g") path: the same text
+    assert emitted_cells(column.tolist()) == expected_cells(column)
 
 
 @settings(max_examples=200, deadline=None)
