@@ -856,7 +856,7 @@ def test_csv_int_cells_for_any_int64(values):
 @pytest.mark.parametrize("extra", (-1, 0, 1))
 def test_csv_blocks_join_exactly(extra, tmp_path):
     # a table one row short of, exactly at and one row past a block
-    n = qwalk.cli._BLOCK_ROWS + extra
+    n = qwalk._csvtext.BLOCK_ROWS + extra
     rng = np.random.default_rng(n)
     floats = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(np.float64)
     ints = rng.integers(-2 ** 63, 2 ** 63, size=n, dtype=np.int64)
