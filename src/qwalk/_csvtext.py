@@ -2,10 +2,11 @@
 
 A float prints exactly as ``'%.17g' % v`` (C's ``%.17g``: 17 significant
 digits, correctly rounded) and an integer as ``str(i)``.  Only
-:mod:`qwalk.cli` uses this module.  It is a module of its own because,
-where no bytecode cache is written, Python compiles each imported module
-from source, and two modules compile with a lower memory peak than one
-module holding both (about 0.5 MB less).
+:mod:`qwalk.cli` uses this module, and imports it on the first CSV table
+it writes.  Where no bytecode cache is written, Python compiles each
+module from source when it is imported: kept apart, this module costs
+nothing to commands that write no CSV, and the two modules compile with a
+lower memory peak than one module holding both (about 0.5 MB less).
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvtext import BLOCK_ROWS, float_slots, int_slots, text_slots
 from .analysis import (
     check_measurement_time,
     check_moment_order,
@@ -77,11 +76,6 @@ class Table:
         return [dict(zip(self.keys, row)) for row in zip(*values)]
 
 
-def _text_cells(cells) -> np.ndarray:
-    """:func:`_fmt` text of each value as a slot."""
-    return text_slots(list(map(_fmt, cells)))
-
-
 def _csv_blocks(table: Table):
     """The CSV text of ``table``'s rows, one block of rows at a time.
 
@@ -89,6 +83,13 @@ def _csv_blocks(table: Table):
     ``str(i)``; any other column (a Python sequence, or an array of
     another kind) prints its values' :func:`_fmt` text.
     """
+    # imported on the first CSV table, so commands that write none
+    # (compare, spectral-check, JSON output) never load it
+    from ._csvtext import BLOCK_ROWS, float_slots, int_slots, text_slots
+
+    def text_cells(cells) -> np.ndarray:
+        return text_slots(list(map(_fmt, cells)))
+
     columns = []
     for col in table.columns:
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
@@ -96,7 +97,7 @@ def _csv_blocks(table: Table):
         elif isinstance(col, np.ndarray) and col.dtype.kind in "iu":
             columns.append((int_slots, col))
         else:
-            columns.append((_text_cells, col.tolist() if isinstance(col, np.ndarray) else col))
+            columns.append((text_cells, col.tolist() if isinstance(col, np.ndarray) else col))
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     for lo in range(0, len(table), BLOCK_ROWS):
         parts = []

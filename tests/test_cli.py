@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qwalk._csvtext
 import qwalk.cli
 import qwalk.dynamics
 import qwalk.spectral
