@@ -54,7 +54,7 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
                      [np.uint8(d) for d in (4, 3, 2, 1)], np.uint8(0))
     # chunk j holds significand digits 4j - 3 .. 4j (digit 0 stands alone)
     reach = np.stack([np.where(c != 0, 4 * j - 3 + need, 0) for j in range(1, 5)])
-    return digits.view(_U4).ravel(), reach.astype(np.uint8)
+    return digits.view(_U4).ravel(), reach
 
 
 def _padded(texts: list[bytes], width: int) -> np.ndarray:
@@ -64,7 +64,7 @@ def _padded(texts: list[bytes], width: int) -> np.ndarray:
 
 @functools.cache
 def _float_tables():
-    """Tables of the float slot (see :func:`_float_slots`), built on first use.
+    """Tables of the float slot (see :func:`float_slots`), built on first use.
 
     ``10**k`` for ``k`` in ``_K_MIN.._K_MAX`` as a double-double ``hi +
     lo`` (``hi`` correctly rounded, ``lo`` the rounded remainder), with
@@ -213,9 +213,9 @@ def float_slots(a: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)[:, :30]
 
 
-#: ``10**1 .. 10**19``: an integer's digit count is one more than the
-#: number of these it reaches.
-_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
+#: ``10**0 .. 10**19``: an integer's digit count is the number of these,
+#: after the first, that it reaches, plus one.
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 #: Masks keeping the last ``d`` bytes of a 4-byte chunk, ``d = 0..4``.
 _LAST_BYTES = np.array([0, 0xFF << 24, 0xFFFF << 16, 0xFFFFFF << 8, 0xFFFFFFFF], _U4)
 
@@ -225,14 +225,15 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     text, _ = _chunk_tables()
     neg = v < 0
     u = v.astype(np.uint64)
-    u = np.where(neg, ~u + 1, u)  # |v| in two's complement, int64 min included
-    ndigits = np.searchsorted(_POW10_U64, u, side="right") + 1
-    q = (int(ndigits.max(initial=1)) + 3) // 4
+    if neg.any():
+        u = np.where(neg, ~u + 1, u)  # |v| in two's complement, int64 min included
+    ndigits = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
+    q = (int(ndigits.max()) + 3) // 4
+    below = 4 * np.arange(q - 1, -1, -1)  # digits below each chunk, most significant first
+    chunks = u[:, None] // _POW10_U64[below] % 10 ** 4
     out = np.empty((len(v), q + 1), _U4)
     out[:, 0] = neg * ord("-")
-    for j in range(q, 0, -1):
-        u, c = np.divmod(u, np.uint64(10 ** 4))
-        out[:, j] = text[c] & _LAST_BYTES[np.clip(ndigits - 4 * (q - j), 0, 4)]
+    out[:, 1:] = text[chunks.view(np.int64)] & _LAST_BYTES[np.clip(ndigits[:, None] - below, 0, 4)]
     return out.view(np.uint8)
 
 
