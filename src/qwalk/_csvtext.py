@@ -216,8 +216,10 @@ def float_slots(a: np.ndarray) -> np.ndarray:
 #: ``10**0 .. 10**19``: an integer's digit count is the number of these,
 #: after the first, that it reaches, plus one.
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
-#: Masks keeping the last ``d`` bytes of a 4-byte chunk, ``d = 0..4``.
-_LAST_BYTES = np.array([0, 0xFF << 24, 0xFFFF << 16, 0xFFFFFF << 8, 0xFFFFFFFF], _U4)
+#: Masks keeping the last ``d`` bytes of a 4-byte chunk, at ``d + 16``
+#: for ``d = -16..20`` (none below 0, all four from 4 on).
+_LAST_BYTES = np.array([0] * 17 + [0xFF << 24, 0xFFFF << 16, 0xFFFFFF << 8]
+                       + [0xFFFFFFFF] * 17, _U4)
 
 
 def int_slots(v: np.ndarray) -> np.ndarray:
@@ -233,7 +235,7 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     chunks = u[:, None] // _POW10_U64[below] % 10 ** 4
     out = np.empty((len(v), q + 1), _U4)
     out[:, 0] = neg * ord("-")
-    out[:, 1:] = text[chunks.view(np.int64)] & _LAST_BYTES[np.clip(ndigits[:, None] - below, 0, 4)]
+    out[:, 1:] = text[chunks.view(np.int64)] & _LAST_BYTES[ndigits[:, None] - below + 16]
     return out.view(np.uint8)
 
 

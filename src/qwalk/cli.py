@@ -81,7 +81,9 @@ def _csv_blocks(table: Table):
 
     A float column prints as ``'%.17g' % v``, an integer column as
     ``str(i)``; any other column (a Python sequence, or an array of
-    another kind) prints its values' :func:`_fmt` text.
+    another kind) prints its values' :func:`_fmt` text.  Numpy numbers
+    are formatted as arrays (:mod:`qwalk._csvtext`), and every column's
+    cells are joined into rows as byte slots.
     """
     # imported on the first CSV table, so commands that write none
     # (compare, spectral-check, JSON output) never load it
@@ -100,11 +102,14 @@ def _csv_blocks(table: Table):
             columns.append((text_cells, col.tolist() if isinstance(col, np.ndarray) else col))
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     for lo in range(0, len(table), BLOCK_ROWS):
-        parts = []
-        for (slots, col), sep in zip(columns, seps):
-            part = slots(col[lo:lo + BLOCK_ROWS])
-            parts += [part, np.full((len(part), 1), sep, np.uint8)]
-        yield np.hstack(parts).tobytes().translate(None, b"\0").decode()
+        parts = [slots(col[lo:lo + BLOCK_ROWS]) for slots, col in columns]
+        block = np.empty((len(parts[0]), sum(part.shape[1] + 1 for part in parts)), np.uint8)
+        at = 0
+        for part, sep in zip(parts, seps):
+            block[:, at:at + part.shape[1]] = part
+            at += part.shape[1] + 1
+            block[:, at - 1] = sep
+        yield block.tobytes().translate(None, b"\0").decode()
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,

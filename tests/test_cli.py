@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -823,6 +824,7 @@ DECADE_EDGES = np.concatenate([DECADE_EDGES, -DECADE_EDGES])
 
 @pytest.mark.parametrize("column", (
     DECADE_EDGES,
+    # 1234567890123456.75 has 18 significant digits: an exact rounding tie
     np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
               math.inf, -math.inf, math.nan, 0.5, 1234567890123456.75, 1e-290, 1e290,
               9.9999999999999995e-5, 1e16 - 2, 1e17 - 16, 99999999999999999.0]),
@@ -871,8 +873,6 @@ def test_csv_blocks_join_exactly(extra, tmp_path):
 def test_csv_writer_memory_is_bounded(tmp_path):
     # the writer formats a block of rows at a time; its peak allocation
     # must not grow with the table the way a whole-text writer's does
-    import tracemalloc
-
     rng = np.random.default_rng(7)
     table = Table(**{f"c{j}": rng.standard_normal(10 ** 6) for j in range(5)})
     path = tmp_path / "big.csv"
