@@ -253,6 +253,11 @@ PINNED_OUTPUTS = (
      "b3c983e262c6"),
     # normal, subnormal and exact-zero masses
     (["limits", *PINNED_W, "--parity", "odd", "--xmax", "500"], "c67742183d09"),
+    (["limits", *PINNED_W, "--parity", "even", "--xmax", "500"], "e4249c808414"),
+    (["limits", *PINNED_W, "--parity", "even", "--xmax", "500", "--format", "json"],
+     "54a0ae859078"),
+    # 7001 rows: more than two CSV blocks
+    (["simulate", *PINNED_W, "--tau", "1700", "--t", "3500"], "5ea6b7813fd9"),
     (["density", *PINNED_W, "--points", "2001"], "c817f4d7776a"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000"], "28452ef5ba72"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000", "--format", "json"], "addee8a7ef80"),
