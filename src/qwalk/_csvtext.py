@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "float_slots", "int_slots", "text_slots"]
+__all__ = ["BLOCK_ROWS", "MIN_FLOAT_ROWS", "float_slots", "int_slots", "text_slots"]
 
 # CSV text is built in "slots": fixed-width rows of ASCII bytes, one per
 # cell, in which NUL marks an unused position, so a block of rows is made
@@ -30,6 +30,12 @@ _U8 = np.dtype("<u8")
 #: rows page-faulted on every column (about 500 faults each).
 _BLOCK_BYTES = 96 * 1024
 BLOCK_ROWS = _BLOCK_BYTES // 32
+#: Fewest values of a float column that :func:`float_slots` formats; a
+#: shorter column is formatted by Python's ``'%.17g'``, the same text.  A
+#: call costs about 90-140 us whatever its length, and Python about 0.6 us
+#: a value near 1 and 2 us a value like 1e-200, so the break-even lies
+#: near 130 values of the first kind and 70 of the second.
+MIN_FLOAT_ROWS = 100
 
 #: Decimal exponents ``k`` of the ``10**k`` table of :func:`_float_tables`.
 #: A float is formatted by the table when ``1e-290 < |v| < 1e290``, which

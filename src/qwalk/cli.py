@@ -30,8 +30,9 @@ from .analysis import (
     tau_sweep,
 )
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
-from .dynamics import StateVector, check_time, distribution, evolve, snapshots
-from .limits import LimitDensity, delta_mass, limit_masses
+from .dynamics import (StateVector, check_time, distribution, evolve, max_time_cap,
+                       snapshots)
+from .limits import LimitDensity, delta_mass, theorem1_limit
 from .spectral import eigensystem, spectral_evolve, wavenumber_grid
 
 __all__ = ["EmptyOutput", "Table", "emit", "main"]
@@ -53,27 +54,47 @@ def _fmt(value) -> str:
 
 
 class Table:
-    """Row data held as named columns of equal length.
+    """Row data held as named columns.
 
-    A column is a numpy array or a sequence of Python numbers.  Rows as
-    Python objects are built only for JSON output; CSV text is made one
-    column at a time over blocks of rows (:func:`_csv_blocks`).
+    A column is a numpy array or a sequence of Python numbers.  A table of
+    walk states prints a row for every site ``x`` of a window, but the walk
+    occupies only the sites where ``x + t`` is even.  Such a table takes
+    ``occupied``, a boolean array with one entry per row that marks the
+    occupied rows.  Each column then holds a value for every row (``x``,
+    and ``t`` in a spacetime table) or, in order, a value for each
+    occupied row only (the probabilities and amplitudes), and the latter
+    reads 0 on the other rows.  Without ``occupied`` every row is
+    occupied.  Rows as Python objects are built only for JSON output; CSV
+    text is made one column at a time over blocks of rows
+    (:func:`_csv_blocks`).
     """
 
-    def __init__(self, **columns) -> None:
-        if len({len(col) for col in columns.values()}) > 1:
-            raise ValueError("table columns differ in length")
+    def __init__(self, occupied: np.ndarray | None = None, **columns) -> None:
         self.keys = tuple(columns)
         self.columns = tuple(columns.values())
+        self.occupied = None if occupied is None else np.asarray(occupied, dtype=bool)
+        lengths = {len(col) for col in self.columns}
+        if self.occupied is not None:
+            allowed = {len(self.occupied), int(np.count_nonzero(self.occupied))}
+        else:
+            allowed = {len(self.columns[0])} if self.columns else set()
+        if not lengths <= allowed:
+            raise ValueError("table columns differ in length")
 
     def __len__(self) -> int:
+        if self.occupied is not None:
+            return len(self.occupied)
         return len(self.columns[0]) if self.columns else 0
 
     def rows(self) -> list[dict]:
-        """One dict of Python numbers per row."""
-        values = (col.tolist() if isinstance(col, np.ndarray) else col
-                  for col in self.columns)
-        return [dict(zip(self.keys, row)) for row in zip(*values)]
+        """One dict of Python numbers per row; a column of occupied rows reads 0 elsewhere."""
+        def values(col):
+            if len(col) < len(self):
+                dense = np.zeros(len(self), np.asarray(col).dtype)
+                dense[self.occupied] = col
+                col = dense
+            return col.tolist() if isinstance(col, np.ndarray) else col
+        return [dict(zip(self.keys, row)) for row in zip(*map(values, self.columns))]
 
 
 def _csv_blocks(table: Table):
@@ -82,33 +103,56 @@ def _csv_blocks(table: Table):
     A float column prints as ``'%.17g' % v``, an integer column as
     ``str(i)``; any other column (a Python sequence, or an array of
     another kind) prints its values' :func:`_fmt` text.  Numpy numbers
-    are formatted as arrays (:mod:`qwalk._csvtext`), and every column's
-    cells are joined into rows as byte slots.
+    are formatted as arrays (:mod:`qwalk._csvtext`), except in a float
+    column too short to repay that, and the cells are joined into rows as
+    byte slots.  Each row of a block starts as the text of an unoccupied
+    row, a ``0`` slot in every column of occupied rows, and the cells
+    overwrite it: a column of occupied rows is formatted on those rows
+    only, so no value is formatted that the block does not print.
     """
     # imported on the first CSV table, so commands that write none
     # (compare, spectral-check, JSON output) never load it
-    from ._csvtext import BLOCK_ROWS, float_slots, int_slots, text_slots
+    from ._csvtext import BLOCK_ROWS, MIN_FLOAT_ROWS, float_slots, int_slots, text_slots
 
     def text_cells(cells) -> np.ndarray:
         return text_slots(list(map(_fmt, cells)))
 
+    n, occupied = len(table), table.occupied
     columns = []
     for col in table.columns:
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            columns.append((float_slots, col.astype(np.float64, copy=False)))
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f" and len(col) >= MIN_FLOAT_ROWS:
+            slots, col = float_slots, col.astype(np.float64, copy=False)
         elif isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-            columns.append((int_slots, col))
+            slots = int_slots
         else:
-            columns.append((text_cells, col.tolist() if isinstance(col, np.ndarray) else col))
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    for lo in range(0, len(table), BLOCK_ROWS):
-        parts = [slots(col[lo:lo + BLOCK_ROWS]) for slots, col in columns]
-        block = np.empty((len(parts[0]), sum(part.shape[1] + 1 for part in parts)), np.uint8)
-        at = 0
-        for part, sep in zip(parts, seps):
-            block[:, at:at + part.shape[1]] = part
-            at += part.shape[1] + 1
-            block[:, at - 1] = sep
+            slots, col = text_cells, col.tolist() if isinstance(col, np.ndarray) else col
+        columns.append((slots, col))
+    sparse = np.array([len(col) < n for col in table.columns])  # columns of occupied rows
+    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint8)
+    first = 0  # occupied rows before the block
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        if sparse.any():  # the block's occupied rows and their values
+            on = np.flatnonzero(occupied[lo:hi])
+            sites = slice(first, first + len(on))
+            first += len(on)
+            if len(on) > 1 and (np.diff(on) == 2).all():
+                on = slice(on[0], on[-1] + 1, 2)  # every other row: a view, not a gather
+        parts = []
+        for (slots, col), is_sparse in zip(columns, sparse):
+            chunk = col[sites] if is_sparse else col[lo:hi]
+            # a block may hold no occupied row: its column is all 0 slots
+            parts.append(slots(chunk) if len(chunk) else np.empty((0, 1), np.uint8))
+        widths = np.array([part.shape[1] for part in parts])
+        ends = np.cumsum(widths + 1)  # a separator ends each column's slot
+        starts = ends - widths - 1
+        unoccupied = np.zeros(ends[-1], np.uint8)
+        unoccupied[ends - 1] = seps
+        unoccupied[starts[sparse]] = ord("0")
+        block = np.empty((hi - lo, ends[-1]), np.uint8)
+        block[:] = unoccupied
+        for part, at, is_sparse in zip(parts, starts, sparse):
+            block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
         yield block.tobytes().translate(None, b"\0").decode()
 
 
@@ -281,17 +325,15 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
     return params, schedule
 
 
-def _dense_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Printed rows: ``x = -t..t``, probabilities, amplitudes; zeros where ``x + t`` is odd."""
-    amps = state.amps
-    sq = np.abs(amps) ** 2
-    return np.arange(-state.time, state.time + 1), sq[:, 0] + sq[:, 1], amps
+def _state_table(state: StateVector, **columns) -> Table:
+    """Rows ``x = -t..t`` of ``state`` and its probabilities, then ``columns``.
 
-
-def _state_table(state: StateVector) -> Table:
-    xs, ps, a = _dense_rows(state)
-    return Table(x=xs, prob=ps, amp0_re=a[:, 0].real, amp0_im=a[:, 0].imag,
-                 amp1_re=a[:, 1].real, amp1_im=a[:, 1].imag)
+    The walk occupies the sites where ``x + t`` is even: the probabilities
+    and ``columns`` hold those ``t + 1`` sites only, in order.
+    """
+    xs = np.arange(-state.time, state.time + 1)
+    return Table(occupied=(xs + state.time) % 2 == 0, x=xs,
+                 prob=distribution(state).values, **columns)
 
 
 def _require_half_time(schedule: Schedule, what: str) -> None:
@@ -316,7 +358,10 @@ def _cmd_simulate(args) -> int:
         check_time(t)
     for t in times:
         path = args.out if args.times is None else _timed_path(args.out, t)
-        emit(_state_table(spectral_evolve(params, schedule, t)), args.format, path)
+        state = spectral_evolve(params, schedule, t)
+        a = state.sites
+        emit(_state_table(state, amp0_re=a[:, 0].real, amp0_im=a[:, 0].imag,
+                          amp1_re=a[:, 1].real, amp1_im=a[:, 1].imag), args.format, path)
     return 0
 
 
@@ -332,7 +377,20 @@ def _cmd_spectral_check(args) -> int:
     return 0 if deviation <= args.tol else 2
 
 
+def _check_rows(rows: int, flag: str) -> None:
+    """Reject a table longer than the ``2*cap + 1`` rows of ``simulate --t cap``.
+
+    ``cap`` is :func:`qwalk.dynamics.max_time_cap`, so ``QWALK_MAX_T``
+    bounds every table, and the check runs before anything is allocated.
+    """
+    cap = max_time_cap()
+    if rows > 2 * cap + 1:
+        raise ValueError(f"{flag} asks for {rows} rows, above the limit of {2 * cap + 1} "
+                         f"(2 * QWALK_MAX_T + 1, the rows of simulate --t {cap})")
+
+
 def _cmd_eigen(args) -> int:
+    _check_rows(args.k_samples, "--k-samples")
     # Only theta matters for the eigensystem; the remaining parameters
     # take harmless placeholder values.
     params = WalkParams(theta=args.theta, theta1=0.0, tau=0,
@@ -347,10 +405,15 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    if args.xmax < 0:
+        raise ValueError(f"--xmax must be non-negative, got {args.xmax}")
+    _check_rows(2 * args.xmax + 1, "--xmax")
     params, _ = _resolve_walk(args)
     xs = np.arange(-args.xmax, args.xmax + 1)
-    masses = limit_masses(params, args.parity, args.xmax)
-    emit(Table(x=xs, limit_mass=masses), args.format, args.out,
+    # the masses are 0 off the parity track, where x + offset is odd
+    occupied = (xs + parity_offset(args.parity)) % 2 == 0
+    masses = theorem1_limit(params, xs[occupied], args.parity)
+    emit(Table(occupied=occupied, x=xs, limit_mass=masses), args.format, args.out,
          meta={"delta_mass": delta_mass(params)})
     return 0
 
@@ -364,6 +427,7 @@ def _density_table(params: WalkParams, points: int):
 
 
 def _cmd_density(args) -> int:
+    _check_rows(args.points, "--points")
     params, _ = _resolve_walk(args)
     table, meta = _density_table(params, args.points)
     emit(table, args.format, args.out, meta=meta)
@@ -423,19 +487,15 @@ def _figure_params(init: str, theta1: float, tau: int) -> WalkParams:
 
 def _fig_distribution(init: str, theta1: float, tau: int,
                       schedule: Schedule, t: int):
-    xs, ps, _ = _dense_rows(spectral_evolve(_figure_params(init, theta1, tau), schedule, t))
-    return Table(x=xs, prob=ps), None
+    return _state_table(spectral_evolve(_figure_params(init, theta1, tau), schedule, t)), None
 
 
 def _fig_spacetime(init: str, theta1: float, tau: int, schedule: Schedule):
-    params = _figure_params(init, theta1, tau)
-    ts, xs, ps = [], [], []
-    for state in snapshots(params, schedule, range(101)):
-        x, p, _ = _dense_rows(state)
-        ts.append(np.full_like(x, state.time))
-        xs.append(x)
-        ps.append(p)
-    return Table(t=np.concatenate(ts), x=np.concatenate(xs), prob=np.concatenate(ps)), None
+    states = list(snapshots(_figure_params(init, theta1, tau), schedule, range(101)))
+    ts = np.concatenate([np.full(2 * state.time + 1, state.time) for state in states])
+    xs = np.concatenate([np.arange(-state.time, state.time + 1) for state in states])
+    probs = np.concatenate([distribution(state).values for state in states])
+    return Table(occupied=(xs + ts) % 2 == 0, t=ts, x=xs, prob=probs), None
 
 
 def _fig_mass_trace(positions: Sequence[int], parity: str):
