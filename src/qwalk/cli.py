@@ -105,10 +105,10 @@ def _csv_blocks(table: Table):
     another kind) prints its values' :func:`_fmt` text.  Numpy numbers
     are formatted as arrays (:mod:`qwalk._csvtext`), except in a float
     column too short to repay that, and the cells are joined into rows as
-    byte slots.  Each row of a block starts as the text of an unoccupied
-    row, a ``0`` slot in every column of occupied rows, and the cells
-    overwrite it: a column of occupied rows is formatted on those rows
-    only, so no value is formatted that the block does not print.
+    byte slots.  A column that holds the occupied rows of a :class:`Table`
+    only is formatted on those rows: in a block it starts as a ``0`` slot
+    on every row, the text of an unoccupied row, and the occupied rows'
+    cells overwrite that, so no value is formatted that is not printed.
     """
     # imported on the first CSV table, so commands that write none
     # (compare, spectral-check, JSON output) never load it
@@ -127,12 +127,12 @@ def _csv_blocks(table: Table):
         else:
             slots, col = text_cells, col.tolist() if isinstance(col, np.ndarray) else col
         columns.append((slots, col))
-    sparse = np.array([len(col) < n for col in table.columns])  # columns of occupied rows
-    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint8)
+    sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     first = 0  # occupied rows before the block
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        if sparse.any():  # the block's occupied rows and their values
+        if any(sparse):  # the block's occupied rows and their values
             on = np.flatnonzero(occupied[lo:hi])
             sites = slice(first, first + len(on))
             first += len(on)
@@ -143,16 +143,16 @@ def _csv_blocks(table: Table):
             chunk = col[sites] if is_sparse else col[lo:hi]
             # a block may hold no occupied row: its column is all 0 slots
             parts.append(slots(chunk) if len(chunk) else np.empty((0, 1), np.uint8))
-        widths = np.array([part.shape[1] for part in parts])
-        ends = np.cumsum(widths + 1)  # a separator ends each column's slot
-        starts = ends - widths - 1
-        unoccupied = np.zeros(ends[-1], np.uint8)
-        unoccupied[ends - 1] = seps
-        unoccupied[starts[sparse]] = ord("0")
-        block = np.empty((hi - lo, ends[-1]), np.uint8)
-        block[:] = unoccupied
-        for part, at, is_sparse in zip(parts, starts, sparse):
+        starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
+        block = np.empty((hi - lo, starts[-1]), np.uint8)
+        zeros = [at for at, is_sparse in zip(starts, sparse) if is_sparse]
+        if zeros:  # a 0 slot on every row of each column of occupied rows
+            unoccupied = np.zeros(starts[-1], np.uint8)
+            unoccupied[zeros] = ord("0")
+            block[:, zeros[0]:] = unoccupied[zeros[0]:]
+        for part, at, sep, is_sparse in zip(parts, starts, seps, sparse):
             block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
+            block[:, at + part.shape[1]] = sep
         yield block.tobytes().translate(None, b"\0").decode()
 
 

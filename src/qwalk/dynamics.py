@@ -18,10 +18,11 @@ requested time ``T``, with ``L[j]`` in slot ``j`` and ``R[j]`` in slot
 The coin entries ``a, b, c, d`` are real, so these are six in-place
 scalar multiplies and adds on the ``float64`` views of the buffers.  A
 :class:`StateVector` holds the same ``t + 1`` sites and a
-:class:`Distribution` their masses; the dense ``(2t+1, 2)`` window is
-built only when ``.amps`` is read, for the rows the CLI prints.
-Everything is deterministic: the probabilities are squared amplitude
-norms, never sampled.
+:class:`Distribution` their masses.  The CLI prints its rows ``-t..t``
+from these too, with the sites where ``x + t`` is odd as constant zeros;
+the dense ``(2t+1, 2)`` window is built only when ``.amps`` is read, by
+the tests and the benchmark.  Everything is deterministic: the
+probabilities are squared amplitude norms, never sampled.
 
 Stepping costs O(t^2) to reach time ``t``, so this module is the
 reference route, not the production one: the ``qwalk`` commands evolve a
@@ -93,8 +94,9 @@ class StateVector:
 
         It spans ``-time .. time``, with exact zeros at the sites where
         ``x + time`` is odd.  This is the one place the window is built,
-        anew and read-only on every read; its readers are the rows the CLI
-        prints and the benchmark's output checks.
+        anew and read-only on every read.  Only the tests and the
+        benchmark's output checks and tracer read it: the CLI prints its
+        rows from :attr:`sites`.
         """
         amps = np.zeros((2 * self.time + 1, 2), dtype=np.complex128)
         amps[::2] = self.sites

@@ -875,6 +875,99 @@ def test_csv_blocks_join_exactly(extra, tmp_path):
     assert path.read_text() == row_formatter_text(rows, "csv", {"n": n})
 
 
+def dense_rows(table_columns, occupied):
+    """Rows of a table whose columns may hold the occupied rows only, 0.0 elsewhere."""
+    columns = {}
+    for key, col in table_columns.items():
+        if len(col) < len(occupied):
+            full = np.zeros(len(occupied), col.dtype)
+            full[occupied] = col
+            col = full
+        columns[key] = col.tolist()
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+@pytest.mark.parametrize("t", (1536, 1537, None))
+def test_csv_sublattice_blocks_join_exactly(extra, t, tmp_path):
+    # rows x = -1536.., occupied where x + t is even: the first row is
+    # occupied for t even and not for t odd (t None: rows occupied at
+    # random); one row short of, exactly at and one row past a block
+    n = qwalk._csvtext.BLOCK_ROWS + extra
+    xs = np.arange(-1536, n - 1536)
+    rng = np.random.default_rng(n + (t or 0))
+    occupied = rng.random(n) < 0.5 if t is None else (xs + t) % 2 == 0
+    sites = int(occupied.sum())
+    columns = {"x": xs, "v": rng.integers(0, 2 ** 64, size=sites, dtype=np.uint64).view(np.float64),
+               "w": rng.standard_normal(sites)}
+    table = Table(occupied=occupied, **columns)
+    rows = dense_rows(columns, occupied)
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"t.{fmt}"
+        emit(table, fmt, str(path), meta={"n": n})
+        assert path.read_text() == row_formatter_text(rows, fmt, {"n": n})
+
+
+@pytest.mark.parametrize("t", (1535, 1536))  # 2t + 1 rows: one short of and one past a block
+def test_simulate_rows_match_the_dense_window(t, tmp_path):
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", *PINNED_W, "--tau", "700", "--t", str(t), "--out", str(path)]) == 0
+    params = WalkParams(theta=0.7, theta1=2.1, tau=700, alpha=complex(2 ** -0.5),
+                        beta=complex(0.0, 2 ** -0.5))
+    amps = spectral_evolve(params, Schedule.half_time(), t).amps
+    sq = np.abs(amps) ** 2
+    columns = {"x": np.arange(-t, t + 1), "prob": sq[:, 0] + sq[:, 1],
+               "amp0_re": amps[:, 0].real, "amp0_im": amps[:, 0].imag,
+               "amp1_re": amps[:, 1].real, "amp1_im": amps[:, 1].imag}
+    expected = row_formatter_text(dense_rows(columns, np.ones(2 * t + 1, bool)), "csv")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+@pytest.mark.parametrize("xmax", (1535, 1536))  # 2 xmax + 1 rows around a block
+def test_limits_rows_match_the_dense_masses(parity, xmax, tmp_path):
+    path = tmp_path / "limits.csv"
+    assert main(["limits", *PINNED_W, "--parity", parity, "--xmax", str(xmax),
+                 "--out", str(path)]) == 0
+    params = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=complex(2 ** -0.5),
+                        beta=complex(0.0, 2 ** -0.5))
+    xs = np.arange(-xmax, xmax + 1)
+    columns = {"x": xs, "limit_mass": theorem1_limit(params, xs, parity)}
+    rows = dense_rows(columns, np.ones(len(xs), bool))
+    assert path.read_text() == row_formatter_text(rows, "csv", {"delta_mass": delta_mass(params)})
+
+
+@pytest.mark.parametrize("argv, t", [
+    (["simulate", *WALK, "--t", "3"], 3),
+    (["figures", "--paper-fig", "2a"], None),
+    (["limits", *WALK, "--parity", "odd", "--xmax", "3"], 1),
+    (["limits", *WALK, "--parity", "even", "--xmax", "3"], 2),
+])
+def test_json_unoccupied_rows_read_float_zero(argv, t, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    rows = data["rows"] if isinstance(data, dict) else data
+    unoccupied = [row for row in rows if (row["x"] + (row["t"] if t is None else t)) % 2]
+    values = [v for row in unoccupied for k, v in row.items() if k not in ("x", "t")]
+    assert values and all(type(v) is float and math.copysign(1.0, v) == 1.0 and v == 0.0
+                          for v in values)
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_short_float_columns_print_alike(extra, monkeypatch):
+    # a float column shorter than MIN_FLOAT_ROWS is formatted by Python, a
+    # longer one by numpy: the text is the same on either side
+    n = qwalk._csvtext.MIN_FLOAT_ROWS + extra
+    rng = np.random.default_rng(n)
+    column = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(np.float64)
+    calls = []
+    float_slots = qwalk._csvtext.float_slots
+    monkeypatch.setattr(qwalk._csvtext, "float_slots",
+                        lambda a: calls.append(len(a)) or float_slots(a))
+    assert emitted_cells(column) == expected_cells(column)
+    assert calls == ([n] if extra >= 0 else [])
+
+
 def test_csv_writer_memory_is_bounded(tmp_path):
     # the writer formats a block of rows at a time; its peak allocation
     # must not grow with the table the way a whole-text writer's does
@@ -891,6 +984,42 @@ def test_csv_writer_memory_is_bounded(tmp_path):
     path.unlink()
     assert size > 80 * 10 ** 6
     assert peak < size / 10, (peak, size)
+
+
+@pytest.mark.parametrize("command, flag, at_cap", [
+    (["limits", *WALK, "--parity", "odd"], "--xmax", 10),
+    (["density", *WALK], "--points", 21),
+    (["eigen", "--theta", THETA], "--k-samples", 21),
+])
+def test_tables_are_capped_at_the_rows_of_simulate(command, flag, at_cap, monkeypatch,
+                                                    capsys):
+    # QWALK_MAX_T = 10: simulate --t 10 prints 21 rows, and so may any table
+    monkeypatch.setenv("QWALK_MAX_T", "10")
+    assert main(["simulate", *WALK, "--t", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 21
+    assert main([*command, flag, str(at_cap)]) == 0
+    assert capsys.readouterr().out.count("\n") >= 21
+    assert main([*command, flag, str(at_cap + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err and "limit of 21" in err and "QWALK_MAX_T" in err
+
+
+def test_oversized_tables_are_rejected_before_allocating(monkeypatch, capsys):
+    # a hundred times the default cap's 2 * 10**6 + 1 rows would need GBs
+    monkeypatch.delenv("QWALK_MAX_T", raising=False)
+    main(["limits", *WALK, "--parity", "odd", "--xmax", "0"])  # builds the parser
+    tracemalloc.start()
+    try:
+        for argv in (["limits", *WALK, "--parity", "odd", "--xmax", "100000000"],
+                     ["density", *WALK, "--points", "200000000"],
+                     ["eigen", "--theta", THETA, "--k-samples", "200000000"]):
+            assert main(argv) == 1, argv
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
+    assert capsys.readouterr().err.count("limit of 2000001") == 3
 
 
 def test_table_validation():
