@@ -56,15 +56,11 @@ def _fmt(value) -> str:
 class Table:
     """Row data held as named columns.
 
-    A column is a numpy array or a sequence of Python numbers.  A table of
-    walk states prints a row for every site ``x`` of a window, but the walk
-    occupies only the sites where ``x + t`` is even.  Such a table takes
-    ``occupied``, a boolean array with one entry per row that marks the
-    occupied rows.  Each column then holds a value for every row (``x``,
-    and ``t`` in a spacetime table) or, in order, a value for each
-    occupied row only (the probabilities and amplitudes), and the latter
-    reads 0 on the other rows.  Without ``occupied`` every row is
-    occupied.  Rows as Python objects are built only for JSON output; CSV
+    A column is a numpy array or a sequence of Python numbers.  In a table
+    of walk sites, ``occupied`` (one boolean per row) marks the sites the
+    walk can occupy, where ``x + t`` is even; a column may then hold, in
+    order, a value for each occupied row only, and reads 0 on the other
+    rows.  Rows as Python objects are built only for JSON output; CSV
     text is made one column at a time over blocks of rows
     (:func:`_csv_blocks`).
     """
@@ -73,12 +69,9 @@ class Table:
         self.keys = tuple(columns)
         self.columns = tuple(columns.values())
         self.occupied = None if occupied is None else np.asarray(occupied, dtype=bool)
-        lengths = {len(col) for col in self.columns}
-        if self.occupied is not None:
-            allowed = {len(self.occupied), int(np.count_nonzero(self.occupied))}
-        else:
-            allowed = {len(self.columns[0])} if self.columns else set()
-        if not lengths <= allowed:
+        n = len(self)
+        sites = n if occupied is None else int(np.count_nonzero(self.occupied))
+        if any(len(col) not in (n, sites) for col in self.columns):
             raise ValueError("table columns differ in length")
 
     def __len__(self) -> int:
@@ -105,10 +98,9 @@ def _csv_blocks(table: Table):
     another kind) prints its values' :func:`_fmt` text.  Numpy numbers
     are formatted as arrays (:mod:`qwalk._csvtext`), except in a float
     column too short to repay that, and the cells are joined into rows as
-    byte slots.  A column that holds the occupied rows of a :class:`Table`
-    only is formatted on those rows: in a block it starts as a ``0`` slot
-    on every row, the text of an unoccupied row, and the occupied rows'
-    cells overwrite that, so no value is formatted that is not printed.
+    byte slots.  A column that holds a :class:`Table`'s occupied rows only
+    is formatted on those rows: it starts as a ``0`` slot on every row of
+    the block, and the occupied rows' cells overwrite it.
     """
     # imported on the first CSV table, so commands that write none
     # (compare, spectral-check, JSON output) never load it
@@ -326,11 +318,7 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
 
 
 def _state_table(state: StateVector, **columns) -> Table:
-    """Rows ``x = -t..t`` of ``state`` and its probabilities, then ``columns``.
-
-    The walk occupies the sites where ``x + t`` is even: the probabilities
-    and ``columns`` hold those ``t + 1`` sites only, in order.
-    """
+    """Rows ``x = -t..t``, then the probabilities and ``columns`` of the ``t + 1`` sites."""
     xs = np.arange(-state.time, state.time + 1)
     return Table(occupied=(xs + state.time) % 2 == 0, x=xs,
                  prob=distribution(state).values, **columns)
@@ -378,11 +366,7 @@ def _cmd_spectral_check(args) -> int:
 
 
 def _check_rows(rows: int, flag: str) -> None:
-    """Reject a table longer than the ``2*cap + 1`` rows of ``simulate --t cap``.
-
-    ``cap`` is :func:`qwalk.dynamics.max_time_cap`, so ``QWALK_MAX_T``
-    bounds every table, and the check runs before anything is allocated.
-    """
+    """Reject, before any allocation, more rows than ``simulate --t cap`` prints."""
     cap = max_time_cap()
     if rows > 2 * cap + 1:
         raise ValueError(f"{flag} asks for {rows} rows, above the limit of {2 * cap + 1} "

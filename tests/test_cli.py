@@ -909,11 +909,10 @@ def test_csv_sublattice_blocks_join_exactly(extra, t, tmp_path):
 
 
 @pytest.mark.parametrize("t", (1535, 1536))  # 2t + 1 rows: one short of and one past a block
-def test_simulate_rows_match_the_dense_window(t, tmp_path):
+def test_simulate_rows_match_the_dense_window(t, tmp_path, example_params):
     path = tmp_path / "sim.csv"
     assert main(["simulate", *PINNED_W, "--tau", "700", "--t", str(t), "--out", str(path)]) == 0
-    params = WalkParams(theta=0.7, theta1=2.1, tau=700, alpha=complex(2 ** -0.5),
-                        beta=complex(0.0, 2 ** -0.5))
+    params = dataclasses.replace(example_params, theta=0.7, theta1=2.1, tau=700)
     amps = spectral_evolve(params, Schedule.half_time(), t).amps
     sq = np.abs(amps) ** 2
     columns = {"x": np.arange(-t, t + 1), "prob": sq[:, 0] + sq[:, 1],
@@ -925,12 +924,11 @@ def test_simulate_rows_match_the_dense_window(t, tmp_path):
 
 @pytest.mark.parametrize("parity", ("odd", "even"))
 @pytest.mark.parametrize("xmax", (1535, 1536))  # 2 xmax + 1 rows around a block
-def test_limits_rows_match_the_dense_masses(parity, xmax, tmp_path):
+def test_limits_rows_match_the_dense_masses(parity, xmax, tmp_path, example_params):
     path = tmp_path / "limits.csv"
     assert main(["limits", *PINNED_W, "--parity", parity, "--xmax", str(xmax),
                  "--out", str(path)]) == 0
-    params = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=complex(2 ** -0.5),
-                        beta=complex(0.0, 2 ** -0.5))
+    params = dataclasses.replace(example_params, theta=0.7, theta1=2.1)
     xs = np.arange(-xmax, xmax + 1)
     columns = {"x": xs, "limit_mass": theorem1_limit(params, xs, parity)}
     rows = dense_rows(columns, np.ones(len(xs), bool))
