@@ -219,11 +219,11 @@ class LimitDensity:
         xs = np.asarray(x, dtype=float)
         cabs, sa = abs(self.c), abs(self.s)
         c2, g2 = self.c ** 2, self.a2
-        # The ac part is 0 at and below -|c| and constant at and above |c|:
-        # the closed form runs on the points inside (and NaN) and on |c|.
+        # The law is 0 at and below -|c| and exactly 1 at and above |c|:
+        # the closed form runs only on the points inside (and NaN).
         above = xs >= cabs
         inside = ~(above | (xs <= -cabs))
-        xc = np.append(xs[inside], cabs)
+        xc = xs[inside]
         sin_u = xc / cabs
         cos_u = np.sqrt((cabs - xc) * (cabs + xc)) / cabs
         u = np.arctan2(sin_u, cos_u) + 0.5 * np.pi
@@ -235,9 +235,8 @@ class LimitDensity:
         odd = (1.0 - g2) * atan_z + g2 * (self.s / self.c) ** 2 * _atan_excess(z, atan_z)
         ac_in = (phi - g2 * d_over_c2 + self.weight * odd) / np.pi
         ac = np.zeros(xs.shape)
-        ac[inside] = ac_in[:-1]
-        ac[above] = ac_in[-1]
-        vals = ac + self.delta * (xs >= 0.0)
+        ac[inside] = ac_in
+        vals = np.where(above, 1.0, ac + self.delta * (xs >= 0.0))
         return float(vals) if vals.ndim == 0 else vals
 
     def _even_moment(self, n: int) -> float:
