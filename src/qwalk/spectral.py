@@ -13,10 +13,11 @@ than an approximate quadrature (Grimmett, Janson and Scudo, Phys. Rev. E
 form, as a :class:`FourierState` that carries that time, and
 :meth:`FourierState.sublattice`, the one read-back, brings it back to
 positions with one inverse FFT, in O(t log t) where stepping costs O(t^2);
-:meth:`FourierState.mass` reads one site off a DFT row ``e^{ikx}``.  Both
-reduce ``k x / pi`` in integers before taking a phase: a product like
-``t * k`` in floating point would carry an absolute error of about
-``t * eps``.  The route's accuracy is that of ``U(k)^t`` itself, a
+:meth:`FourierState.mass` reads one site off a DFT row ``e^{ikx}``.
+Every phase is a signed entry of one row ``T_m = e^{i k_m}`` (the
+read-back's ``e^{-i k_m t}`` is ``conj(T)^(t mod 2)`` and a shift by ``t //
+2`` slots), so no product like ``t * k``, off by about ``t * eps``, is
+rounded.  The route's accuracy is that of ``U(k)^t`` itself, a
 relative error of about ``t * eps`` in k-space (~1e-13 per site at
 ``t = 10**6``), which position-space stepping shares.
 :func:`spectral_evolve` is that route for one walk and time, which
@@ -30,13 +31,18 @@ The evolution in ``k`` is :class:`Propagator`, which jumps to any time in
 closed form.  ``V(k) = -i U(k)`` has determinant 1 and trace ``2x`` with
 ``x = c sin k``, so Cayley-Hamilton gives
 
-    U(k)^m = i^m [U_{m-1}(x) V(k) - U_{m-2}(x) I]
+    U(k)^m = i^m [T_m(x) I + U_{m-1}(x) (V(k) - x I)]
 
-with ``U_j`` the Chebyshev polynomials of the second kind; no
-eigenvectors and no branch choice are involved.  They are evaluated as
-``U_{m-1}(x) = sgn(x)^{m-1} sin(m w) / sin w`` with
-``sin w = hypot(s, c cos k)`` and ``w = atan2(sin w, |x|)`` in
-``[0, pi/2]``.  Both choices matter near the excluded angles:
+with ``T_j`` and ``U_j`` the Chebyshev polynomials of the first and second
+kind; no eigenvectors and no branch choice are involved.  ``V - x I`` is
+applied from its entries ``-i c cos k`` and ``-i s e^{+-ik}``: where the
+eigenvalues nearly meet, ``U_{m-1}`` grows to about ``m``, and ``U_{m-1} V
+- U_{m-2} I`` would subtract two terms that large.  As ``sin k <= 0`` on
+the half circle, ``sgn(x)^m`` joins ``i^m``, and the polynomials at ``|x|``
+are ``cos(m w)`` and ``sin(m w) / sin w``, with ``sin w = hypot(s, c cos
+k)`` and ``w = atan2(sin w, |x|)`` kept as ``w - pi/2`` above ``pi/4``, so
+that the rounded phase is at most ``m pi/4``.  Both choices matter near the
+excluded angles:
 ``sqrt(1 - x^2)`` cancels when ``|x|`` is close to 1 (theta near 0 or
 pi), and an unfolded ``w = acos(x)`` near pi carries an absolute
 rounding error that the ratio ``sin(m w) / sin w`` magnifies.
@@ -48,7 +54,6 @@ point masses of :func:`qwalk.limits.theorem1_limit`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -132,27 +137,28 @@ def eigensystem(params: WalkParams, k) -> SpectralPair:
 class FourierState:
     """Transformed amplitudes at time ``time`` on a half-circle wavenumber grid.
 
-    ``grid`` is ``k_m = -pi + pi m / n`` for ``m < n``, and an ``n``-point
-    grid holds the times ``0 <= time < n``; any other time is refused here,
-    the one place that rule is checked.  ``dft_rows`` keeps the last
-    ``_KEPT_DFT_ROWS`` rows that :meth:`mass` read, by ``x``; the states of
-    one :class:`Propagator` share it, so a sweep builds each row once and
-    frees it with its states.
+    ``values[m]`` is the spinor at ``k_m = -pi + pi m / n``, ``m < n``, and
+    ``eik`` the row ``e^{i k_m}`` that every read-back phase comes from.  An
+    ``n``-point grid holds the times ``0 <= time < n``; any other time is
+    refused here, the one place that rule is checked.  ``dft_rows`` keeps
+    the last ``_KEPT_DFT_ROWS`` rows that :meth:`mass` read, by ``x``; the
+    states of one :class:`Propagator` share it and ``eik``, so a sweep
+    builds each row once and frees it with its states.
     """
 
     time: int
-    grid: np.ndarray
     values: np.ndarray
+    eik: np.ndarray
     dft_rows: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.grid.shape[0]
-        if self.values.shape != (n, 2):
-            raise ValueError("values must be one 2-spinor per grid point")
+        n = len(self.values)
+        if self.values.shape != (n, 2) or self.eik.shape != (n,):
+            raise ValueError("values must be one 2-spinor per entry of eik")
         if not 0 <= self.time < n:
             raise ValueError(f"t={self.time} is outside 0..{n - 1} of a {n}-point grid")
-        self.grid.flags.writeable = False
         self.values.flags.writeable = False
+        self.eik.flags.writeable = False
 
     def norm_sq(self) -> float:
         """Grid average of the squared spinor norm (Plancherel mass)."""
@@ -161,44 +167,32 @@ class FourierState:
     def sublattice(self) -> StateVector:
         """The position-space state at :attr:`time`, by one inverse FFT.
 
-        Site ``x = 2j - t`` has ``e^{-i k_m x} = e^{i k_m t} e^{-2 pi i j m / n}``
-        on the grid, so slot ``j`` of ``ifft_n(e^{-i k_m t} values)`` is its
-        amplitude; the ``t + 1 <= n`` slots are distinct, which makes this
-        exact.
+        Site ``x = 2j - t`` has ``e^{i k_m x} = e^{2 pi i j m / n} e^{-i k_m t}``
+        and ``e^{-i k_m t} = conj(T_m)^e e^{-2 pi i q m / n}`` for ``t = 2q + e``,
+        so slot ``j - q`` (mod n) of ``ifft_n(conj(T)^e values)`` is its
+        amplitude; the ``t + 1 <= n`` slots are distinct, which makes this exact.
         """
-        t = self.time
-        full = np.fft.ifft(_dft_row(self.grid.shape[0], -t)[:, None] * self.values, axis=0)
-        return StateVector(t, full[:t + 1])
+        t, n = self.time, len(self.values)
+        q, odd = divmod(t, 2)
+        values = self.values * np.conjugate(self.eik)[:, None] if odd else self.values
+        full = np.fft.ifft(values, axis=0)
+        return StateVector(t, np.concatenate((full[n - q:], full[:q + odd + 1])))
 
     def mass(self, x: int) -> float:
         """``P(X_t = x)`` at :attr:`time`: one DFT row ``mean(e^{ikx} values)``, O(n)."""
-        t, n = self.time, self.grid.shape[0]
+        t, n = self.time, len(self.values)
         if abs(x) > t or (x + t) % 2:
             return 0.0
-        row = _kept(self.dft_rows, x, _KEPT_DFT_ROWS, functools.partial(_dft_row, n))
+        row = _kept(self.dft_rows, x, _KEPT_DFT_ROWS, self._phase_row)
         amps = row @ self.values / n
         return float(np.sum(np.abs(amps) ** 2))
 
-
-@functools.lru_cache(maxsize=1)
-def _roots_of_unity(n: int) -> np.ndarray:
-    """``e^{i pi r / n}`` for ``r < 2n``, read-only.
-
-    Every read-back on an ``n``-point grid indexes this one table, so a
-    sweep builds it once; only the last grid's table is kept.
-    """
-    roots = np.exp(1j * np.pi / n * np.arange(2 * n))
-    roots.flags.writeable = False
-    return roots
-
-
-def _dft_row(n: int, x: int) -> np.ndarray:
-    """``e^{i k_m x}`` on the ``n``-point half circle, ``k_m x / pi`` reduced in integers.
-
-    ``k_m x = pi (m - n) x / n``; the exponent is taken mod ``2n`` before
-    any rounding, so the phase is good to ``eps`` at any ``x``.
-    """
-    return _roots_of_unity(n)[np.arange(-n, 0) * x % (2 * n)]
+    def _phase_row(self, x: int) -> np.ndarray:
+        # e^{i k_m x} = e^{i pi (m - n) x / n}: with (m - n) x = d n + r,
+        # 0 <= r < n, that is (-1)^d e^{i pi r / n} = -(-1)^d T_r, exactly
+        d, r = np.divmod(np.arange(-len(self.values), 0) * x, len(self.values))
+        row = self.eik[r]
+        return np.negative(row, out=row, where=d % 2 == 0)
 
 
 def _kept(cache: dict, key, limit: int, build) -> np.ndarray:
@@ -261,9 +255,9 @@ def spectral_evolve(
 #: ``i**m`` by ``m % 4``, exact.
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
-#: Chebyshev rows a :class:`Propagator` keeps: a sweep in increasing tau
-#: reuses at most the last three ``j`` (``tau - 1``, ``tau``, ``tau + 1``).
-_KEPT_ROWS = 3
+#: Chebyshev row pairs a :class:`Propagator` keeps: a sweep in increasing
+#: tau reuses at most the last two ``j`` (``tau`` and ``tau + 1``).
+_KEPT_ROWS = 2
 
 #: DFT rows the states of one :class:`Propagator` keep for
 #: :meth:`FourierState.mass`: a trace reads one ``x`` per tau, figures 5a
@@ -278,23 +272,24 @@ class Propagator:
     ``U(k)`` (see the module docstring) and each swap step one
     application of the swap coin, so a state costs
     ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
-    Computed once here and shared by every :meth:`state` call: the grid,
-    ``e^{ik}``, ``sin w``, ``w`` and ``sgn(x)``; the coin ``V psi0`` that
-    starts every first stretch; and the real Chebyshev row ``U_{j-1}(x)``
-    of each ``j``, of which the last three used are kept.  A half-time
-    state at ``t = 2*tau + 1`` needs the rows ``tau - 1`` and ``tau``, one
-    at ``2*tau + 2`` also ``tau + 1``, so in a sweep of increasing tau an
-    extra state costs one new ``sin`` row over the grid and two coin
-    applications.  Its states share one ``dft_rows`` dict, so
-    :meth:`FourierState.mass` builds the row of an ``x`` once per sweep, not
-    once per state.  The kept arrays are read-only, and a state is the same,
-    bit for bit, whichever states were asked for before it.
+    Computed once here and shared by every :meth:`state` call: the row
+    ``T = e^{ik}``, ``c cos k``, ``sin w`` and the folded ``w``; the ``(V -
+    x I) psi0`` that starts every first stretch; and the rows ``U_{j-1}``
+    and ``T_j`` of the last two ``j`` used.  A sweep of increasing tau
+    needs the rows of ``tau`` and ``tau + 1``, so an extra state costs one
+    new ``sin`` and ``cos`` row and two coin applications.  Its states share
+    ``T`` and one ``dft_rows`` dict, so :meth:`FourierState.mass` builds the
+    row of an ``x`` once per sweep.  The kept arrays are read-only, and a
+    state is the same, bit for bit, whichever states came before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
-    n_grid`` (see the module docstring), so it holds every time ``t <
-    n_grid`` exactly.  A grid above ``grid_size(cap)`` points, more than
-    any time that :func:`qwalk.dynamics.check_time` accepts needs, is
-    refused before anything is allocated.
+    n_grid``, so it holds every time ``t < n_grid`` exactly.  ``T`` is one
+    ``exp`` of an angle of at most ``pi/2``: ``T_m = -e^{i pi m / n_grid}``
+    below ``m = ceil(n_grid / 2)``, ``e^{i pi (m - n_grid) / n_grid}`` from
+    there, so the values are at ``k_m = fl(pi / n_grid * m) - pi`` and
+    ``fl(pi / n_grid * (m - n_grid))``.  A grid above ``grid_size(cap)``
+    points, more than any time that :func:`qwalk.dynamics.check_time`
+    accepts needs, is refused before anything is allocated.
     """
 
     def __init__(self, params: WalkParams, n_grid: int) -> None:
@@ -305,21 +300,28 @@ class Propagator:
             raise ValueError(f"n_grid={n_grid} exceeds grid_size(cap) = {grid_size(cap)} "
                              f"for the configured cap {cap}")
         self.params = params
-        self.grid = -np.pi + np.pi * np.arange(n_grid) / n_grid
-        self._eik = np.exp(1j * self.grid)
-        x = params.c * np.sin(self.grid)
-        self._sin_w = np.hypot(params.s, params.c * np.cos(self.grid))
-        self._w = np.arctan2(self._sin_w, np.abs(x))
-        self._sign = np.where(x < 0, -1.0, 1.0)
-        self._rows: dict[int, np.ndarray] = {}  # j -> U_{j-1}(x), least recently used first
-        self._dft_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
-        self._first_coin = self._coin(self._initial(), params.c, params.s)
-        for kept in (self.grid, self._eik, self._sin_w, self._w, self._sign, self._first_coin):
+        half = (n_grid + 1) // 2
+        m = np.arange(n_grid)
+        m[half:] -= n_grid
+        self._eik = np.exp(1j * (np.pi / n_grid * m))
+        np.negative(self._eik[:half], out=self._eik[:half])
+        c_cos = params.c * self._eik.real
+        self._sin_w = np.hypot(params.s, c_cos)
+        self._sign = -1 if params.c > 0 else 1  # of x = c sin k, as sin k <= 0 here
+        self._d = np.multiply(-1j * self._sign, c_cos)
+        x = np.abs(np.multiply(params.c, self._eik.imag, out=c_cos), out=c_cos)
+        self._folded = self._sin_w > x  # w > pi/4: w is kept as w - pi/2
+        self._w = np.arctan2(np.minimum(self._sin_w, x), np.maximum(self._sin_w, x))
+        np.negative(self._w, out=self._w, where=self._folded)
+        self._rows: dict[int, np.ndarray] = {}  # j -> Chebyshev rows, least recently used first
+        self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
+        self._first_m = self._m(self._initial())
+        for kept in (self._eik, self._sin_w, self._d, self._folded, self._w, self._first_m):
             kept.flags.writeable = False
 
     def _initial(self):
         # the initial spinor at every grid point, as rows of a new (2, n) array
-        g = np.empty((2, self.grid.shape[0]), dtype=np.complex128)
+        g = np.empty((2, self._eik.shape[0]), dtype=np.complex128)
         g[0], g[1] = self.params.alpha, self.params.beta
         return g
 
@@ -338,36 +340,55 @@ class Propagator:
         np.multiply(np.conjugate(self._eik, out=tmp), u1, out=u1)
         return u
 
-    def _chebyshev_row(self, j):
-        # U_{j-1}(x) = sgn(x)^{j-1} sin(j w) / sin w
-        row = np.multiply(j, self._w)
-        np.sin(row, out=row)
-        row /= self._sin_w
-        if (j - 1) % 2:
-            row *= self._sign
-        return row
+    def _m(self, g):
+        # sgn(x) (V - x I) g = sgn(x) [[d, -i s e^{ik}], [-i s e^{-ik}, -d]] g
+        # with d = -i c cos k, from the entries, into a new array
+        off = -1j * self._sign * self.params.s
+        u = self._d * g
+        u0, u1 = u
+        np.negative(u1, out=u1)
+        tmp = np.multiply(self._eik, g[1])
+        tmp *= off
+        u0 += tmp
+        np.multiply(np.conjugate(self._eik, out=tmp), g[0], out=tmp)
+        tmp *= off
+        u1 += tmp
+        return u
 
-    def _chebyshev(self, j, phase):
-        # i^phase U_{j-1}(x); the real row is kept for the last _KEPT_ROWS j
-        return _I_POWERS[phase % 4] * _kept(self._rows, j, _KEPT_ROWS, self._chebyshev_row)
+    def _chebyshev_rows(self, j):
+        # U_{j-1}(|x|) = sin(j w) / sin w and T_j(|x|) = cos(j w); where w is
+        # kept as w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
+        angle = np.multiply(j, self._w)
+        rows = np.empty((2, angle.shape[0]))
+        u, t = rows
+        np.sin(angle, out=u)
+        np.cos(angle, out=t)
+        folded, q = self._folded, j % 4
+        if q % 2:  # i^j (cos + i sin) is -sin + i cos for q = 1, sin - i cos for 3
+            np.copyto(angle, u)
+            np.copyto(u, t, where=folded)
+            np.copyto(t, angle, where=folded)
+            flip = t if q == 1 else u
+            np.negative(flip, out=flip, where=folded)
+        elif q:
+            np.negative(rows, out=rows, where=folded)
+        u /= self._sin_w
+        return rows
 
-    def _power(self, g, m, vg=None, out=None):
-        # U^m g = i^(m-1) U_{m-1}(x) (V g) - i^m U_{m-2}(x) g, written to
-        # ``out``; g is overwritten.  ``vg`` is a kept V g, which is never
-        # written; without it V g is computed into a scratch array.  The
-        # default ``out`` is the transpose of a new (n, 2) array, allocated
-        # last to keep the peak memory low.
-        if m == 0:
-            first, second = g, 0.0
-        else:
-            scratch = vg is None
-            if scratch:
-                vg = self._coin(g, self.params.c, self.params.s)
-            first = np.multiply(self._chebyshev(m, m - 1), vg, out=vg if scratch else None)
-            second = np.multiply(self._chebyshev(m - 1, m), g, out=g)
-        if out is None:
-            out = np.empty(g.shape[::-1], dtype=np.complex128).T
-        return np.subtract(first, second, out=out)
+    def _power(self, g, m, mg=None):
+        # U^m g / (i sgn(x))^m = U_{m-1}(|x|) sgn(x) (V - x I) g + T_m(|x|) g,
+        # written over g.  ``mg`` is a kept sgn(x) (V - x I) g, never written;
+        # without it a scratch one is made after the rows, for the peak memory.
+        if m:
+            u_row, t_row = _kept(self._rows, m, _KEPT_ROWS, self._chebyshev_rows)
+            if mg is None:
+                first = self._m(g)
+                first *= u_row
+            else:
+                first = u_row * mg
+            g *= t_row
+            g += first
+        return g
 
     def state(self, schedule: Schedule, t_final: int, tau: int) -> FourierState:
         """Transformed state at ``t_final``, with ``tau`` placing a half-time swap.
@@ -378,16 +399,19 @@ class Propagator:
         exactly (to roundoff).  :class:`FourierState` refuses a
         ``t_final`` outside ``0..n-1`` of the ``n``-point grid.  The spinor
         components are the rows of one ``(2, n)`` array, updated in place,
-        and the last power writes straight into the returned values.
+        whose transpose is the returned values.
         """
         p = self.params
-        g, vg = self._initial(), self._first_coin
-        done = 0
+        g, mg = self._initial(), self._first_m
+        done = swaps = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g = self._coin(self._power(g, swap - done, vg, out=g), p.c1, p.s1)
-            vg, done = None, swap + 1
-        return FourierState(t_final, self.grid, self._power(g, t_final - done, vg).T,
-                            self._dft_rows)
+            g = self._coin(self._power(g, swap - done, mg), p.c1, p.s1)
+            mg, done, swaps = None, swap + 1, swaps + 1
+        g = self._power(g, t_final - done, mg)
+        phase = self._sign * (t_final - swaps) % 4  # all the powers' (i sgn(x))^m
+        if phase:
+            g *= _I_POWERS[phase]
+        return FourierState(t_final, g.T, self._eik, self._mass_rows)
 
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:

@@ -251,6 +251,6 @@ def dft_rows(state, xs):
     integers, so a row keeps its accuracy at large ``|x|``.  One row per
     ``x``, O(n) each, and no FFT.
     """
-    n = len(state.grid)
+    n = len(state.values)
     return np.array([np.exp(1j * np.pi / n * (np.arange(-n, 0) * x % (2 * n)))
                      @ state.values / n for x in xs])

@@ -28,7 +28,7 @@ from qwalk import (
     theorem1_limit,
 )
 import qwalk.spectral
-from qwalk.spectral import FourierState, _dft_row, grid_size
+from qwalk.spectral import FourierState, grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: At k = 0 and +-pi one branch's eigenvector entry sign*rA - c cos k
@@ -155,7 +155,7 @@ def test_propagator_state_is_the_direct_sum(example_params):
                                    for x, amp in zip(range(-t, t + 1, 2), state.sites))
                                for k in ks])
             transformed = Propagator(p, n).state(Schedule.half_time(), t, p.tau)
-            assert np.allclose(transformed.grid, ks, rtol=0, atol=1e-15)
+            assert np.allclose(transformed.eik, np.exp(1j * ks), rtol=0, atol=1e-15)
             assert float(np.max(np.abs(transformed.values - direct))) < 1e-12
 
 
@@ -179,7 +179,7 @@ def test_one_grid_rule_and_one_range_check(example_params):
             propagator.state(Schedule.half_time(), t, 3)
     for t in (12, 13):
         with pytest.raises(ValueError, match=f"t={t} is outside 0..11 of a 12-point grid"):
-            FourierState(t, state.grid, state.values)
+            FourierState(t, state.values, state.eik)
 
 
 def test_grid_size_is_the_smallest_5_smooth_size():
@@ -407,6 +407,18 @@ def test_propagator_keeps_read_only_arrays_and_three_rows(example_params):
     assert kept and not any(array.flags.writeable for array in kept)
 
 
+def row_wavenumber(n, m, dps=40):
+    """The ``k_m`` that the row ``T_m = e^{i k_m}`` of an ``n``-point grid is built from.
+
+    ``-e^{i fl(pi/n m)}`` below ``ceil(n/2)``, ``e^{i fl(pi/n (m - n))}`` above;
+    pi is subtracted in ``dps``-digit arithmetic, so the ``k`` is exact.
+    """
+    if m >= (n + 1) // 2:
+        return np.pi / n * (m - n)
+    with mp.workdps(dps):
+        return mp.mpf(np.pi / n * m) - mp.pi
+
+
 @pytest.mark.parametrize("t", [10**4, 2 * 10**5])
 def test_long_time_states_match_exact_matrix_powers(t):
     # The closed form's error is the float64 conditioning of U(k)^t, a
@@ -423,24 +435,47 @@ def test_long_time_states_match_exact_matrix_powers(t):
         states = [propagator.state(schedule, t, tau) for schedule in schedules]
         for m in ms:
             exact = exact_fourier_amplitudes(
-                p, t, propagator.grid[m], [s.swaps_before(t, tau) for s in schedules])
+                p, t, row_wavenumber(n, m), [s.swaps_before(t, tau) for s in schedules])
             for schedule, state, want in zip(schedules, states, exact):
                 err = float(np.max(np.abs(state.values[m] - want)))
                 assert err <= bound, (theta, schedule.kind, m, err / bound)
 
 
-@pytest.mark.parametrize("t", [10**4, 2 * 10**5])
-def test_read_back_matches_direct_dft_rows(t):
+@pytest.mark.parametrize("theta", [1e-8, math.pi - 2e-8])
+def test_powers_stay_accurate_where_the_eigenvalues_nearly_meet(theta):
+    # Next to k = -pi/2 with theta near 0 or pi, U_{m-1}(x) grows to about
+    # m while V - x shrinks to about 1/m.  The form U_{m-1} V - U_{m-2}
+    # subtracts two terms of size m there and was up to 1.6 t*eps off.
+    for t in (9000, 10005):
+        n, tau = grid_size(t), t // 2 - 1
+        p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
+        propagator = Propagator(p, n)
+        states = [propagator.state(schedule, t, tau) for schedule in SCHEDULES]
+        for m in sorted({n // 2 - 1, n // 2, n // 2 + 1, (n + 1) // 2}):
+            exact = exact_fourier_amplitudes(
+                p, t, row_wavenumber(n, m), [s.swaps_before(t, tau) for s in SCHEDULES])
+            for schedule, state, want in zip(SCHEDULES, states, exact):
+                err = float(np.max(np.abs(state.values[m] - want))) / (t * np.finfo(float).eps)
+                assert err <= 0.5, (t, schedule.kind, m, err)
+
+
+@pytest.mark.parametrize("t, n", [(10**4, None), (10**4 + 1, None), (2 * 10**5, None),
+                                  (2 * 10**5 + 1, None), (96, 97), (97, 98)],
+                         ids=["10000", "10001", "200000", "200001", "96-n97", "97-n98"])
+def test_read_back_matches_direct_dft_rows(t, n):
     # a phase e^{-ikt} taken from the float product t*k is off by ~t*eps
-    # in angle, which puts 1e-12 on the sites at 2*10^5; the norm cannot see it
+    # in angle, which puts 1e-12 on the sites at 2*10^5; the norm cannot see
+    # it.  Odd t takes conj(T); t = n - 1 fills every slot of a grid that
+    # numpy's FFT does not factor into 2, 3 and 5.
     tau = t // 2 - 1
     p = WalkParams(theta=0.7, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
-    state = Propagator(p, grid_size(t)).state(Schedule.half_time(), t, tau)
+    state = Propagator(p, n or grid_size(t)).state(Schedule.half_time(), t, tau)
     rng = np.random.default_rng(t)
-    xs = [-t, -t + 2, -t + 4, -2, 0, 2, t - 4, t - 2, t,
-          *(2 * rng.integers(0, t // 2, 11) - t).tolist()]
+    js = [0, 1, 2, t // 2 - 1, t // 2, t // 2 + 1, t - 2, t - 1, t,
+          *rng.integers(0, t + 1, 11).tolist()]
     sites = state.sublattice().sites
-    err = float(np.max(np.abs(sites[[(x + t) // 2 for x in xs]] - dft_rows(state, xs))))
+    assert sites.shape == (t + 1, 2)
+    err = float(np.max(np.abs(sites[js] - dft_rows(state, [2 * j - t for j in js]))))
     assert err < 5e-14
 
 
@@ -452,14 +487,16 @@ def test_sweep_mass_equals_a_fresh_dft_row_bit_for_bit(parity):
     states = list(tau_sweep(p, Schedule.half_time(), parity, [0, 1, 2, 9, 30, 9, 61]))
     xs = (1, -1, 2, -2, 0, 1, 1, -2)
     for state in states:
-        n = len(state.grid)
-        assert state.dft_rows is states[0].dft_rows
+        n = len(state.values)
+        assert state.dft_rows is states[0].dft_rows and state.eik is states[0].eik
         for x in xs:
             got = state.mass(x)
             if abs(x) > state.time or (x + state.time) % 2:
                 assert got == 0.0
                 continue
-            fresh = _dft_row(n, x) @ state.values / n
+            # e^{i pi r / n} with r = (m - n) x mod 2n is -T_r below n and T_{r-n} above
+            r = np.arange(-n, 0) * x % (2 * n)
+            fresh = np.where(r < n, -state.eik[r % n], state.eik[r % n]) @ state.values / n
             assert got == float(np.sum(np.abs(fresh) ** 2)), (state.time, x)
             assert len(state.dft_rows) <= 2
             assert not any(row.flags.writeable for row in state.dft_rows.values())
@@ -482,6 +519,6 @@ def test_sweep_frees_its_dft_rows():
     del states, state
     gc.collect()
     assert all(ref() is None for ref in refs)
-    # no module-level cache holds a row: only the table of roots is kept
+    # no module-level cache holds a row or a table of phases
     cached = [name for name, value in vars(qwalk.spectral).items() if hasattr(value, "cache_info")]
-    assert cached == ["_roots_of_unity"]
+    assert cached == []
