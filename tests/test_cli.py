@@ -237,39 +237,39 @@ def test_byte_identical_reruns(tmp_path):
 #: and of the files that ``simulate --times`` writes.
 PINNED_W = ["--theta", "0.7", "--theta1", "2.1"]
 PINNED_OUTPUTS = (
-    (["simulate", *PINNED_W, "--tau", "100", "--t", "201"], "4f95bc08a3a6"),
-    (["simulate", *PINNED_W, "--schedule", "usual", "--t", "300"], "83dd12ba8b01"),
+    (["simulate", *PINNED_W, "--tau", "100", "--t", "201"], "eb693b952352"),
+    (["simulate", *PINNED_W, "--schedule", "usual", "--t", "300"], "081dedb23da0"),
     (["simulate", *PINNED_W, "--schedule", "multi", "--swap-steps", "3,10,40",
-      "--t", "151", "--format", "json"], "aac5e72aa0af"),
+      "--t", "151", "--format", "json"], "f443630ce2d7"),
     (["compare", *PINNED_W, "--tau", "200", "--t", "401", "--moments", "0,1,2,4"],
-     "0d7d320c3098"),
-    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "2a6be98dae08"),
+     "08ecf4575002"),
+    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "37fe826bd521"),
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
-      "--taus", "0,7,100"], "8b9afa14c43b"),
+      "--taus", "0,7,100"], "aa632ddb1315"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
-     "3d3039ab8654"),
-    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "4e731ebf8708"),
+     "4f985dacf42d"),
+    (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "e189f022cb67"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
-     "b3c983e262c6"),
+     "c690016f6fdb"),
     # normal, subnormal and exact-zero masses
     (["limits", *PINNED_W, "--parity", "odd", "--xmax", "500"], "c67742183d09"),
     (["limits", *PINNED_W, "--parity", "even", "--xmax", "500"], "e4249c808414"),
     (["limits", *PINNED_W, "--parity", "even", "--xmax", "500", "--format", "json"],
      "54a0ae859078"),
     # 7001 rows: more than two CSV blocks
-    (["simulate", *PINNED_W, "--tau", "1700", "--t", "3500"], "5ea6b7813fd9"),
+    (["simulate", *PINNED_W, "--tau", "1700", "--t", "3500"], "bf2816955533"),
     (["density", *PINNED_W, "--points", "2001"], "c817f4d7776a"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000"], "28452ef5ba72"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000", "--format", "json"], "addee8a7ef80"),
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
-        ("1a", "f1cf3a78771f"), ("1b", "fb8a1e9e76d7"), ("2a", "5f2c489af38d"),
-        ("2b", "cecc65dffeff"), ("3a", "7e31dc5fbbd7"), ("3b", "b2b40db53435"),
-        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "3f917f4e2532"),
-        ("5b", "16c6a2733365"), ("5c", "b660926331ad"), ("7a", "9a03ec421e88"),
+        ("1a", "e726b2d24721"), ("1b", "e27b9d867076"), ("2a", "5f2c489af38d"),
+        ("2b", "cecc65dffeff"), ("3a", "a6a692bbd92f"), ("3b", "59b4bdd1e68a"),
+        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "7d0a31175e6e"),
+        ("5b", "06fc0973f2f0"), ("5c", "63d10313d4a1"), ("7a", "9a03ec421e88"),
         ("7b", "ae82e593effc"))),
 )
-PINNED_TIMES = {"sim_t3.csv": "3ccbc87d30e7", "sim_t101.csv": "8bf9b2e12886",
-                "sim_t102.csv": "e534c128f565"}
+PINNED_TIMES = {"sim_t3.csv": "d5c9b5238eae", "sim_t101.csv": "31f9ffd4e749",
+                "sim_t102.csv": "501bd5e71387"}
 
 
 def test_cli_outputs_match_pinned_hashes(tmp_path, capsys):
