@@ -41,11 +41,10 @@ eigenvalues nearly meet, ``U_{m-1}`` grows to about ``m``, and ``U_{m-1} V
 the half circle, ``sgn(x)^m`` joins ``i^m``, and the polynomials at ``|x|``
 are ``cos(m w)`` and ``sin(m w) / sin w``, with ``sin w = hypot(s, c cos
 k)`` and ``w = atan2(sin w, |x|)`` kept as ``w - pi/2`` above ``pi/4``, so
-that the rounded phase is at most ``m pi/4``.  Both choices matter near the
-excluded angles:
-``sqrt(1 - x^2)`` cancels when ``|x|`` is close to 1 (theta near 0 or
-pi), and an unfolded ``w = acos(x)`` near pi carries an absolute
-rounding error that the ratio ``sin(m w) / sin w`` magnifies.
+that the rounded phase is at most ``m pi/4``.  Both choices matter near
+the excluded angles: ``sqrt(1 - x^2)`` cancels when ``|x|`` is close to 1
+(theta near 0 or pi), and an unfolded ``w = acos(x)`` near pi carries an
+absolute rounding error that the ratio ``sin(m w) / sin w`` magnifies.
 
 It also evaluates the large-time amplitude limits at fixed positions,
 whose squared norms are a second, independent route to the stationary
@@ -273,8 +272,8 @@ class Propagator:
     application of the swap coin, so a state costs
     ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
     Computed once here and shared by every :meth:`state` call: the row
-    ``T = e^{ik}``, ``c cos k``, ``sin w`` and the folded ``w``; the ``(V -
-    x I) psi0`` that starts every first stretch; and the rows ``U_{j-1}``
+    ``T = e^{ik}``, ``-i c cos k``, ``sin w`` and the folded ``w``; the ``(V
+    - x I) psi0`` that starts every first stretch; and the rows ``U_{j-1}``
     and ``T_j`` of the last two ``j`` used.  A sweep of increasing tau
     needs the rows of ``tau`` and ``tau + 1``, so an extra state costs one
     new ``sin`` and ``cos`` row and two coin applications.  Its states share
@@ -342,7 +341,7 @@ class Propagator:
 
     def _m(self, g):
         # sgn(x) (V - x I) g = sgn(x) [[d, -i s e^{ik}], [-i s e^{-ik}, -d]] g
-        # with d = -i c cos k, from the entries, into a new array
+        # with d = -i c cos k (kept times sgn(x)), from the entries, into a new array
         off = -1j * self._sign * self.params.s
         u = self._d * g
         u0, u1 = u
