@@ -314,8 +314,9 @@ class Propagator:
         np.negative(self._w, out=self._w, where=self._folded)
         self._rows: dict[int, np.ndarray] = {}  # j -> Chebyshev rows, least recently used first
         self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
-        self._first_m = self._m(self._initial())
-        for kept in (self._eik, self._sin_w, self._d, self._folded, self._w, self._first_m):
+        self._first_traceless = self._traceless(self._initial())
+        for kept in (self._eik, self._sin_w, self._d, self._folded, self._w,
+                     self._first_traceless):
             kept.flags.writeable = False
 
     def _initial(self):
@@ -339,7 +340,7 @@ class Propagator:
         np.multiply(np.conjugate(self._eik, out=tmp), u1, out=u1)
         return u
 
-    def _m(self, g):
+    def _traceless(self, g):
         # sgn(x) (V - x I) g = sgn(x) [[d, -i s e^{ik}], [-i s e^{-ik}, -d]] g
         # with d = -i c cos k (kept times sgn(x)), from the entries, into a new array
         off = -1j * self._sign * self.params.s
@@ -374,17 +375,17 @@ class Propagator:
         u /= self._sin_w
         return rows
 
-    def _power(self, g, m, mg=None):
+    def _power(self, g, m, vg=None):
         # U^m g / (i sgn(x))^m = U_{m-1}(|x|) sgn(x) (V - x I) g + T_m(|x|) g,
-        # written over g.  ``mg`` is a kept sgn(x) (V - x I) g, never written;
+        # written over g.  ``vg`` is a kept sgn(x) (V - x I) g, never written;
         # without it a scratch one is made after the rows, for the peak memory.
         if m:
             u_row, t_row = _kept(self._rows, m, _KEPT_ROWS, self._chebyshev_rows)
-            if mg is None:
-                first = self._m(g)
+            if vg is None:
+                first = self._traceless(g)
                 first *= u_row
             else:
-                first = u_row * mg
+                first = u_row * vg
             g *= t_row
             g += first
         return g
@@ -401,12 +402,12 @@ class Propagator:
         whose transpose is the returned values.
         """
         p = self.params
-        g, mg = self._initial(), self._first_m
+        g, vg = self._initial(), self._first_traceless
         done = swaps = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g = self._coin(self._power(g, swap - done, mg), p.c1, p.s1)
-            mg, done, swaps = None, swap + 1, swaps + 1
-        g = self._power(g, t_final - done, mg)
+            g = self._coin(self._power(g, swap - done, vg), p.c1, p.s1)
+            vg, done, swaps = None, swap + 1, swaps + 1
+        g = self._power(g, t_final - done, vg)
         phase = self._sign * (t_final - swaps) % 4  # all the powers' (i sgn(x))^m
         if phase:
             g *= _I_POWERS[phase]
