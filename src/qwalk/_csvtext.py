@@ -1,21 +1,23 @@
-"""CSV text of table columns, made a block of rows at a time with numpy.
+"""CSV text of a table, made a block of rows at a time with numpy.
 
-A float prints exactly as ``'%.17g' % v`` (C's ``%.17g``: 17 significant
-digits, correctly rounded) and an integer as ``str(i)``.  Only
-:mod:`qwalk.cli` uses this module, and imports it on the first CSV table
-it writes.  Where no bytecode cache is written, Python compiles each
-module from source when it is imported: kept apart, this module costs
-nothing to commands that write no CSV, and the two modules compile with a
-lower memory peak than one module holding both (about 0.5 MB less).
+:func:`csv_text` writes every CSV table of :mod:`qwalk.cli`: a float
+prints exactly as ``'%.17g' % v`` (C's ``%.17g``: 17 significant digits,
+correctly rounded) and an integer as ``str(i)``.  :func:`qwalk.cli.emit`
+imports this module on the first CSV table it writes.  Where no bytecode
+cache is written, Python compiles each module from source when it is
+imported: kept apart, this module costs nothing to commands that write no
+CSV, and the two modules compile with a lower memory peak than one module
+holding both (about 0.5 MB less).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "MIN_FLOAT_ROWS", "float_slots", "int_slots", "text_slots"]
+__all__ = ["csv_text"]
 
 # CSV text is built in "slots": fixed-width rows of ASCII bytes, one per
 # cell, in which NUL marks an unused position, so a block of rows is made
@@ -26,16 +28,19 @@ _U4 = np.dtype("<u4")
 _U8 = np.dtype("<u8")
 
 #: Bytes of the largest temporaries of a float column in one block, at 32
-#: bytes a row.  Below 128 KiB the allocator reuses them; blocks of 10 000
-#: rows page-faulted on every column (about 500 faults each).
+#: bytes a row.  The heap does not keep them between blocks: glibc returns
+#: a freed heap top above 128 KiB to the system, and ``float_slots`` on
+#: 3072 values in a loop takes about 145 minor page faults a call, against
+#: none on 2048 values.  Blocks of 10 000 rows faulted about 500 times a
+#: column.
 _BLOCK_BYTES = 96 * 1024
 BLOCK_ROWS = _BLOCK_BYTES // 32
-#: Fewest values of a float column that :func:`float_slots` formats; a
-#: shorter column is formatted by Python's ``'%.17g'``, the same text.  A
-#: call costs about 90-140 us whatever its length, and Python about 0.6 us
-#: a value near 1 and 2 us a value like 1e-200, so the break-even lies
-#: near 130 values of the first kind and 70 of the second.
-MIN_FLOAT_ROWS = 100
+#: Fewest values of a column that :func:`float_slots` or :func:`int_slots`
+#: formats; a shorter column is formatted by Python, the same text.  A
+#: float call costs about 90-140 us whatever its length, and Python about
+#: 0.6 us a value near 1 and 2 us a value like 1e-200, so the break-even
+#: lies near 130 values of the first kind and 70 of the second.
+MIN_ROWS = 100
 
 #: Decimal exponents ``k`` of the ``10**k`` table of :func:`_float_tables`.
 #: A float is formatted by the table when ``1e-290 < |v| < 1e290``, which
@@ -180,6 +185,7 @@ def float_slots(a: np.ndarray) -> np.ndarray:
     point, 25-29 the exponent.  They are made as four 64-bit words.
     """
     _, prefix, suffix, point, least, masks = _float_tables()
+    a = a.astype(np.float64, copy=False)
     mag = np.abs(a)
     table = (mag > 1e-290) & (mag < 1e290)
     idx = np.flatnonzero(table)
@@ -236,7 +242,8 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     if neg.any():
         u = np.where(neg, ~u + 1, u)  # |v| in two's complement, int64 min included
     ndigits = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
-    q = (int(ndigits.max()) + 3) // 4
+    # initial: a block with no occupied row hands over an empty column
+    q = (int(ndigits.max(initial=1)) + 3) // 4
     below = 4 * np.arange(q - 1, -1, -1)  # digits below each chunk, most significant first
     chunks = u[:, None] // _POW10_U64[below] % 10 ** 4
     out = np.empty((len(v), q + 1), _U4)
@@ -245,7 +252,54 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def text_slots(texts: list[str]) -> np.ndarray:
-    """ASCII texts as slots as wide as the longest."""
-    slots = np.array(texts, dtype="S")
-    return slots.view(np.uint8).reshape(len(slots), -1)
+def _cell(value) -> str:
+    """The text of one Python value: ``'%.17g'`` of a float, ``str`` of the rest."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _python_slots(col: np.ndarray) -> np.ndarray:
+    """The cells of a short column, formatted by Python, as slots as wide as the longest."""
+    texts = np.array([_cell(v) for v in col.tolist()], dtype="S")
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+
+def csv_text(table, meta: dict | None):
+    """The CSV text of a :class:`qwalk.cli.Table`, in parts.
+
+    The first part is a ``# key = value`` line per ``meta`` entry and the
+    header; each later one holds up to :data:`BLOCK_ROWS` rows, with LF
+    newlines.  A column shorter than :data:`MIN_ROWS` is formatted by
+    Python (:func:`_cell`), a longer one by :func:`float_slots` or
+    :func:`int_slots` according to its dtype, and the cells are joined
+    into rows as slots.  A column that holds the table's occupied rows
+    only is formatted on those rows: it starts as a ``0`` slot on every
+    row of the block, and the occupied rows' cells overwrite it.
+    """
+    lines = [f"# {k} = {_cell(v)}" for k, v in meta.items()] if meta else []
+    yield "\n".join([*lines, ",".join(table.keys)]) + "\n"
+    n, occupied = len(table), table.occupied
+    formats = [_python_slots if len(col) < MIN_ROWS
+               else float_slots if col.dtype.kind == "f" else int_slots
+               for col in table.columns]
+    sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
+    seps = [ord(",")] * (len(formats) - 1) + [ord("\n")]
+    first = 0  # occupied rows before the block
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        if any(sparse):  # the block's occupied rows and their values
+            on = np.flatnonzero(occupied[lo:hi])
+            sites = slice(first, first + len(on))
+            first += len(on)
+        parts = [fmt(col[sites] if is_sparse else col[lo:hi])
+                 for fmt, col, is_sparse in zip(formats, table.columns, sparse)]
+        starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
+        block = np.empty((hi - lo, starts[-1]), np.uint8)
+        zeros = [at for at, is_sparse in zip(starts, sparse) if is_sparse]
+        if zeros:  # a 0 slot on every row of each column of occupied rows
+            unoccupied = np.zeros(starts[-1], np.uint8)
+            unoccupied[zeros] = ord("0")
+            block[:, zeros[0]:] = unoccupied[zeros[0]:]
+        for part, at, sep, is_sparse in zip(parts, starts, seps, sparse):
+            block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
+            block[:, at + part.shape[1]] = sep
+        yield block.tobytes().translate(None, b"\0").decode()

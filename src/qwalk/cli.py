@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -47,27 +46,20 @@ class EmptyOutput(ValueError):
     """Raised when a command would write a table with no rows."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 class Table:
-    """Row data held as named columns.
+    """Row data held as named columns, each made a numpy array (``np.asarray``).
 
-    A column is a numpy array or a sequence of Python numbers.  In a table
-    of walk sites, ``occupied`` (one boolean per row) marks the sites the
-    walk can occupy, where ``x + t`` is even; a column may then hold, in
-    order, a value for each occupied row only, and reads 0 on the other
-    rows.  Rows as Python objects are built only for JSON output; CSV
-    text is made one column at a time over blocks of rows
-    (:func:`_csv_blocks`).
+    In a table of walk sites, ``occupied`` (one boolean per row) marks the
+    sites the walk can occupy, where ``x + t`` is even; a column may then
+    hold, in order, a value for each occupied row only, and reads 0 on the
+    other rows.  Rows as Python objects are built only for JSON output;
+    CSV text is made one column at a time over blocks of rows
+    (:func:`qwalk._csvtext.csv_text`).
     """
 
     def __init__(self, occupied: np.ndarray | None = None, **columns) -> None:
         self.keys = tuple(columns)
-        self.columns = tuple(columns.values())
+        self.columns = tuple(map(np.asarray, columns.values()))
         self.occupied = None if occupied is None else np.asarray(occupied, dtype=bool)
         n = len(self)
         sites = n if occupied is None else int(np.count_nonzero(self.occupied))
@@ -83,69 +75,11 @@ class Table:
         """One dict of Python numbers per row; a column of occupied rows reads 0 elsewhere."""
         def values(col):
             if len(col) < len(self):
-                dense = np.zeros(len(self), np.asarray(col).dtype)
+                dense = np.zeros(len(self), col.dtype)
                 dense[self.occupied] = col
                 col = dense
-            return col.tolist() if isinstance(col, np.ndarray) else col
+            return col.tolist()
         return [dict(zip(self.keys, row)) for row in zip(*map(values, self.columns))]
-
-
-def _csv_blocks(table: Table):
-    """The CSV text of ``table``'s rows, one block of rows at a time.
-
-    A float column prints as ``'%.17g' % v``, an integer column as
-    ``str(i)``; any other column (a Python sequence, or an array of
-    another kind) prints its values' :func:`_fmt` text.  Numpy numbers
-    are formatted as arrays (:mod:`qwalk._csvtext`), except in a float
-    column too short to repay that, and the cells are joined into rows as
-    byte slots.  A column that holds a :class:`Table`'s occupied rows only
-    is formatted on those rows: it starts as a ``0`` slot on every row of
-    the block, and the occupied rows' cells overwrite it.
-    """
-    # imported on the first CSV table, so commands that write none
-    # (compare, spectral-check, JSON output) never load it
-    from ._csvtext import BLOCK_ROWS, MIN_FLOAT_ROWS, float_slots, int_slots, text_slots
-
-    def text_cells(cells) -> np.ndarray:
-        return text_slots(list(map(_fmt, cells)))
-
-    n, occupied = len(table), table.occupied
-    columns = []
-    for col in table.columns:
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f" and len(col) >= MIN_FLOAT_ROWS:
-            slots, col = float_slots, col.astype(np.float64, copy=False)
-        elif isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-            slots = int_slots
-        else:
-            slots, col = text_cells, col.tolist() if isinstance(col, np.ndarray) else col
-        columns.append((slots, col))
-    sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
-    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    first = 0  # occupied rows before the block
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        if any(sparse):  # the block's occupied rows and their values
-            on = np.flatnonzero(occupied[lo:hi])
-            sites = slice(first, first + len(on))
-            first += len(on)
-            if len(on) > 1 and (np.diff(on) == 2).all():
-                on = slice(on[0], on[-1] + 1, 2)  # every other row: a view, not a gather
-        parts = []
-        for (slots, col), is_sparse in zip(columns, sparse):
-            chunk = col[sites] if is_sparse else col[lo:hi]
-            # a block may hold no occupied row: its column is all 0 slots
-            parts.append(slots(chunk) if len(chunk) else np.empty((0, 1), np.uint8))
-        starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
-        block = np.empty((hi - lo, starts[-1]), np.uint8)
-        zeros = [at for at, is_sparse in zip(starts, sparse) if is_sparse]
-        if zeros:  # a 0 slot on every row of each column of occupied rows
-            unoccupied = np.zeros(starts[-1], np.uint8)
-            unoccupied[zeros] = ord("0")
-            block[:, zeros[0]:] = unoccupied[zeros[0]:]
-        for part, at, sep, is_sparse in zip(parts, starts, seps, sparse):
-            block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
-            block[:, at + part.shape[1]] = sep
-        yield block.tobytes().translate(None, b"\0").decode()
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
@@ -155,19 +89,21 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
     CSV output has a header row and LF newlines; a float prints as C's
     ``%.17g`` (17 significant digits, round-trip exact), an integer in
     decimal, and ``meta`` entries become leading ``# key = value`` comment
-    lines.  The rows are formatted and written a block at a time.  JSON
-    output round-trips floats exactly as well; for a table it is a list
-    of row objects, which ``meta`` wraps in an object, and ``meta`` is
-    merged in front of a flat object.
+    lines.  The text comes from :func:`qwalk._csvtext.csv_text` and is
+    written a block of rows at a time.  JSON output round-trips floats
+    exactly as well; for a table it is a list of row objects, which
+    ``meta`` wraps in an object, and ``meta`` is merged in front of a flat
+    object.
     """
     if not data:
         raise EmptyOutput("refusing to emit an empty table")
     if fmt == "csv":
         if not isinstance(data, Table):
             raise ValueError("csv output requires a table of row data, not a flat object")
-        lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()] if meta else []
-        lines.append(",".join(data.keys))
-        parts = itertools.chain(["\n".join(lines) + "\n"], _csv_blocks(data))
+        # imported on the first CSV table, so commands that write none
+        # (compare, spectral-check, JSON output) never load it
+        from ._csvtext import csv_text
+        parts = csv_text(data, meta)
     elif fmt == "json":
         if isinstance(data, Table):
             payload = {**meta, "rows": data.rows()} if meta else data.rows()

@@ -205,8 +205,12 @@ def exact_fourier_amplitudes(params, t, k, swap_sets, dps=40):
     """Transformed states at one wavenumber ``k`` by ``dps``-digit matrix powers.
 
     ``U(k) = R(k) U`` and ``H(k) = R(k) H`` with ``R(k) = diag(e^{ik},
-    e^{-ik})`` are built from the same doubles as the package: ``k``, the
-    coin entries and the spinor are taken exactly.  For each collection of
+    e^{-ik})``.  ``k`` and the spinor are taken exactly.  The coin entries
+    are the package's doubles divided, in ``dps`` digits, by ``hypot(c,
+    s)`` (and ``hypot(c1, s1)``), so both coins are exactly unitary.  The
+    package's closed form powers ``V(k) = -i U(k)`` as a matrix of
+    determinant 1, which only the normalized coin is, so that is the
+    matrix it actually powers.  For each collection of
     swap steps ``s_1 < ... < s_r`` (those below ``t`` count) the state is
     ``U(k)^(t - 1 - s_r) H(k) ... H(k) U(k)^(s_1) psi0``.  Each power of
     ``U(k)`` is a product of its repeated squares, shared by all the
@@ -228,8 +232,12 @@ def exact_fourier_amplitudes(params, t, k, swap_sets, dps=40):
 
     with mp.workdps(dps):
         e = mp.expj(mp.mpf(k))
-        u = ((e * params.c, e * params.s), (params.s / e, -params.c / e))
-        h = ((e * params.c1, e * params.s1), (params.s1 / e, -params.c1 / e))
+
+        def coin(c, s):
+            r = mp.hypot(c, s)
+            c, s = mp.mpf(c) / r, mp.mpf(s) / r
+            return (e * c, e * s), (s / e, -c / e)
+        u, h = coin(params.c, params.s), coin(params.c1, params.s1)
         squares = [u]
         for _ in range(t.bit_length() - 1):
             squares.append(square(squares[-1]))

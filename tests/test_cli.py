@@ -787,7 +787,7 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
     floats = np.array([-0.0, 5e-324, 1e300, 0.1, 1 / 3])
     amps = np.array([1 + 2j, -0.0 - 0.0j, 5e-324j, 0.1, -1e300j])
     columns = {"x": ints, "v": floats, "re": amps.real, "im": amps.imag,
-               "u": np.arange(5, dtype=np.uint8), "mixed": (0.5, -0.0, 2, 1e-300, 7)}
+               "u": np.arange(5, dtype=np.uint8), "tuple": (0.5, -0.0, 2.0, 1e-300, 7.0)}
     table = Table(**columns)
     rows = [dict(zip(columns, row)) for row in zip(
         *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
@@ -801,6 +801,20 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
         assert [line.split(",")[1] for line in expected.splitlines()[-5:]] == [
             "-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000000000001",
             "0.33333333333333331"]
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("column", (
+    [0.5, -0.0, 2, 1e-300, 7],  # ints among floats: 2.0 and 7.0 in JSON
+    (3, -1, 2 ** 40),
+    np.linspace(-1.0, 1.0, qwalk._csvtext.MIN_ROWS + 1).tolist(),
+), ids=("mixed", "int-tuple", "long-float-list"))
+def test_sequence_columns_emit_as_their_arrays(fmt, column, capsys):
+    # Table makes every column an array, so a Python sequence prints as np.asarray of it
+    emit(Table(v=column), fmt)
+    as_sequence = capsys.readouterr().out
+    emit(Table(v=np.asarray(column)), fmt)
+    assert as_sequence == capsys.readouterr().out
 
 
 def emitted_cells(column) -> list[str]:
@@ -850,7 +864,7 @@ def test_csv_float_cells_for_any_bit_pattern(bits):
     # nan payloads, infinities, subnormals and normals alike
     column = np.array(bits, dtype=np.uint64).view(np.float64)
     assert emitted_cells(column) == expected_cells(column)
-    # Python floats take the per-cell format(v, ".17g") path: the same text
+    # a list of Python floats prints as its array does
     assert emitted_cells(column.tolist()) == expected_cells(column)
 
 
@@ -952,16 +966,18 @@ def test_json_unoccupied_rows_read_float_zero(argv, t, capsys):
 
 
 @pytest.mark.parametrize("extra", (-1, 0, 1))
-def test_short_float_columns_print_alike(extra, monkeypatch):
-    # a float column shorter than MIN_FLOAT_ROWS is formatted by Python, a
-    # longer one by numpy: the text is the same on either side
-    n = qwalk._csvtext.MIN_FLOAT_ROWS + extra
+@pytest.mark.parametrize("dtype", (np.float64, np.int64))
+def test_short_columns_print_alike(dtype, extra, monkeypatch):
+    # a column shorter than MIN_ROWS is formatted by Python, a longer one
+    # by numpy: the text is the same on either side
+    n = qwalk._csvtext.MIN_ROWS + extra
     rng = np.random.default_rng(n)
-    column = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(np.float64)
+    column = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(dtype)
     calls = []
-    float_slots = qwalk._csvtext.float_slots
-    monkeypatch.setattr(qwalk._csvtext, "float_slots",
-                        lambda a: calls.append(len(a)) or float_slots(a))
+    for name in ("float_slots", "int_slots"):
+        slots = getattr(qwalk._csvtext, name)
+        monkeypatch.setattr(qwalk._csvtext, name,
+                            lambda a, slots=slots: calls.append(len(a)) or slots(a))
     assert emitted_cells(column) == expected_cells(column)
     assert calls == ([n] if extra >= 0 else [])
 
@@ -1145,3 +1161,29 @@ def test_importing_the_cli_builds_no_parser():
     assert at_import == 0
     assert first == 1 + len(SUBCOMMANDS)  # the parser and one per subcommand
     assert second == first
+
+
+def test_only_csv_tables_load_the_writer():
+    # commands that write no CSV table never import qwalk._csvtext; run in
+    # a new interpreter, since this module imports it itself
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import qwalk.cli
+        argvs = json.loads(sys.argv[1])
+        runs = []
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runs.append((qwalk.cli.main(argv), "qwalk._csvtext" in sys.modules))
+        print(json.dumps(runs))
+    """)
+    argvs = [
+        ["compare", *WALK, "--tau", "3", "--t", "7"],
+        ["spectral-check", *WALK, "--t", "5"],
+        ["simulate", *WALK, "--t", "5", "--format", "json"],
+        ["limits", *WALK, "--parity", "odd", "--xmax", "3", "--format", "json"],
+        ["limits", *WALK, "--parity", "odd", "--xmax", "3"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[0, False]] * 4 + [[0, True]]
