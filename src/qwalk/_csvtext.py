@@ -28,13 +28,19 @@ _U4 = np.dtype("<u4")
 _U8 = np.dtype("<u8")
 
 #: Bytes of the largest temporaries of a float column in one block, at 32
-#: bytes a row.  The heap does not keep them between blocks: glibc returns
-#: a freed heap top above 128 KiB to the system, and ``float_slots`` on
-#: 3072 values in a loop takes about 145 minor page faults a call, against
-#: none on 2048 values.  Blocks of 10 000 rows faulted about 500 times a
-#: column.
+#: bytes a row.  Staying under glibc's 128 KiB mmap threshold does not
+#: keep them in memory between blocks: glibc also hands a free heap top of
+#: more than 128 KiB back to the system, and the next block faults it in
+#: again.  ``float_slots`` on 3072 values in a loop takes about 140 minor
+#: page faults a call, against none on 2048 values; blocks of 10 000 rows
+#: faulted about 500 times a column.
 _BLOCK_BYTES = 96 * 1024
 BLOCK_ROWS = _BLOCK_BYTES // 32
+#: Most bytes of a block that :func:`csv_text` copies out and strips of
+#: NULs at once.  Both copies of a slice come from the heap's free space;
+#: the copies of a whole ``simulate`` block (about 500 KB) were mapped and
+#: faulted in afresh on every block.
+_SLICE_BYTES = 64 * 1024
 #: Fewest values of a column that :func:`float_slots` or :func:`int_slots`
 #: formats; a shorter column is formatted by Python, the same text.  A
 #: float call costs about 90-140 us whatever its length, and Python about
@@ -264,19 +270,31 @@ def _python_slots(col: np.ndarray) -> np.ndarray:
 
 
 def csv_text(table, meta: dict | None):
-    """The CSV text of a :class:`qwalk.cli.Table`, in parts.
+    """The CSV text of a :class:`qwalk.cli.Table`, in parts of UTF-8 bytes.
 
     The first part is a ``# key = value`` line per ``meta`` entry and the
-    header; each later one holds up to :data:`BLOCK_ROWS` rows, with LF
-    newlines.  A column shorter than :data:`MIN_ROWS` is formatted by
-    Python (:func:`_cell`), a longer one by :func:`float_slots` or
-    :func:`int_slots` according to its dtype, and the cells are joined
-    into rows as slots.  A column that holds the table's occupied rows
-    only is formatted on those rows: it starts as a ``0`` slot on every
-    row of the block, and the occupied rows' cells overwrite it.
+    header; the rows follow a block of up to :data:`BLOCK_ROWS` rows at a
+    time, with LF newlines.  A column shorter than :data:`MIN_ROWS` is
+    formatted by Python (:func:`_cell`), a longer one by
+    :func:`float_slots` or :func:`int_slots` according to its dtype, and
+    the cells are joined into rows as slots.  A column that holds the
+    table's occupied rows only is formatted on those rows: it starts as a
+    ``0`` slot on every row of the block, and the occupied rows' cells
+    overwrite it.
+
+    Memory: the slots of a block are joined in one buffer, allocated on
+    the first block and reused by the later ones (a block of wider rows
+    takes a larger one).  Each slice of at most :data:`_SLICE_BYTES`
+    bytes of it is copied out and stripped of NULs (``tobytes`` and
+    ``bytes.translate``), and each such part is yielded.  Before, each
+    block allocated five buffers of its size (the block, its copy, the
+    stripped text, its ``str`` and the file's UTF-8 encoding):
+    ``simulate --t 3401`` run in a loop in one process took about 590
+    minor page faults a call, and now takes about 220, most of them from
+    the heap growing for the evolution and for the block buffer.
     """
     lines = [f"# {k} = {_cell(v)}" for k, v in meta.items()] if meta else []
-    yield "\n".join([*lines, ",".join(table.keys)]) + "\n"
+    yield ("\n".join([*lines, ",".join(table.keys)]) + "\n").encode()
     n, occupied = len(table), table.occupied
     formats = [_python_slots if len(col) < MIN_ROWS
                else float_slots if col.dtype.kind == "f" else int_slots
@@ -284,6 +302,7 @@ def csv_text(table, meta: dict | None):
     sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
     seps = [ord(",")] * (len(formats) - 1) + [ord("\n")]
     first = 0  # occupied rows before the block
+    buffer = None
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         if any(sparse):  # the block's occupied rows and their values
@@ -293,13 +312,19 @@ def csv_text(table, meta: dict | None):
         parts = [fmt(col[sites] if is_sparse else col[lo:hi])
                  for fmt, col, is_sparse in zip(formats, table.columns, sparse)]
         starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
-        block = np.empty((hi - lo, starts[-1]), np.uint8)
+        width = starts[-1]
+        if buffer is None or len(buffer) < (hi - lo) * width:
+            buffer = np.empty((hi - lo) * width, np.uint8)
+        # reused as it is: every byte of the block is written below
+        block = buffer[:(hi - lo) * width].reshape(hi - lo, width)
         zeros = [at for at, is_sparse in zip(starts, sparse) if is_sparse]
         if zeros:  # a 0 slot on every row of each column of occupied rows
-            unoccupied = np.zeros(starts[-1], np.uint8)
+            unoccupied = np.zeros(width, np.uint8)
             unoccupied[zeros] = ord("0")
             block[:, zeros[0]:] = unoccupied[zeros[0]:]
         for part, at, sep, is_sparse in zip(parts, starts, seps, sparse):
             block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
             block[:, at + part.shape[1]] = sep
-        yield block.tobytes().translate(None, b"\0").decode()
+        step = max(1, _SLICE_BYTES // width)
+        for r in range(0, hi - lo, step):
+            yield block[r:r + step].tobytes().translate(None, b"\0")

@@ -89,11 +89,13 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
     CSV output has a header row and LF newlines; a float prints as C's
     ``%.17g`` (17 significant digits, round-trip exact), an integer in
     decimal, and ``meta`` entries become leading ``# key = value`` comment
-    lines.  The text comes from :func:`qwalk._csvtext.csv_text` and is
-    written a block of rows at a time.  JSON output round-trips floats
-    exactly as well; for a table it is a list of row objects, which
+    lines.  The text comes from :func:`qwalk._csvtext.csv_text` as UTF-8
+    bytes, a slice of a block of rows at a time.  JSON output round-trips
+    floats exactly as well; for a table it is a list of row objects, which
     ``meta`` wraps in an object, and ``meta`` is merged in front of a flat
-    object.
+    object.  A file (``path``) is opened in binary mode and takes the
+    bytes as they are, with no text layer to decode and encode them again;
+    stdout, a text stream that callers may replace, takes their text.
     """
     if not data:
         raise EmptyOutput("refusing to emit an empty table")
@@ -109,14 +111,14 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
             payload = {**meta, "rows": data.rows()} if meta else data.rows()
         else:
             payload = {**meta, **data} if meta else data
-        parts = [json.dumps(payload, indent=2) + "\n"]
+        parts = [(json.dumps(payload, indent=2) + "\n").encode()]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines(part.decode() for part in parts)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(parts)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

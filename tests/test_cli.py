@@ -381,10 +381,30 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_unwritable_output_exits_1(tmp_path, capsys):
-    target = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert main(["simulate", *WALK, "--t", "2", "--out", str(target)]) == 1
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_unwritable_output_exits_1(fmt, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / f"out.{fmt}"
+    assert main(["simulate", *WALK, "--t", "2", "--format", fmt, "--out", str(target)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # 3073 rows of 164 bytes: two blocks, each cut into slices of 399 rows
+    ["simulate", *PINNED_W, "--tau", "700", "--t", "1536"],
+    ["limits", *PINNED_W, "--parity", "even", "--xmax", "2000"],
+    ["density", *PINNED_W, "--points", "5000"],
+    ["eigen", "--theta", "0.7", "--k-samples", "4000"],
+    ["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30"],
+    ["figures", "--paper-fig", "2a"],
+    ["limits", *PINNED_W, "--parity", "odd", "--xmax", "200", "--format", "json"],
+], ids=("simulate", "limits", "density", "eigen", "trace", "figure-2a", "json"))
+def test_out_file_holds_the_stdout_text(argv, tmp_path, capsys):
+    # a file gets the writer's bytes and stdout their text: the two must agree
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_spectral_check_exit_codes(capsys):
@@ -887,6 +907,14 @@ def test_csv_blocks_join_exactly(extra, tmp_path):
     emit(Table(x=ints, v=floats, w=texts), "csv", str(path), meta={"n": n})
     rows = [dict(x=i, v=v, w=w) for i, v, w in zip(ints.tolist(), floats.tolist(), texts)]
     assert path.read_text() == row_formatter_text(rows, "csv", {"n": n})
+
+
+def test_csv_blocks_of_changing_width_join_exactly():
+    # the block buffer is sized on the first block: a block of wider rows
+    # after it takes a larger one, and a block of narrower rows reuses it
+    n = qwalk._csvtext.BLOCK_ROWS
+    column = np.concatenate([np.arange(n), np.full(n, -2 ** 63), np.arange(n // 2)])
+    assert emitted_cells(column) == expected_cells(column)
 
 
 def dense_rows(table_columns, occupied):
