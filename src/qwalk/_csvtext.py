@@ -302,7 +302,7 @@ def csv_text(table, meta: dict | None):
     sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
     seps = [ord(",")] * (len(formats) - 1) + [ord("\n")]
     first = 0  # occupied rows before the block
-    buffer = None
+    buffer = np.empty(0, np.uint8)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         if any(sparse):  # the block's occupied rows and their values
@@ -313,7 +313,7 @@ def csv_text(table, meta: dict | None):
                  for fmt, col, is_sparse in zip(formats, table.columns, sparse)]
         starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
         width = starts[-1]
-        if buffer is None or len(buffer) < (hi - lo) * width:
+        if len(buffer) < (hi - lo) * width:
             buffer = np.empty((hi - lo) * width, np.uint8)
         # reused as it is: every byte of the block is written below
         block = buffer[:(hi - lo) * width].reshape(hi - lo, width)
