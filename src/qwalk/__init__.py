@@ -8,53 +8,23 @@ position ``X_t/t`` converges weakly to an atom at 0 plus an absolutely
 continuous density.  The package simulates the walk exactly, evaluates
 the limit laws in closed form, and cross-checks both against an
 independent Fourier-space evolution.
+
+The public API is the names below: the walk (``WalkParams``,
+``Schedule``), position-space stepping (``evolve``, ``step``), the
+momentum-space route (``spectral_evolve``, ``Propagator``,
+``eigensystem``), the two limit theorems (``theorem1_limit``,
+``delta_mass``, ``LimitDensity``) and the diagnostics that compare them
+(``tau_sweep``, ``rescaled_cdf_distance``, ``localized_mass``,
+``moment``).  ``qwalk.cli`` is the command line.
 """
 
-from .analysis import (
-    ConvergenceTrace,
-    localized_mass,
-    mass_trace,
-    moment,
-    rescaled_cdf_distance,
-    tau_sweep,
-)
-from .coin import (
-    CoinSet,
-    ExcludedAngleError,
-    NormalizationError,
-    Schedule,
-    ScheduleKind,
-    WalkParams,
-    build_coins,
-    fourier_coin,
-)
-from .dynamics import (
-    Distribution,
-    StateVector,
-    distribution,
-    evolve,
-    initial_state,
-    step,
-)
-from .limits import (
-    LimitDensity,
-    delta_mass,
-    limit_mass_total,
-    limit_masses,
-    theorem1_limit,
-)
-from .spectral import (
-    FourierState,
-    Propagator,
-    SpectralPair,
-    asymptotic_amplitude,
-    eigensystem,
-    spectral_evolve,
-)
+from .analysis import localized_mass, moment, rescaled_cdf_distance, tau_sweep
+from .coin import ExcludedAngleError, NormalizationError, Schedule, ScheduleKind, WalkParams
+from .dynamics import Distribution, StateVector, distribution, evolve, initial_state, step
+from .limits import LimitDensity, delta_mass, theorem1_limit
+from .spectral import FourierState, Propagator, SpectralPair, eigensystem, spectral_evolve
 
 __all__ = [
-    "ConvergenceTrace",
-    "CoinSet",
     "Distribution",
     "ExcludedAngleError",
     "FourierState",
@@ -66,18 +36,12 @@ __all__ = [
     "SpectralPair",
     "StateVector",
     "WalkParams",
-    "asymptotic_amplitude",
-    "build_coins",
     "delta_mass",
     "distribution",
     "eigensystem",
     "evolve",
-    "fourier_coin",
     "initial_state",
-    "limit_mass_total",
-    "limit_masses",
     "localized_mass",
-    "mass_trace",
     "moment",
     "rescaled_cdf_distance",
     "spectral_evolve",

@@ -17,8 +17,7 @@ along a trace is :func:`moment` of the read-back's distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .limits import LimitDensity
 from .spectral import FourierState, Propagator, grid_size
 
 __all__ = [
-    "ConvergenceTrace",
-    "mass_trace",
     "tau_sweep",
     "check_measurement_time",
     "check_moment_order",
@@ -39,23 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Observable values along a strictly increasing half-time grid."""
+class ConvergenceTrace(NamedTuple):
+    """Values of :func:`mass_trace` at its half-times.
+
+    Not public API: kept only because ``perfbench`` traces
+    :func:`mass_trace`, until ROADMAP item 1(a) retargets its tracer.
+    """
 
     taus: tuple[int, ...]
-    observable: str
     values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.taus) != len(self.values):
-            raise ValueError("taus and values must have equal length")
-        _check_increasing(self.taus)
-
-
-def _check_increasing(taus: tuple[int, ...]) -> None:
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must be strictly increasing")
 
 
 def tau_sweep(
@@ -102,30 +91,18 @@ def check_moment_order(r: int) -> None:
         raise ValueError(f"moment order must be non-negative, got {r}")
 
 
-def mass_trace(
-    params: WalkParams,
-    x: int,
-    parity: str,
-    taus: Iterable[int],
-) -> ConvergenceTrace:
+def mass_trace(params: WalkParams, x: int, parity: str,
+               taus: Iterable[int]) -> ConvergenceTrace:
     """Simulated ``P(X_t = x)`` at ``t = 2*tau + 1`` or ``2*tau + 2`` per tau.
 
-    ``params.tau`` serves as a template and is replaced by each entry of
-    ``taus``; the values approach the stationary point mass as tau grows.
-    Each value is read off the closed-form momentum-space state of
-    :func:`tau_sweep` (half-time schedule), not stepped with ``evolve``.
-    ``taus`` must be strictly increasing; that is checked before any
-    state is propagated.
+    Each value is :meth:`qwalk.spectral.FourierState.mass` of the
+    half-time :func:`tau_sweep` state, so ``taus`` may come in any order
+    and repeat.  Not public API: kept only because ``perfbench`` traces
+    it, until ROADMAP item 1(a) retargets its tracer.
     """
     taus = tuple(int(tau) for tau in taus)
-    _check_increasing(taus)
     states = tau_sweep(params, Schedule.half_time(), parity, taus)
-    values = [state.mass(x) for state in states]
-    return ConvergenceTrace(
-        taus=taus,
-        observable=f"mass(x={x}, {parity})",
-        values=tuple(values),
-    )
+    return ConvergenceTrace(taus, tuple(state.mass(x) for state in states))
 
 
 def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:

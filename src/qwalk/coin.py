@@ -27,11 +27,8 @@ __all__ = [
     "ExcludedAngleError",
     "NormalizationError",
     "WalkParams",
-    "CoinSet",
     "Schedule",
     "ScheduleKind",
-    "build_coins",
-    "fourier_coin",
     "parity_offset",
 ]
 
@@ -140,7 +137,7 @@ class WalkParams:
 
 @dataclass(frozen=True, eq=False)
 class CoinSet:
-    """The main coin ``U`` and the swap coin ``H``, as 2x2 complex arrays."""
+    """The coins ``U`` and ``H`` as 2x2 complex arrays; not public API (:func:`build_coins`)."""
 
     u: np.ndarray
     h: np.ndarray
@@ -154,7 +151,9 @@ def build_coins(params: WalkParams) -> CoinSet:
     """Build the read-only coins ``U = U(theta)`` and ``H = U(theta1)``.
 
     The split parts ``P`` (top row of ``U``) and ``Q`` (bottom row) are
-    notation only: the stepping code applies the rows directly.
+    notation only: the stepping code applies the rows directly.  Not
+    public API: kept only because ``perfbench`` imports it, until ROADMAP
+    item 1(a) gives the benchmark its own references.
     """
     mats = CoinSet(_reflection(params.c, params.s), _reflection(params.c1, params.s1))
     for mat in (mats.u, mats.h):
@@ -168,7 +167,9 @@ def fourier_coin(coin: np.ndarray, k: float) -> np.ndarray:
     ``R(k) = diag(e^{ik}, e^{-ik})`` is the momentum-space shift.  One
     application advances the transformed state by one time step, so the
     momentum-space evolution is a pointwise 2x2 multiplication.  Unitary
-    whenever ``coin`` is.
+    whenever ``coin`` is.  Not public API: kept only because ``perfbench``
+    imports it, until ROADMAP item 1(a) gives the benchmark its own
+    references.
     """
     shift = np.diag([np.exp(1j * k), np.exp(-1j * k)])
     return shift @ np.asarray(coin, dtype=np.complex128)

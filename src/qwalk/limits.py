@@ -38,8 +38,6 @@ __all__ = [
     "LimitDensity",
     "delta_mass",
     "theorem1_limit",
-    "limit_mass_total",
-    "limit_masses",
 ]
 
 #: Highest moment order :meth:`LimitDensity.moment` evaluates.  The
@@ -113,7 +111,9 @@ def limit_mass_total(params: WalkParams, parity: str) -> float:
     ``x + 2`` share the fixed ratio ``q**4 < 1``, so the tail is a
     geometric series and the sum has a closed form, with
     ``1 - q**2 = 2|s|/(1 + |s|)`` taken exactly.  The result equals
-    :func:`delta_mass` for every parameter set.
+    :func:`delta_mass` for every parameter set.  Not public API: kept
+    only because ``perfbench`` imports it, until ROADMAP item 1(a) gives
+    the benchmark its own references.
     """
     sa = abs(params.s)
     q2 = (abs(params.c) / (1.0 + sa)) ** 2
@@ -124,7 +124,11 @@ def limit_mass_total(params: WalkParams, parity: str) -> float:
 
 
 def limit_masses(params: WalkParams, parity: str, xmax: int) -> np.ndarray:
-    """Read-only point masses at the positions ``-xmax..xmax``, in order."""
+    """Read-only point masses at the positions ``-xmax..xmax``, in order.
+
+    Not public API: kept only because ``perfbench`` traces it, until
+    ROADMAP item 1(a) retargets its tracer.
+    """
     if xmax < 0:
         raise ValueError(f"xmax must be non-negative, got {xmax}")
     masses = theorem1_limit(params, np.arange(-xmax, xmax + 1), parity)

@@ -69,7 +69,6 @@ __all__ = [
     "wavenumber_grid",
     "spectral_evolve",
     "Propagator",
-    "asymptotic_amplitude",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -424,7 +423,9 @@ def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
     equals the stationary point mass at ``x``.  ``1 - |s|`` is taken as
     ``m = c^2 p`` with ``p = 1/(1 + |s|)``, and the geometric factor as
     powers of ``q = |c| p``, so nothing cancels or divides by ``c`` near
-    ``theta = pi/2``.
+    ``theta = pi/2``.  Not public API: kept only because ``perfbench``
+    imports it, until ROADMAP item 1(a) gives the benchmark its own
+    references.
     """
     offset = parity_offset(parity)
     c, s = params.c, params.s

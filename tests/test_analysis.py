@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import (EDGE_THETAS, brute_force_probability, dft_rows,
                      origin_mass_even_trace, sample_params)
 from qwalk import (
-    ConvergenceTrace,
     Distribution,
     ExcludedAngleError,
     LimitDensity,
@@ -20,14 +19,13 @@ from qwalk import (
     evolve,
     initial_state,
     localized_mass,
-    mass_trace,
     moment,
     rescaled_cdf_distance,
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.analysis import mass_trace
 from qwalk.coin import parity_offset
-from qwalk.spectral import Propagator
 
 # frozen regression values for the showcase walk (theta=pi/4, theta1=0,
 # symmetric spinor); recorded from a calibration run of this code
@@ -67,16 +65,6 @@ def assert_sweep_matches_evolve(params, schedule, parity, taus, tol):
             assert abs(sweep_moment(state, r) - moment(dist, r)) <= tol
 
 
-def test_trace_container_validation():
-    ConvergenceTrace(taus=(1, 2, 5), observable="mass", values=(0.1, 0.2, 0.3))
-    with pytest.raises(ValueError):
-        ConvergenceTrace(taus=(1, 2), observable="mass", values=(0.1,))
-    with pytest.raises(ValueError):
-        ConvergenceTrace(taus=(2, 2), observable="mass", values=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        ConvergenceTrace(taus=(3, 1), observable="mass", values=(0.1, 0.2))
-
-
 def test_mass_trace_matches_independent_simulation(example_params):
     taus = (0, 1, 3)
     for parity, offset in (("odd", 1), ("even", 2)):
@@ -104,23 +92,6 @@ def test_mass_trace_of_usual_walk_decays(hadamard_params):
     trace = mass_trace(hadamard_params, 0, "even", (5, 25, 125))
     assert trace.values[0] > trace.values[1] > trace.values[2]
     assert trace.values[2] < 5e-3
-
-
-def test_mass_trace_checks_order_before_propagating(example_params, monkeypatch):
-    calls = []
-    state = Propagator.state
-
-    def counting_state(self, *args):
-        calls.append(args)
-        return state(self, *args)
-
-    monkeypatch.setattr(Propagator, "state", counting_state)
-    for taus in ((200, 3, 100), (4, 4)):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            mass_trace(example_params, 1, "odd", taus)
-    assert calls == []
-    mass_trace(example_params, 1, "odd", (3, 4))
-    assert len(calls) == 2
 
 
 def test_origin_mass_oscillates_but_cesaro_converges(example_params):
@@ -330,6 +301,7 @@ def test_sweep_keeps_order_and_repeats(example_params):
     assert swept[0] == swept[2]
     trace = mass_trace(example_params, 1, "odd", (0, 2, 9))
     assert swept[1] == trace.values[1] and swept[3] == trace.values[0]
+    assert mass_trace(example_params, 1, "odd", taus) == (taus, tuple(swept))
     assert list(tau_sweep(example_params, Schedule.half_time(), "odd", ())) == []
 
 

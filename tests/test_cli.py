@@ -34,13 +34,13 @@ from qwalk import (
     distribution,
     evolve,
     localized_mass,
-    mass_trace,
     moment,
     rescaled_cdf_distance,
     spectral_evolve,
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.analysis import mass_trace
 from qwalk.cli import EmptyOutput, Table, emit, main
 from qwalk.limits import MAX_MOMENT_ORDER
 

@@ -13,9 +13,8 @@ from qwalk import (
     Schedule,
     ScheduleKind,
     WalkParams,
-    build_coins,
-    fourier_coin,
 )
+from qwalk.coin import build_coins, fourier_coin
 
 
 def make_params(theta, theta1=0.0, tau=0, alpha=1.0 + 0.0j, beta=0.0j, **kw):

@@ -10,13 +10,11 @@ from oracles import EDGE_THETAS, limit_law_reference, sample_params
 from qwalk import (
     LimitDensity,
     WalkParams,
-    asymptotic_amplitude,
     delta_mass,
-    limit_mass_total,
-    limit_masses,
     theorem1_limit,
 )
-from qwalk.limits import MAX_MOMENT_ORDER
+from qwalk.limits import MAX_MOMENT_ORDER, limit_mass_total, limit_masses
+from qwalk.spectral import asymptotic_amplitude
 
 ROOT2 = math.sqrt(2.0)
 

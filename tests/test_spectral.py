@@ -14,21 +14,19 @@ from oracles import EDGE_THETAS, dft_rows, exact_fourier_amplitudes, sample_para
 from qwalk import (
     Schedule,
     WalkParams,
-    asymptotic_amplitude,
-    build_coins,
     delta_mass,
     distribution,
     eigensystem,
     evolve,
-    fourier_coin,
     Propagator,
     initial_state,
     spectral_evolve,
     tau_sweep,
     theorem1_limit,
 )
+from qwalk.coin import build_coins, fourier_coin
 import qwalk.spectral
-from qwalk.spectral import FourierState, grid_size
+from qwalk.spectral import FourierState, asymptotic_amplitude, grid_size
 
 SCHEDULES = (Schedule.usual(), Schedule.half_time(), Schedule.multi({2, 9}))
 #: At k = 0 and +-pi one branch's eigenvector entry sign*rA - c cos k
@@ -396,12 +394,12 @@ def test_reused_propagator_matches_fresh_ones_bit_for_bit(schedule):
         assert np.array_equal(got, Propagator(p, n).state(schedule, t, tau).values), (t, tau)
 
 
-def test_propagator_keeps_read_only_arrays_and_three_rows(example_params):
+def test_propagator_keeps_read_only_arrays_and_its_row_pairs(example_params):
     propagator = Propagator(example_params, grid_size(602))
     for tau in range(301):
         for offset in (1, 2):
             propagator.state(Schedule.half_time(), 2 * tau + offset, tau)
-    assert len(propagator._rows) <= 3
+    assert len(propagator._rows) == qwalk.spectral._KEPT_ROWS
     kept = [value for value in vars(propagator).values() if isinstance(value, np.ndarray)]
     kept += propagator._rows.values()
     assert kept and not any(array.flags.writeable for array in kept)
