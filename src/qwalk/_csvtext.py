@@ -286,12 +286,8 @@ def csv_text(table, meta: dict | None):
     the first block and reused by the later ones (a block of wider rows
     takes a larger one).  Each slice of at most :data:`_SLICE_BYTES`
     bytes of it is copied out and stripped of NULs (``tobytes`` and
-    ``bytes.translate``), and each such part is yielded.  Before, each
-    block allocated five buffers of its size (the block, its copy, the
-    stripped text, its ``str`` and the file's UTF-8 encoding):
-    ``simulate --t 3401`` run in a loop in one process took about 590
-    minor page faults a call, and now takes about 220, most of them from
-    the heap growing for the evolution and for the block buffer.
+    ``bytes.translate``), and each such part is yielded, so no temporary
+    is the size of a block.
     """
     lines = [f"# {k} = {_cell(v)}" for k, v in meta.items()] if meta else []
     yield ("\n".join([*lines, ",".join(table.keys)]) + "\n").encode()

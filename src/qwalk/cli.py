@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -49,6 +50,9 @@ class EmptyOutput(ValueError):
 class Table:
     """Row data held as named columns, each made a numpy array (``np.asarray``).
 
+    A column must hold integers or real floats: a bool, complex, str or
+    object column is refused, as neither writer has one text for it.
+
     In a table of walk sites, ``occupied`` (one boolean per row) marks the
     sites the walk can occupy, where ``x + t`` is even; a column may then
     hold, in order, a value for each occupied row only, and reads 0 on the
@@ -65,6 +69,9 @@ class Table:
         sites = n if occupied is None else int(np.count_nonzero(self.occupied))
         if any(len(col) not in (n, sites) for col in self.columns):
             raise ValueError("table columns differ in length")
+        for key, col in zip(self.keys, self.columns):
+            if col.dtype.kind not in "iuf":
+                raise ValueError(f"column {key!r} has dtype {col.dtype}, not integer or real float")
 
     def __len__(self) -> int:
         if self.occupied is not None:
@@ -125,6 +132,13 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" and "-0.6,0" as options, since its own test
+        # for a negative number is ^-\d+$|^-\d*\.\d+$; take a "-" followed by
+        # a digit, or by a point and a digit, for a value instead
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # Usage errors exit 1; the default ArgumentParser would exit 2,
     # which is reserved for tolerance failures here.
     def error(self, message: str):
@@ -547,6 +561,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -210,10 +210,27 @@ def test_missing_angles_exit_1(capsys):
     assert "theta1" in capsys.readouterr().err
 
 
-def test_malformed_number_exits_1():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--theta", "bogus", "--theta1", "0", "--t", "2"])
-    assert excinfo.value.code == 1
+def test_malformed_number_exits_1(capsys):
+    # "-x" is no number, so it stays an option and leaves --theta without one
+    for value in ("bogus", "-x"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--theta", value, "--theta1", "0", "--t", "2"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.startswith("usage:")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["--theta", "-1e-3", "--theta1", "0"], ["--theta=-1e-3", "--theta1", "0"]),
+    (["--theta", "0.5", "--theta1", "0", "--alpha", "-0.6,0", "--beta", "0,0.8"],
+     ["--theta", "0.5", "--theta1", "0", "--alpha=-0.6,0", "--beta=0,0.8"]),
+    (["--theta", "0.5", "--theta1", "-.25e1"], ["--theta", "0.5", "--theta1=-.25e1"]),
+])
+def test_negative_values_parse_after_a_space(spaced, joined, capsys):
+    # argparse alone takes "-1e-3" and "-0.6,0" for options
+    assert main(["simulate", *spaced, "--tau", "2", "--t", "5"]) == 0
+    out = capsys.readouterr().out
+    assert main(["simulate", *joined, "--tau", "2", "--t", "5"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -386,6 +403,15 @@ def test_unwritable_output_exits_1(fmt, tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / f"out.{fmt}"
     assert main(["simulate", *WALK, "--t", "2", "--format", fmt, "--out", str(target)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    # the handlers look emit up by name when they run
+    monkeypatch.setattr(qwalk.cli, "emit", exhausted)
+    assert main(["density", *WALK, "--points", "3", "--format", "json"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1070,6 +1096,26 @@ def test_table_validation():
     with pytest.raises(EmptyOutput):
         emit(Table(x=np.arange(0), p=np.zeros(0)), "csv", None)
     assert len(Table(x=[1, 2], p=(0.5, 0.5))) == 2
+
+
+NOT_INT_OR_REAL_FLOAT = {
+    "bool": lambda n: np.arange(n) % 2 == 0,
+    "complex": lambda n: np.full(n, 1 + 2j),
+    "str": lambda n: np.array(["a"] * n),
+    "object": lambda n: np.array([1.0] * n, dtype=object),
+}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("rows", (3, 150))  # one short column, one past MIN_ROWS
+@pytest.mark.parametrize("kind", NOT_INT_OR_REAL_FLOAT)
+def test_table_refuses_columns_that_are_not_int_or_real_float(kind, rows, fmt, capsys):
+    # a short column is formatted by Python and a long one by numpy, and the
+    # two disagree, or fail, on these dtypes
+    column = NOT_INT_OR_REAL_FLOAT[kind](rows)
+    with pytest.raises(ValueError, match=f"column 'v' has dtype {column.dtype}"):
+        emit(Table(x=np.arange(rows), v=column), fmt)
+    assert capsys.readouterr().out == ""
 
 
 def test_tracer_targets_resolve(monkeypatch, tmp_path):
