@@ -50,8 +50,9 @@ class EmptyOutput(ValueError):
 class Table:
     """Row data held as named columns, each made a numpy array (``np.asarray``).
 
-    A column must hold integers or real floats: a bool, complex, str or
-    object column is refused, as neither writer has one text for it.
+    A column must hold integers or real floats of at most 64 bits: a
+    bool, complex, str, object or long double column is refused, as
+    neither writer has one text for it.
 
     In a table of walk sites, ``occupied`` (one boolean per row) marks the
     sites the walk can occupy, where ``x + t`` is even; a column may then
@@ -70,8 +71,9 @@ class Table:
         if any(len(col) not in (n, sites) for col in self.columns):
             raise ValueError("table columns differ in length")
         for key, col in zip(self.keys, self.columns):
-            if col.dtype.kind not in "iuf":
-                raise ValueError(f"column {key!r} has dtype {col.dtype}, not integer or real float")
+            if col.dtype.kind not in "iuf" or col.dtype.itemsize > 8:
+                raise ValueError(f"column {key!r} has dtype {col.dtype}, "
+                                 "not an integer or a real float of at most 64 bits")
 
     def __len__(self) -> int:
         if self.occupied is not None:

@@ -137,7 +137,7 @@ class WalkParams:
 
 @dataclass(frozen=True, eq=False)
 class CoinSet:
-    """The coins ``U`` and ``H`` as 2x2 complex arrays; not public API (:func:`build_coins`)."""
+    """Coins ``U`` and ``H`` as 2x2 arrays, kept only for ``perfbench`` (:func:`build_coins`)."""
 
     u: np.ndarray
     h: np.ndarray

@@ -1098,21 +1098,24 @@ def test_table_validation():
     assert len(Table(x=[1, 2], p=(0.5, 0.5))) == 2
 
 
-NOT_INT_OR_REAL_FLOAT = {
+REFUSED_COLUMNS = {
     "bool": lambda n: np.arange(n) % 2 == 0,
     "complex": lambda n: np.full(n, 1 + 2j),
     "str": lambda n: np.array(["a"] * n),
     "object": lambda n: np.array([1.0] * n, dtype=object),
+    "longdouble": lambda n: np.arange(n, dtype=np.longdouble) / 7,
 }
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 @pytest.mark.parametrize("rows", (3, 150))  # one short column, one past MIN_ROWS
-@pytest.mark.parametrize("kind", NOT_INT_OR_REAL_FLOAT)
-def test_table_refuses_columns_that_are_not_int_or_real_float(kind, rows, fmt, capsys):
+@pytest.mark.parametrize("kind", REFUSED_COLUMNS)
+def test_table_refuses_columns_it_cannot_print(kind, rows, fmt, capsys):
     # a short column is formatted by Python and a long one by numpy, and the
     # two disagree, or fail, on these dtypes
-    column = NOT_INT_OR_REAL_FLOAT[kind](rows)
+    column = REFUSED_COLUMNS[kind](rows)
+    if column.dtype.itemsize == 8 and kind == "longdouble":
+        pytest.skip("long double is float64 on this platform")
     with pytest.raises(ValueError, match=f"column 'v' has dtype {column.dtype}"):
         emit(Table(x=np.arange(rows), v=column), fmt)
     assert capsys.readouterr().out == ""
