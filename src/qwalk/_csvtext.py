@@ -41,13 +41,6 @@ BLOCK_ROWS = _BLOCK_BYTES // 32
 #: the copies of a whole ``simulate`` block (about 500 KB) were mapped and
 #: faulted in afresh on every block.
 _SLICE_BYTES = 64 * 1024
-#: Fewest values of a column that :func:`float_slots` or :func:`int_slots`
-#: formats; a shorter column is formatted by Python, the same text.  A
-#: float call costs about 90-140 us whatever its length, and Python about
-#: 0.6 us a value near 1 and 2 us a value like 1e-200, so the break-even
-#: lies near 130 values of the first kind and 70 of the second.
-MIN_ROWS = 100
-
 #: Decimal exponents ``k`` of the ``10**k`` table of :func:`_float_tables`.
 #: A float is formatted by the table when ``1e-290 < |v| < 1e290``, which
 #: needs ``k = 16 - e`` for exponents ``e`` from -291 to 290.
@@ -258,69 +251,43 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _cell(value) -> str:
-    """The text of one Python value: ``'%.17g'`` of a float, ``str`` of the rest."""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-def _python_slots(col: np.ndarray) -> np.ndarray:
-    """The cells of a short column, formatted by Python, as slots as wide as the longest."""
-    texts = np.array([_cell(v) for v in col.tolist()], dtype="S")
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-
-
 def csv_text(table, meta: dict | None):
     """The CSV text of a :class:`qwalk.cli.Table`, in parts of UTF-8 bytes.
 
     The first part is a ``# key = value`` line per ``meta`` entry and the
-    header; the rows follow a block of up to :data:`BLOCK_ROWS` rows at a
-    time, with LF newlines.  A column shorter than :data:`MIN_ROWS` is
-    formatted by Python (:func:`_cell`), a longer one by
-    :func:`float_slots` or :func:`int_slots` according to its dtype, and
-    the cells are joined into rows as slots.  A column that holds the
-    table's occupied rows only is formatted on those rows: it starts as a
-    ``0`` slot on every row of the block, and the occupied rows' cells
-    overwrite it.
+    header; the rows follow a block of :data:`BLOCK_ROWS` at a time
+    (``table.blocks``), with LF newlines, each column formatted by
+    :func:`float_slots` or :func:`int_slots` by its dtype and the cells
+    joined into rows as slots.  A column of occupied rows only starts as a
+    ``0`` slot on every row of the block, and its cells overwrite it.
 
-    Memory: the slots of a block are joined in one buffer, allocated on
-    the first block and reused by the later ones (a block of wider rows
-    takes a larger one).  Each slice of at most :data:`_SLICE_BYTES`
-    bytes of it is copied out and stripped of NULs (``tobytes`` and
-    ``bytes.translate``), and each such part is yielded, so no temporary
-    is the size of a block.
+    Memory: the slots of a block are joined in one buffer, reused by later
+    blocks (a block of wider rows takes a larger one); each slice of at
+    most :data:`_SLICE_BYTES` of it is copied out, stripped of NULs and
+    yielded, so no temporary is the size of a block.
     """
-    lines = [f"# {k} = {_cell(v)}" for k, v in meta.items()] if meta else []
+    lines = [f"# {k} = {v:.17g}" if isinstance(v, float) else f"# {k} = {v}"
+             for k, v in meta.items()] if meta else []
     yield ("\n".join([*lines, ",".join(table.keys)]) + "\n").encode()
-    n, occupied = len(table), table.occupied
-    formats = [_python_slots if len(col) < MIN_ROWS
-               else float_slots if col.dtype.kind == "f" else int_slots
-               for col in table.columns]
-    sparse = [len(col) < n for col in table.columns]  # columns of occupied rows
-    seps = [ord(",")] * (len(formats) - 1) + [ord("\n")]
-    first = 0  # occupied rows before the block
     buffer = np.empty(0, np.uint8)
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        if any(sparse):  # the block's occupied rows and their values
-            on = np.flatnonzero(occupied[lo:hi])
-            sites = slice(first, first + len(on))
-            first += len(on)
-        parts = [fmt(col[sites] if is_sparse else col[lo:hi])
-                 for fmt, col, is_sparse in zip(formats, table.columns, sparse)]
+    for n, on, columns in table.blocks(BLOCK_ROWS):
+        parts = [float_slots(col) if col.dtype.kind == "f" else int_slots(col)
+                 for col in columns]
+        seps = [ord(",")] * (len(parts) - 1) + [ord("\n")]
         starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
         width = starts[-1]
-        if len(buffer) < (hi - lo) * width:
-            buffer = np.empty((hi - lo) * width, np.uint8)
+        if len(buffer) < n * width:
+            buffer = np.empty(n * width, np.uint8)
         # reused as it is: every byte of the block is written below
-        block = buffer[:(hi - lo) * width].reshape(hi - lo, width)
-        zeros = [at for at, is_sparse in zip(starts, sparse) if is_sparse]
+        block = buffer[:n * width].reshape(n, width)
+        zeros = [at for at, part in zip(starts, parts) if len(part) < n]
         if zeros:  # a 0 slot on every row of each column of occupied rows
             unoccupied = np.zeros(width, np.uint8)
             unoccupied[zeros] = ord("0")
             block[:, zeros[0]:] = unoccupied[zeros[0]:]
-        for part, at, sep, is_sparse in zip(parts, starts, seps, sparse):
-            block[on if is_sparse else slice(None), at:at + part.shape[1]] = part
+        for part, at, sep in zip(parts, starts, seps):
+            block[on if len(part) < n else slice(None), at:at + part.shape[1]] = part
             block[:, at + part.shape[1]] = sep
         step = max(1, _SLICE_BYTES // width)
-        for r in range(0, hi - lo, step):
+        for r in range(0, n, step):
             yield block[r:r + step].tobytes().translate(None, b"\0")

@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 import re
+import stat
 import sys
 from typing import Callable, Sequence
 
@@ -57,9 +58,8 @@ class Table:
     In a table of walk sites, ``occupied`` (one boolean per row) marks the
     sites the walk can occupy, where ``x + t`` is even; a column may then
     hold, in order, a value for each occupied row only, and reads 0 on the
-    other rows.  Rows as Python objects are built only for JSON output;
-    CSV text is made one column at a time over blocks of rows
-    (:func:`qwalk._csvtext.csv_text`).
+    other rows.  Both writers read the table through :meth:`blocks`, a
+    block of rows at a time, and never hold a copy of the whole of it.
     """
 
     def __init__(self, occupied: np.ndarray | None = None, **columns) -> None:
@@ -80,15 +80,46 @@ class Table:
             return len(self.occupied)
         return len(self.columns[0]) if self.columns else 0
 
-    def rows(self) -> list[dict]:
-        """One dict of Python numbers per row; a column of occupied rows reads 0 elsewhere."""
-        def values(col):
-            if len(col) < len(self):
-                dense = np.zeros(len(self), col.dtype)
-                dense[self.occupied] = col
-                col = dense
-            return col.tolist()
-        return [dict(zip(self.keys, row)) for row in zip(*map(values, self.columns))]
+    def blocks(self, size: int):
+        """Per block of up to ``size`` rows: its row count, the offsets of its
+        occupied rows (None without ``occupied``) and each column's slice, which
+        holds the occupied rows only (the others read 0) if shorter than the block."""
+        n, first = len(self), 0  # first: occupied rows before the block
+        for lo in range(0, n, size):
+            hi = min(lo + size, n)
+            on = None if self.occupied is None else np.flatnonzero(self.occupied[lo:hi])
+            sites = slice(first, first + (0 if on is None else len(on)))
+            first = sites.stop
+            yield hi - lo, on, [col[sites] if len(col) < n else col[lo:hi]
+                                for col in self.columns]
+
+
+#: Rows of a table that JSON output holds as Python objects at once.
+JSON_BLOCK_ROWS = 2048
+
+
+def _json_text(table: Table, meta: dict | None):
+    """The JSON text of a table (see :func:`emit`), in parts of UTF-8 bytes.
+
+    The text of the payload with one row, ``0``, is cut around that 0 (the
+    last one: only brackets follow it), and the rows go between, a block at
+    a time as ``json.dumps`` lays out a list, brackets off, indented as the 0.
+    """
+    # the text before the 0 leads the first block, and a comma and a
+    # newline indented as the 0 lead each later one
+    sep, _, tail = json.dumps({**meta, "rows": [0]} if meta else [0], indent=2).rpartition("0")
+    newline = sep[sep.rindex("\n"):]
+    for n, on, parts in table.blocks(JSON_BLOCK_ROWS):
+        values = []
+        for part in parts:
+            if len(part) < n:  # the occupied rows only: 0 on the others
+                part, sites = np.zeros(n, part.dtype), part
+                part[on] = sites
+            values.append(part.tolist())
+        body = json.dumps([dict(zip(table.keys, row)) for row in zip(*values)], indent=2)
+        yield (sep + body[4:-2].replace("\n  ", newline)).encode()
+        sep = "," + newline
+    yield (tail + "\n").encode()
 
 
 def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
@@ -98,13 +129,18 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
     CSV output has a header row and LF newlines; a float prints as C's
     ``%.17g`` (17 significant digits, round-trip exact), an integer in
     decimal, and ``meta`` entries become leading ``# key = value`` comment
-    lines.  The text comes from :func:`qwalk._csvtext.csv_text` as UTF-8
-    bytes, a slice of a block of rows at a time.  JSON output round-trips
-    floats exactly as well; for a table it is a list of row objects, which
-    ``meta`` wraps in an object, and ``meta`` is merged in front of a flat
-    object.  A file (``path``) is opened in binary mode and takes the
-    bytes as they are, with no text layer to decode and encode them again;
-    stdout, a text stream that callers may replace, takes their text.
+    lines (:func:`qwalk._csvtext.csv_text`).  JSON output is
+    ``json.dumps(payload, indent=2)`` and a newline: for a table a list of
+    row objects, which ``meta`` wraps in an object (:func:`_json_text`),
+    and ``meta`` merged in front of a flat object.  A table's text is made
+    a block of rows at a time, in memory that does not grow with the table.
+
+    The text is UTF-8 bytes: stdout, a text stream that callers may
+    replace, takes it decoded, and a file (``path``) as it is.  A regular
+    file, or a new one, is written under a temporary name beside it and
+    renamed over ``path`` when whole, so a failed write leaves no file, or
+    the earlier one as it was; any other file, such as ``/dev/null``, is
+    written in place.
     """
     if not data:
         raise EmptyOutput("refusing to emit an empty table")
@@ -117,20 +153,45 @@ def emit(data: Table | dict, fmt: str = "csv", path: str | None = None,
         parts = csv_text(data, meta)
     elif fmt == "json":
         if isinstance(data, Table):
-            payload = {**meta, "rows": data.rows()} if meta else data.rows()
+            parts = _json_text(data, meta)
         else:
-            payload = {**meta, **data} if meta else data
-        parts = [(json.dumps(payload, indent=2) + "\n").encode()]
+            parts = [(json.dumps({**meta, **data} if meta else data, indent=2) + "\n").encode()]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is None:
         sys.stdout.writelines(part.decode() for part in parts)
         return
     try:
+        _write(path, parts)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: str, parts) -> None:
+    """Write ``parts`` to ``path``: whole or, for a regular file, not at all."""
+    try:
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):  # written through, as open() does
+            path = os.path.realpath(path)
+            mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as fh:
             fh.writelines(parts)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        return
+    temp = f"{path}.{os.urandom(4).hex()}.tmp"
+    # 0o666 less the umask, as open() gives a new file
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None and mode != os.fstat(fd).st_mode:  # an old file's mode
+                os.chmod(fd, stat.S_IMODE(mode))
+            fh.writelines(parts)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,6 +269,10 @@ def _add_walk_arguments(parser: argparse.ArgumentParser, with_tau: bool = True) 
     group.add_argument("--config", help="JSON file with walk parameters")
 
 
+_SPINOR_KEYS = ("alpha_re", "alpha_im", "beta_re", "beta_im")
+_CONFIG_KEYS = ("theta", "theta1", "tau", *_SPINOR_KEYS, "schedule", "swap_steps")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -218,6 +283,10 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"malformed config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config {path} has unknown key {key!r}; "
+                             f"known keys: {', '.join(_CONFIG_KEYS)}")
     return cfg
 
 
@@ -242,10 +311,9 @@ def _resolve_walk(args) -> tuple[WalkParams, Schedule]:
         if args.alpha is None or args.beta is None:
             raise ValueError("--alpha and --beta must be given together")
         alpha, beta = args.alpha, args.beta
-    elif "alpha_re" in cfg or "beta_re" in cfg:
-        keys = ("alpha_re", "alpha_im", "beta_re", "beta_im")
-        parts = [cfg.get(key, 0.0) for key in keys]
-        for key, value in zip(keys, parts):
+    elif any(key in cfg for key in _SPINOR_KEYS):
+        parts = [cfg.get(key, 0.0) for key in _SPINOR_KEYS]
+        for key, value in zip(_SPINOR_KEYS, parts):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"config {key} must be a real number, got {value!r}")
         alpha, beta = complex(*parts[:2]), complex(*parts[2:])
@@ -346,7 +414,8 @@ def _cmd_limits(args) -> int:
     if args.xmax < 0:
         raise ValueError(f"--xmax must be non-negative, got {args.xmax}")
     _check_rows(2 * args.xmax + 1, "--xmax")
-    params, _ = _resolve_walk(args)
+    params, schedule = _resolve_walk(args)
+    _require_half_time(schedule, "limits")
     xs = np.arange(-args.xmax, args.xmax + 1)
     # the masses are 0 off the parity track, where x + offset is odd
     occupied = (xs + parity_offset(args.parity)) % 2 == 0
@@ -366,7 +435,8 @@ def _density_table(params: WalkParams, points: int):
 
 def _cmd_density(args) -> int:
     _check_rows(args.points, "--points")
-    params, _ = _resolve_walk(args)
+    params, schedule = _resolve_walk(args)
+    _require_half_time(schedule, "density")
     table, meta = _density_table(params, args.points)
     emit(table, args.format, args.out, meta=meta)
     return 0
@@ -480,12 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, help_text: str, walk: bool = True,
             with_tau: bool = True, formats=("csv", "json")) -> argparse.ArgumentParser:
-        # the first of ``formats`` is the default
+        # the first of ``formats`` is the default; none: the command writes no output file
         p = sub.add_parser(name, help=help_text)
         if walk:
             _add_walk_arguments(p, with_tau=with_tau)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=formats, default=formats[0])
+        if formats:
+            p.add_argument("--out", help="output path (default: stdout)")
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=handler)
         return p
 
@@ -495,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit one file per listed time")
 
     p = add("spectral-check", _cmd_spectral_check,
-            "compare position-space and Fourier-space evolutions")
+            "compare position-space and Fourier-space evolutions", formats=())
     p.add_argument("--t", type=int, required=True, help="final time")
     p.add_argument("--n-grid", type=int, default=None,
                    help="points on the half-circle wavenumber grid, at least t+1 "

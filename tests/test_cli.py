@@ -5,6 +5,7 @@ import filecmp
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -357,6 +358,13 @@ def test_config_file_roundtrip(tmp_path):
     assert main(["simulate", *WALK, "--tau", "3", "--preset", "up", "--t", "8",
                  "--out", str(b)]) == 0
     assert filecmp.cmp(a, b, shallow=False)
+    # any of the four spinor keys makes the config supply the spinor; the rest read 0
+    cfg.write_text(json.dumps({"theta": 0.7, "theta1": 2.1, "tau": 5,
+                               "alpha_im": 1.0, "beta_im": 0.0}))
+    assert main(["simulate", "--config", str(cfg), "--t", "12", "--out", str(a)]) == 0
+    assert main(["simulate", *PINNED_W, "--tau", "5", "--alpha=0,1", "--beta=0,0",
+                 "--t", "12", "--out", str(b)]) == 0
+    assert filecmp.cmp(a, b, shallow=False)
 
 
 def test_flags_override_config(tmp_path):
@@ -391,7 +399,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for entries, message in (({"alpha_re": "1"}, "alpha_re must be a real number"),
                              ({"schedule": "multi", "swap_steps": 5}, "swap steps"),
                              ({"theta": True}, "theta must be finite and real"),
-                             ({"theta": "0.3"}, "theta must be finite and real")):
+                             ({"theta": "0.3"}, "theta must be finite and real"),
+                             ({"shedule": "usual"}, "unknown key 'shedule'"),
+                             ({"alpha": [1, 0]}, "unknown key 'alpha'")):
         cfg = tmp_path / "typed.json"
         cfg.write_text(json.dumps({"theta": 0.3, "theta1": 0.9, **entries}))
         assert main(["simulate", "--config", str(cfg), "--t", "2"]) == 1
@@ -403,6 +413,52 @@ def test_unwritable_output_exits_1(fmt, tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / f"out.{fmt}"
     assert main(["simulate", *WALK, "--t", "2", "--format", fmt, "--out", str(target)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("error", (MemoryError, OSError))
+def test_failed_writes_leave_no_partial_file(error, fmt, tmp_path, monkeypatch, capsys):
+    # the writer fails after its first part: a new path stays absent, an
+    # earlier file keeps its bytes, and no temporary file is left behind
+    def failing(table, meta):
+        yield b"x,prob\n"
+        raise error("disk full")
+    if fmt == "csv":
+        monkeypatch.setattr(qwalk._csvtext, "csv_text", failing)
+    else:
+        monkeypatch.setattr(qwalk.cli, "_json_text", failing)
+    old, new = tmp_path / "old.out", tmp_path / "new.out"
+    old.write_bytes(b"earlier\n")
+    for path in (old, new):
+        assert main(["simulate", *WALK, "--t", "4", "--format", fmt, "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: out of memory\n" if error is MemoryError
+                       else f"error: cannot write {path}: disk full\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
+    assert old.read_bytes() == b"earlier\n"
+
+
+def test_out_files_are_replaced_whole(tmp_path, capsys):
+    # a new file gets the mode open() gives, an earlier one keeps its mode,
+    # a link is written through, and /dev/null is written in place
+    argv = ["simulate", *WALK, "--t", "4", "--out"]
+    assert main([*argv[:-1]]) == 0
+    text = capsys.readouterr().out.encode()
+    (tmp_path / "ref").write_bytes(b"")
+    old, new, link = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "link.csv"
+    old.write_bytes(b"earlier\n")
+    old.chmod(0o640)
+    link.symlink_to(old)
+    for path in (old, new, link):
+        assert main([*argv, str(path)]) == 0
+        assert path.read_bytes() == text
+    assert link.is_symlink()
+    assert old.stat().st_mode & 0o7777 == 0o640
+    assert new.stat().st_mode == (tmp_path / "ref").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv", "ref"]
+    assert main([*argv, os.devnull]) == 0
+    assert main([*argv[:-1], "--format", "json", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_out_of_memory_is_an_error(monkeypatch, capsys):
@@ -433,12 +489,21 @@ def test_out_file_holds_the_stdout_text(argv, tmp_path, capsys):
     assert path.read_bytes() == text.encode("utf-8")
 
 
-def test_spectral_check_exit_codes(capsys):
+def test_spectral_check_exit_codes(tmp_path, capsys):
     assert main(["spectral-check", "--theta", "0.3", "--theta1", "1.1",
                  "--tau", "7", "--t", "30"]) == 0
     assert "max entrywise deviation" in capsys.readouterr().out
     assert main(["spectral-check", *WALK, "--tau", "3", "--t", "20",
                  "--tol", "1e-30"]) == 2
+    capsys.readouterr()
+    # it prints one line and writes no file: output flags are usage errors
+    out = tmp_path / "sc.txt"
+    for flags in (["--out", str(out)], ["--format", "json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spectral-check", *PINNED_W, "--tau", "5", "--t", "11", *flags])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectral_check_grid_holds_t_plus_1_points(monkeypatch, capsys):
@@ -714,6 +779,10 @@ def test_limit_law_commands_need_half_time(schedule, capsys):
     assert "half-time" in capsys.readouterr().err
     assert main(["trace", *flags, "--observable", "ks", "--taus", "20"]) == 1
     assert "half-time" in capsys.readouterr().err
+    for argv in (["limits", *flags, "--parity", "odd"], ["density", *flags]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {argv[0]} needs --schedule half-time: "
+                                           "the limit law exists only for the half-time walk\n")
     assert main(["trace", *flags, "--observable", "mass", "--x", "1", "--taus", "2"]) == 0
 
 
@@ -826,6 +895,20 @@ def row_formatter_text(rows, fmt, meta=None):
     return "\n".join(lines) + "\n"
 
 
+def edge_columns(n: int) -> dict:
+    """Columns of ``n`` rows of each kind a table takes: nan, +-inf, +-0,
+    subnormals and int64 extremes, then random bit patterns."""
+    rng = np.random.default_rng(n)
+    floats = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308]
+    bits = rng.integers(0, 2 ** 64, size=(3, n), dtype=np.uint64)
+    bits[:, :len(floats)] = np.array(floats).view(np.uint64)
+    ints = rng.integers(-2 ** 63, 2 ** 63, size=n, dtype=np.int64)
+    ints[:3] = (-2 ** 63, 2 ** 63 - 1, 0)
+    v, re, im = bits.view(np.float64)
+    return {"x": ints, "v": v, "re": re, "im": im, "u": (np.arange(n) % 256).astype(np.uint8),
+            "tuple": tuple(rng.standard_normal(n).tolist())}
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 @pytest.mark.parametrize("meta", (None, {"delta_mass": 0.1, "observable": "ks", "n": 3}))
 def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
@@ -834,26 +917,33 @@ def test_emit_table_matches_row_formatter(fmt, meta, tmp_path, capsys):
     amps = np.array([1 + 2j, -0.0 - 0.0j, 5e-324j, 0.1, -1e300j])
     columns = {"x": ints, "v": floats, "re": amps.real, "im": amps.imag,
                "u": np.arange(5, dtype=np.uint8), "tuple": (0.5, -0.0, 2.0, 1e-300, 7.0)}
-    table = Table(**columns)
-    rows = [dict(zip(columns, row)) for row in zip(
-        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
-    expected = row_formatter_text(rows, fmt, meta)
+    # these 5 rows alone, and after edge rows to one row short of, exactly
+    # at and one row past a JSON block
+    tables = [columns] + [
+        {key: np.concatenate([head, col]) if isinstance(col, np.ndarray) else head + col
+         for (key, head), col in zip(edge_columns(n - 5).items(), columns.values())}
+        for n in range(qwalk.cli.JSON_BLOCK_ROWS - 1, qwalk.cli.JSON_BLOCK_ROWS + 2)]
     path = tmp_path / "out"
-    emit(table, fmt, str(path), meta)
-    assert path.read_text() == expected
-    emit(table, fmt, None, meta)
-    assert capsys.readouterr().out == expected
-    if fmt == "csv":
-        assert [line.split(",")[1] for line in expected.splitlines()[-5:]] == [
-            "-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000000000001",
-            "0.33333333333333331"]
+    for columns in tables:
+        table = Table(**columns)
+        rows = [dict(zip(columns, row)) for row in zip(
+            *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
+        expected = row_formatter_text(rows, fmt, meta)
+        emit(table, fmt, str(path), meta)
+        assert path.read_text() == expected
+        emit(table, fmt, None, meta)
+        assert capsys.readouterr().out == expected
+        if fmt == "csv":
+            assert [line.split(",")[1] for line in expected.splitlines()[-5:]] == [
+                "-0", "4.9406564584124654e-324", "1.0000000000000001e+300",
+                "0.10000000000000001", "0.33333333333333331"]
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 @pytest.mark.parametrize("column", (
     [0.5, -0.0, 2, 1e-300, 7],  # ints among floats: 2.0 and 7.0 in JSON
     (3, -1, 2 ** 40),
-    np.linspace(-1.0, 1.0, qwalk._csvtext.MIN_ROWS + 1).tolist(),
+    np.linspace(-1.0, 1.0, 101).tolist(),
 ), ids=("mixed", "int-tuple", "long-float-list"))
 def test_sequence_columns_emit_as_their_arrays(fmt, column, capsys):
     # Table makes every column an array, so a Python sequence prints as np.asarray of it
@@ -960,20 +1050,21 @@ def dense_rows(table_columns, occupied):
 def test_csv_sublattice_blocks_join_exactly(extra, t, tmp_path):
     # rows x = -1536.., occupied where x + t is even: the first row is
     # occupied for t even and not for t odd (t None: rows occupied at
-    # random); one row short of, exactly at and one row past a block
-    n = qwalk._csvtext.BLOCK_ROWS + extra
-    xs = np.arange(-1536, n - 1536)
-    rng = np.random.default_rng(n + (t or 0))
-    occupied = rng.random(n) < 0.5 if t is None else (xs + t) % 2 == 0
-    sites = int(occupied.sum())
-    columns = {"x": xs, "v": rng.integers(0, 2 ** 64, size=sites, dtype=np.uint64).view(np.float64),
-               "w": rng.standard_normal(sites)}
-    table = Table(occupied=occupied, **columns)
-    rows = dense_rows(columns, occupied)
-    for fmt in ("csv", "json"):
-        path = tmp_path / f"t.{fmt}"
-        emit(table, fmt, str(path), meta={"n": n})
-        assert path.read_text() == row_formatter_text(rows, fmt, {"n": n})
+    # random); one row short of, exactly at and one row past a block of
+    # the CSV writer and one of the JSON writer, with meta and without
+    for n in (qwalk._csvtext.BLOCK_ROWS + extra, qwalk.cli.JSON_BLOCK_ROWS + extra):
+        xs = np.arange(-1536, n - 1536)
+        rng = np.random.default_rng(n + (t or 0))
+        occupied = rng.random(n) < 0.5 if t is None else (xs + t) % 2 == 0
+        edges = edge_columns(int(occupied.sum()))
+        columns = {"x": xs, "v": edges["v"], "w": rng.standard_normal(len(edges["v"])),
+                   "i": edges["x"]}
+        table = Table(occupied=occupied, **columns)
+        rows = dense_rows(columns, occupied)
+        for fmt, meta in itertools.product(("csv", "json"), ({"n": n}, None)):
+            path = tmp_path / f"t.{fmt}"
+            emit(table, fmt, str(path), meta=meta)
+            assert path.read_text() == row_formatter_text(rows, fmt, meta)
 
 
 @pytest.mark.parametrize("t", (1535, 1536))  # 2t + 1 rows: one short of and one past a block
@@ -1022,18 +1113,22 @@ def test_json_unoccupied_rows_read_float_zero(argv, t, capsys):
 @pytest.mark.parametrize("extra", (-1, 0, 1))
 @pytest.mark.parametrize("dtype", (np.float64, np.int64))
 def test_short_columns_print_alike(dtype, extra, monkeypatch):
-    # a column shorter than MIN_ROWS is formatted by Python, a longer one
-    # by numpy: the text is the same on either side
-    n = qwalk._csvtext.MIN_ROWS + extra
-    rng = np.random.default_rng(n)
-    column = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(dtype)
-    calls = []
-    for name in ("float_slots", "int_slots"):
-        slots = getattr(qwalk._csvtext, name)
-        monkeypatch.setattr(qwalk._csvtext, name,
-                            lambda a, slots=slots: calls.append(len(a)) or slots(a))
-    assert emitted_cells(column) == expected_cells(column)
-    assert calls == ([n] if extra >= 0 else [])
+    # every column, however short, goes through the slot formatter of its
+    # dtype, once, and prints as '%.17g' % v or str(i): 1-3 and 99-101 rows
+    for n in (2 + extra, 100 + extra):
+        for column_type in (dtype, np.float32 if dtype == np.float64 else np.uint8):
+            rng = np.random.default_rng(n)
+            column = rng.integers(0, 256, size=n * np.dtype(column_type).itemsize,
+                                  dtype=np.uint8).view(column_type)
+            calls = []
+            for name in ("float_slots", "int_slots"):
+                slots = getattr(qwalk._csvtext, name)
+                monkeypatch.setattr(qwalk._csvtext, name,
+                                    lambda a, slots=slots, name=name: calls.append((name, len(a)))
+                                    or slots(a))
+            assert emitted_cells(column) == expected_cells(column)
+            assert calls == [("float_slots" if column.dtype.kind == "f" else "int_slots", n)]
+            monkeypatch.undo()
 
 
 def test_csv_writer_memory_is_bounded(tmp_path):
@@ -1052,6 +1147,23 @@ def test_csv_writer_memory_is_bounded(tmp_path):
     path.unlink()
     assert size > 80 * 10 ** 6
     assert peak < size / 10, (peak, size)
+
+
+def test_json_writer_memory_is_bounded(tmp_path):
+    # the JSON writer holds one block of rows as Python objects, not a
+    # dict per row of the table (80 MB traced here when it did; 1.8 MB now)
+    xs = np.arange(10 ** 5)
+    occupied = xs % 2 == 0
+    table = Table(occupied=occupied, x=xs, prob=np.linspace(0.0, 1.0, 10 ** 5 // 2))
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        emit(table, "json", str(path), meta={"delta_mass": 0.5})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(path.read_text())["rows"][-2] == {"x": 10 ** 5 - 2, "prob": 1.0}
+    assert peak < 16 * 10 ** 6, peak
 
 
 @pytest.mark.parametrize("command, flag, at_cap", [
@@ -1108,11 +1220,10 @@ REFUSED_COLUMNS = {
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
-@pytest.mark.parametrize("rows", (3, 150))  # one short column, one past MIN_ROWS
+@pytest.mark.parametrize("rows", (3, 150))
 @pytest.mark.parametrize("kind", REFUSED_COLUMNS)
 def test_table_refuses_columns_it_cannot_print(kind, rows, fmt, capsys):
-    # a short column is formatted by Python and a long one by numpy, and the
-    # two disagree, or fail, on these dtypes
+    # Python and numpy disagree, or fail, on the text of these dtypes
     column = REFUSED_COLUMNS[kind](rows)
     if column.dtype.itemsize == 8 and kind == "longdouble":
         pytest.skip("long double is float64 on this platform")
