@@ -180,6 +180,8 @@ def _write(path: str, parts) -> None:
         with open(path, "wb") as fh:
             fh.writelines(parts)
         return
+    if mode is not None:  # a file its user may not write fails, as open() would
+        os.close(os.open(path, os.O_WRONLY))
     temp = f"{path}.{os.urandom(4).hex()}.tmp"
     # 0o666 less the umask, as open() gives a new file
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

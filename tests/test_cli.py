@@ -461,6 +461,43 @@ def test_out_files_are_replaced_whole(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_read_only_out_file_is_refused(tmp_path, capsys):
+    # a file its user may not write is refused, as open(path, "wb") refuses
+    # it, and keeps its bytes and mode.  root may write any file, so the
+    # command runs in a child process, which under root becomes nobody (and
+    # may not read the modules a first run imports: it runs here first)
+    argv = ["simulate", *WALK, "--t", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"earlier\n")
+    old.chmod(0o444)
+    tmp_path.chmod(0o777)  # the child may create a temporary beside it
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            os.close(read)
+            os.chdir(tmp_path)
+            if os.geteuid() == 0:
+                os.setgid(65534)
+                os.setuid(65534)
+            sys.stderr = io.StringIO()
+            code = main([*argv, "--out", old.name])
+            os.write(write, sys.stderr.getvalue().encode())
+        finally:
+            os._exit(code)
+    os.close(write)
+    with open(read, "rb") as fh:
+        err = fh.read().decode()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+    assert err == "error: cannot write old.csv: Permission denied\n"
+    assert old.read_bytes() == b"earlier\n"
+    assert old.stat().st_mode & 0o7777 == 0o444
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
 def test_out_of_memory_is_an_error(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
