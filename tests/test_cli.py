@@ -461,6 +461,7 @@ def test_out_files_are_replaced_whole(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_read_only_out_file_is_refused(tmp_path, capsys):
     # a file its user may not write is refused, as open(path, "wb") refuses
     # it, and keeps its bytes and mode.  root may write any file, so the
