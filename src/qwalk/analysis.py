@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .coin import Schedule, WalkParams, parity_offset
+from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import Distribution, check_time
 from .limits import LimitDensity
 from .spectral import FourierState, Propagator, grid_size
@@ -58,10 +58,11 @@ def tau_sweep(
     ``params.tau`` is replaced by each entry of ``taus``, in the given
     order (repeats allowed), and each state carries its own ``time``.  One
     :class:`qwalk.spectral.Propagator`, whose grid is sized for the largest
-    ``t``, serves every tau, and each state comes straight from it, so an
-    extra tau costs O(n) on that grid.  The arguments are checked at once;
-    the states are computed one at a time as they are iterated, so memory
-    stays O(n).
+    ``t`` (so a tau's last digits can depend on it), serves every tau at
+    O(n) each: :meth:`~qwalk.spectral.Propagator.sweep` on the half-time
+    schedule, :meth:`~qwalk.spectral.Propagator.state` on the others.  The
+    arguments are checked at once; the states are computed one at a time
+    as they are iterated, so memory stays O(n).
 
     Raises
     ------
@@ -76,6 +77,8 @@ def tau_sweep(
     t_max = 2 * max(taus) + offset if taus else 0
     check_time(t_max)
     propagator = Propagator(params, grid_size(t_max))
+    if schedule.kind is ScheduleKind.HALF_TIME:
+        return propagator.sweep(parity, taus)
     return (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
 
 

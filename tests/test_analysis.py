@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qwalk import (
 )
 from qwalk.analysis import mass_trace
 from qwalk.coin import parity_offset
+from qwalk.spectral import grid_size
 
 # frozen regression values for the showcase walk (theta=pi/4, theta1=0,
 # symmetric spinor); recorded from a calibration run of this code
@@ -292,6 +294,25 @@ def test_sweep_matches_evolve_over_accepted_angles(theta, theta1, tau, parity, s
     except ExcludedAngleError:
         assume(False)
     assert_sweep_matches_evolve(params, schedule, parity, (tau,), 1e-12)
+
+
+def test_half_time_sweep_memory_per_grid_point():
+    # The propagator keeps 81 B a grid point, the split's S, X/2 and Y/2
+    # 96 B and the DFT row of x 16 B; the state being made (with its rows
+    # and one (n,) product, 64 B) overlaps the one the loop still holds
+    # (32 B): 290 B measured.  With the U_{M-1} Y/2 product formed as one
+    # (2, n) array the peak was 338 B.
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    n = grid_size(2 * 100_000 + 1)
+    assert n == 202_500
+    tracemalloc.start()
+    try:
+        for state in tau_sweep(p, Schedule.half_time(), "odd", [0, 5, 100_000]):
+            state.mass(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * n, peak / n
 
 
 def test_sweep_keeps_order_and_repeats(example_params):

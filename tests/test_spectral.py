@@ -24,7 +24,7 @@ from qwalk import (
     tau_sweep,
     theorem1_limit,
 )
-from qwalk.coin import build_coins, fourier_coin
+from qwalk.coin import build_coins, fourier_coin, parity_offset
 import qwalk.spectral
 from qwalk.spectral import FourierState, asymptotic_amplitude, grid_size
 
@@ -332,6 +332,28 @@ def test_amplitude_norms_sum_to_delta():
             assert abs(total - expected) < 1e-10
 
 
+def test_stationary_part_is_theorem_1():
+    # The split's S, read back as a state of its track, has the Theorem 1
+    # amplitudes as its DFT rows and the localized mass as its Plancherel
+    # norm.  S has a feature of width |s| at k = -pi/2, which a grid
+    # resolves when n|s| >= 40; the edge angles within 1e-6 of 0 and pi
+    # (|s| <= 1e-6) would need 4*10^7 points or more, so they are left out.
+    near_edges = [WalkParams(theta=theta, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+                  for theta in (1e-3, 0.01, math.pi / 2 - 1e-3, math.pi - 0.01, *EDGE_THETAS)]
+    for p in sample_params(seed=39, n=8) + [p for p in near_edges if abs(p.s) >= 1e-3]:
+        n = grid_size(max(64, math.ceil(40 / abs(p.s))))
+        propagator = Propagator(p, n)
+        for parity in ("odd", "even"):
+            split = propagator.split(parity)
+            assert all(a.shape == (2, n) and not a.flags.writeable for a in split)
+            # the track's largest time on the grid, so that every |x| <= 9 is read
+            t = n - 1 - (n - 1 - parity_offset(parity)) % 2
+            stationary = FourierState(t, split[0].T, propagator._eik)
+            for x in range(-9, 10):
+                assert abs(stationary.mass(x) - theorem1_limit(p, x, parity)) <= 1e-14, (p, x)
+            assert abs(stationary.norm_sq() - delta_mass(p)) <= 1e-15, (p, parity)
+
+
 def positions_of(state):
     """The window ``-t..t`` of a transformed state, zeros at the other parity."""
     t = state.time
@@ -417,14 +439,21 @@ def row_wavenumber(n, m, dps=40):
         return mp.mpf(np.pi / n * m) - mp.pi
 
 
+def exactness_ms(t, n):
+    """Grid slots to check a time-``t`` state at: both ends, ``k = -pi/2``
+    (slot ``n // 2``, where the eigenvalues are closest) and its neighbours,
+    and four slots drawn with seed ``t``."""
+    return sorted({0, 1, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1,
+                   *np.random.default_rng(t).integers(0, n, 4).tolist()})
+
+
 @pytest.mark.parametrize("t", [10**4, 2 * 10**5])
 def test_long_time_states_match_exact_matrix_powers(t):
     # The closed form's error is the float64 conditioning of U(k)^t, a
     # relative error of about t*eps that stepping shares.  At 10^4 every
     # angle runs every schedule; at 2*10^5 the angles take turns.
     n, tau = grid_size(t), t // 2 - 1
-    ms = sorted({0, 1, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n - 2, n - 1,
-                 *np.random.default_rng(t).integers(0, n, 4).tolist()})
+    ms = exactness_ms(t, n)
     bound = t * np.finfo(float).eps
     for i, theta in enumerate((0.7,) + EDGE_THETAS):
         p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
@@ -437,6 +466,29 @@ def test_long_time_states_match_exact_matrix_powers(t):
             for schedule, state, want in zip(schedules, states, exact):
                 err = float(np.max(np.abs(state.values[m] - want)))
                 assert err <= bound, (theta, schedule.kind, m, err / bound)
+
+
+@pytest.mark.parametrize("t", [10**4 + 1, 10**4 + 2, 2 * 10**5 + 1, 2 * 10**5 + 2])
+def test_long_time_sweep_states_match_exact_matrix_powers(t):
+    # A half-time sweep forms S + T_M X/2 + U_{M-1} Y/2 (Propagator.split),
+    # not the two powers of Propagator.state: within t*eps of the exact
+    # state, not bit for bit.  Usual and multi sweeps take Propagator.state,
+    # bit for bit; at 2*10^5 the angles take turns between the two.
+    n, tau = grid_size(t), (t - 1) // 2
+    parity = "odd" if t % 2 else "even"
+    bound = t * np.finfo(float).eps
+    others = (Schedule.usual(), Schedule.multi({2, 9}))
+    for i, theta in enumerate((0.7,) + EDGE_THETAS):
+        p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
+        (state,) = tau_sweep(p, Schedule.half_time(), parity, [tau])
+        assert state.time == t and len(state.values) == n
+        for m in exactness_ms(t, n):
+            (want,) = exact_fourier_amplitudes(p, t, row_wavenumber(n, m), [{tau}])
+            err = float(np.max(np.abs(state.values[m] - want)))
+            assert err <= bound, (theta, m, err / bound)
+        for schedule in others if t < 10**5 else others[i % 2:i % 2 + 1]:
+            (swept,) = tau_sweep(p, schedule, parity, [tau])
+            assert np.array_equal(swept.values, Propagator(p, n).state(schedule, t, tau).values)
 
 
 @pytest.mark.parametrize("theta", [1e-8, math.pi - 2e-8])
