@@ -48,7 +48,9 @@ absolute rounding error that the ratio ``sin(m w) / sin w`` magnifies.
 
 A half-time state splits exactly into a stationary part, the same for
 every tau of a parity track, whose DFT rows are the Theorem 1 amplitudes,
-and a dispersive part (:meth:`Propagator.split`).
+and a dispersive part (:meth:`Propagator.split`) whose phase ``e^{iMw}``,
+``M = t - 1``, a sweep turns by ``e^{2iw}`` from tau to tau, one complex
+multiply each, from an anchor every 16 taus (:meth:`Propagator.sweep`).
 
 It also evaluates the large-time amplitude limits at fixed positions,
 whose squared norms are a second, independent route to the stationary
@@ -187,8 +189,8 @@ class FourierState:
         if abs(x) > t or (x + t) % 2:
             return 0.0
         row = _kept(self.dft_rows, x, _KEPT_DFT_ROWS, self._phase_row)
-        amps = row @ self.values / n
-        return float(np.sum(np.abs(amps) ** 2))
+        a0, a1 = np.abs(row @ self.values / n).tolist()
+        return a0 * a0 + a1 * a1
 
     def _phase_row(self, x: int) -> np.ndarray:
         # e^{i k_m x} = e^{i pi (m - n) x / n}: with (m - n) x = d n + r,
@@ -263,6 +265,11 @@ _I_POWERS = (1.0, 1j, -1.0, -1j)
 #: stretches before its swaps recur from state to state.
 _KEPT_ROWS = 2
 
+#: Taus per block of a half-time sweep: :meth:`Propagator.sweep` builds
+#: ``e^{iMw}`` afresh at a block's first tau and turns it by ``e^{2iw}``
+#: for each later one, at most 15 multiplies, each off by about ``eps``.
+_PHASE_BLOCK = 16
+
 #: DFT rows the states of one :class:`Propagator` keep for
 #: :meth:`FourierState.mass`: a trace reads one ``x`` per tau, figures 5a
 #: and 5c two.
@@ -277,12 +284,14 @@ class Propagator:
     application of the swap coin, so a :meth:`state` costs
     ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
     Computed once here and shared by every state: the row ``T = e^{ik}``,
-    ``-i c cos k``, ``sin w`` and the folded ``w``; the ``(V - x I) psi0``
-    that starts every first stretch; and the rows ``U_{j-1}`` and ``T_j``
-    of the last two ``j`` that :meth:`state` used.  A half-time sweep
-    (:meth:`sweep`) skips the stretches: it builds the track's
-    :meth:`split` once, and an extra state costs one new ``sin`` and
-    ``cos`` row and three multiply-adds.  The states share ``T`` and one
+    ``-i c cos k``, ``sin w`` and the folded ``w``; from the first
+    :meth:`state` on, the ``(V - x I) psi0`` that starts every first
+    stretch; and the rows ``U_{j-1}`` and ``T_j`` of the last two ``j``
+    that :meth:`state` used.  A half-time sweep (:meth:`sweep`) skips the
+    stretches: it builds the track's :meth:`split` once and carries the
+    phase ``e^{iMw}``, which a ``sin`` and ``cos`` row starts afresh every
+    ``_PHASE_BLOCK`` taus, so an extra state costs one complex multiply,
+    one divide and three multiply-adds.  The states share ``T`` and one
     ``dft_rows`` dict, so :meth:`FourierState.mass` builds the row of an
     ``x`` once per sweep.  The kept arrays are read-only, and a state is
     the same, bit for bit, whichever states came before it.
@@ -320,9 +329,8 @@ class Propagator:
         np.negative(self._w, out=self._w, where=self._folded)
         self._rows: dict[int, np.ndarray] = {}  # j -> Chebyshev rows, least recently used first
         self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
-        self._first_traceless = self._traceless(self._initial())
-        for kept in (self._eik, self._sin_w, self._d, self._folded, self._w,
-                     self._first_traceless):
+        self._first_traceless = None  # (V - x I) psi0, built by the first state()
+        for kept in (self._eik, self._sin_w, self._d, self._folded, self._w):
             kept.flags.writeable = False
 
     def _initial(self):
@@ -362,7 +370,20 @@ class Propagator:
         return u
 
     def _chebyshev_rows(self, j):
-        # U_{j-1}(|x|) = sin(j w) / sin w and T_j(|x|) = cos(j w); where w is
+        # U_{j-1}(|x|) = sin(j w) / sin w and T_j(|x|) = cos(j w)
+        rows = self._sin_cos(j)
+        rows[0] /= self._sin_w
+        return rows
+
+    def _phase(self, j):
+        # e^{ijw} as one complex row, into a new array
+        u, t = self._sin_cos(j)
+        z = np.empty(t.shape, dtype=np.complex128)
+        z.real, z.imag = t, u
+        return z
+
+    def _sin_cos(self, j):
+        # sin(j w) and cos(j w) as the rows of a new (2, n) array; where w is
         # kept as w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
         angle = np.multiply(j, self._w)
         rows = np.empty((2, angle.shape[0]))
@@ -378,7 +399,6 @@ class Propagator:
             np.negative(flip, out=flip, where=folded)
         elif q:
             np.negative(rows, out=rows, where=folded)
-        u /= self._sin_w
         return rows
 
     def _power(self, g, m, vg=None):
@@ -408,6 +428,9 @@ class Propagator:
         whose transpose is the returned values.
         """
         p = self.params
+        if self._first_traceless is None:
+            self._first_traceless = self._traceless(self._initial())
+            self._first_traceless.flags.writeable = False
         g, vg = self._initial(), self._first_traceless
         done = swaps = 0
         for swap in schedule.swaps_before(t_final, tau):
@@ -443,7 +466,7 @@ class Propagator:
         offset = parity_offset(parity)
         p = self.params
         coin_g = self._coin(self._initial(), p.c1, p.s1)
-        coin_w = self._coin(self._first_traceless, p.c1, p.s1)
+        coin_w = self._coin(self._traceless(self._initial()), p.c1, p.s1)
         y_half = self._traceless(coin_g)
         x_half = self._traceless(coin_w)
         x_half /= np.square(self._sin_w)
@@ -463,17 +486,29 @@ class Propagator:
         """Half-time states at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau, off one :meth:`split`.
 
         The split is built when the first state is asked for.  Each state
-        then takes the Chebyshev row pair of ``j = M = t - 1``, built afresh
-        (not kept: ``M`` changes with every tau), and forms ``S + T_M X/2 +
-        U_{M-1} Y/2`` times ``(i sgn x)^M``.  This agrees with
-        :meth:`state` to about ``t * eps``, not bit for bit.
+        forms ``S + T_M X/2 + U_{M-1} Y/2`` times ``(i sgn x)^M``, ``M = t -
+        1``, reading the Chebyshev rows off one complex row ``z = e^{iMw}``
+        as ``T_M = Re z`` and ``U_{M-1} = Im z / sin w``.  ``M`` grows by 2
+        per tau, so ``z`` turns by one multiply by ``e^{2iw}`` a step.  It
+        starts afresh, from one ``sin`` and ``cos`` row, at the anchor ``tau
+        - tau % _PHASE_BLOCK``, and carries on only to a later tau of the
+        same block; so a state's bits depend on its tau and the grid alone,
+        not on the taus before it.  This agrees with :meth:`state` to about
+        ``t * eps``, not bit for bit.
         """
         offset = parity_offset(parity)
         stationary, x_half, y_half = self.split(parity)
+        turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
+        done = None  # the tau that z is at
         for tau in taus:
-            m = 2 * tau + offset - 1
-            u_row, t_row = self._chebyshev_rows(m)
-            g = x_half * t_row
+            if done is None or tau < done or tau // _PHASE_BLOCK != done // _PHASE_BLOCK:
+                done = tau - tau % _PHASE_BLOCK
+                z = self._phase(2 * done + offset - 1)
+            for _ in range(tau - done):
+                z *= turn
+            done, m = tau, 2 * tau + offset - 1
+            u_row = z.imag / self._sin_w
+            g = x_half * z.real
             for g_part, y_part in zip(g, y_half):  # a (2, n) product peaks 48 B/point higher
                 g_part += y_part * u_row
             g += stationary

@@ -297,11 +297,12 @@ def test_sweep_matches_evolve_over_accepted_angles(theta, theta1, tau, parity, s
 
 
 def test_half_time_sweep_memory_per_grid_point():
-    # The propagator keeps 81 B a grid point, the split's S, X/2 and Y/2
-    # 96 B and the DFT row of x 16 B; the state being made (with its rows
-    # and one (n,) product, 64 B) overlaps the one the loop still holds
-    # (32 B): 290 B measured.  With the U_{M-1} Y/2 product formed as one
-    # (2, n) array the peak was 338 B.
+    # The propagator keeps 49 B a grid point, the sweep's phase e^{iMw}
+    # and turn e^{2iw} 32 B, the split's S, X/2 and Y/2 96 B and the DFT
+    # row of x 16 B; the state being made (with its row U_{M-1} and one
+    # (n,) product, 56 B) overlaps the one the loop still holds (32 B):
+    # 282 B measured.  With the U_{M-1} Y/2 product formed as one (2, n)
+    # array the peak was 48 B higher.
     p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
     n = grid_size(2 * 100_000 + 1)
     assert n == 202_500

@@ -261,11 +261,11 @@ PINNED_OUTPUTS = (
       "--t", "151", "--format", "json"], "f443630ce2d7"),
     (["compare", *PINNED_W, "--tau", "200", "--t", "401", "--moments", "0,1,2,4"],
      "08ecf4575002"),
-    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "8fe61f7b3a33"),
+    (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "73a2ce598611"),
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
-      "--taus", "0,7,100"], "2dd8d30ce122"),
+      "--taus", "0,7,100"], "17292b93f61f"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
-     "24d2d6e58eb9"),
+     "949985f04142"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "e189f022cb67"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
      "c690016f6fdb"),
@@ -282,8 +282,8 @@ PINNED_OUTPUTS = (
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
         ("1a", "e726b2d24721"), ("1b", "e27b9d867076"), ("2a", "5f2c489af38d"),
         ("2b", "cecc65dffeff"), ("3a", "a6a692bbd92f"), ("3b", "59b4bdd1e68a"),
-        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "8c6dc0867959"),
-        ("5b", "a706f5f22650"), ("5c", "2208f5c0d90b"), ("7a", "9a03ec421e88"),
+        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "59660078b336"),
+        ("5b", "89cff181f6eb"), ("5c", "3e717f8ec92d"), ("7a", "9a03ec421e88"),
         ("7b", "ae82e593effc"))),
 )
 PINNED_TIMES = {"sim_t3.csv": "d5c9b5238eae", "sim_t101.csv": "31f9ffd4e749",

@@ -491,6 +491,52 @@ def test_long_time_sweep_states_match_exact_matrix_powers(t):
             assert np.array_equal(swept.values, Propagator(p, n).state(schedule, t, tau).values)
 
 
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_whole_sweep_states_match_exact_matrix_powers(parity):
+    # One consecutive sweep turns e^{iMw} by e^{2iw} from each 16-tau
+    # anchor: tau 15, 31 and 247 are 15 multiplies from theirs, 1 one.
+    taus = (1, 8, 15, 31, 247)
+    for theta in (0.7,) + EDGE_THETAS:
+        p = WalkParams(theta=theta, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+        states = list(tau_sweep(p, Schedule.half_time(), parity, range(taus[-1] + 1)))
+        for tau in taus:
+            state = states[tau]
+            t, n = state.time, len(state.values)
+            for m in exactness_ms(t, n):
+                (want,) = exact_fourier_amplitudes(p, t, row_wavenumber(n, m), [{tau}])
+                err = float(np.max(np.abs(state.values[m] - want))) / (t * np.finfo(float).eps)
+                assert err <= 1, (theta, tau, m, err)
+
+
+def test_long_time_sweep_states_far_from_their_anchor():
+    # tau 10^5 + 8 and 10^5 + 15 are 8 and 15 multiplies from the anchor
+    # 10^5, 5007 is 15 from 4992; the angles take turns over these taus
+    # on both tracks.
+    cases = [(tau, parity) for tau in (5007, 10**5 + 8, 10**5 + 15) for parity in ("odd", "even")]
+    for i, theta in enumerate((0.7,) + EDGE_THETAS):
+        tau, parity = cases[i % len(cases)]
+        p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
+        (state,) = tau_sweep(p, Schedule.half_time(), parity, [tau])
+        t, n = state.time, len(state.values)
+        for m in exactness_ms(t, n):
+            (want,) = exact_fourier_amplitudes(p, t, row_wavenumber(n, m), [{tau}])
+            err = float(np.max(np.abs(state.values[m] - want))) / (t * np.finfo(float).eps)
+            assert err <= 1, (theta, tau, m, err)
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_sweep_state_does_not_depend_on_the_taus_before_it(parity):
+    # a tau 15 steps into its block, one before the running tau, one after
+    # a jump back, a repeat: each gives the bits of a consecutive sweep
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    n = grid_size(2 * 250 + 2)
+    taus = [250, 17, 3, 249, 17]
+    consecutive = list(Propagator(p, n).sweep(parity, range(251)))
+    for tau, state in zip(taus, Propagator(p, n).sweep(parity, taus)):
+        assert state.time == consecutive[tau].time
+        assert np.array_equal(state.values, consecutive[tau].values), tau
+
+
 @pytest.mark.parametrize("theta", [1e-8, math.pi - 2e-8])
 def test_powers_stay_accurate_where_the_eigenvalues_nearly_meet(theta):
     # Next to k = -pi/2 with theta near 0 or pi, U_{m-1}(x) grows to about
