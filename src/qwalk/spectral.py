@@ -39,12 +39,14 @@ applied from its entries ``-i c cos k`` and ``-i s e^{+-ik}``: where the
 eigenvalues nearly meet, ``U_{m-1}`` grows to about ``m``, and ``U_{m-1} V
 - U_{m-2} I`` would subtract two terms that large.  As ``sin k <= 0`` on
 the half circle, ``sgn(x)^m`` joins ``i^m``, and the polynomials at ``|x|``
-are ``cos(m w)`` and ``sin(m w) / sin w``, with ``sin w = hypot(s, c cos
-k)`` and ``w = atan2(sin w, |x|)`` kept as ``w - pi/2`` above ``pi/4``, so
-that the rounded phase is at most ``m pi/4``.  Both choices matter near
-the excluded angles: ``sqrt(1 - x^2)`` cancels when ``|x|`` is close to 1
-(theta near 0 or pi), and an unfolded ``w = acos(x)`` near pi carries an
-absolute rounding error that the ratio ``sin(m w) / sin w`` magnifies.
+are ``T_m = Re e^{imw}`` and ``U_{m-1} = Im e^{imw} / sin w``, one row for
+:meth:`Propagator.state` and :meth:`Propagator.sweep` alike, with ``sin w =
+hypot(s, c cos k)`` and ``w = atan2(sin w, |x|)`` kept as ``w - pi/2``
+above ``pi/4``, so that the rounded phase is at most ``m pi/4``.  Both
+choices matter near the excluded angles: ``sqrt(1 - x^2)`` cancels when
+``|x|`` is close to 1 (theta near 0 or pi), and an unfolded ``w = acos(x)``
+near pi carries an absolute rounding error that the ratio ``sin(m w) / sin
+w`` magnifies.
 
 A half-time state splits exactly into a stationary part, the same for
 every tau of a parity track, whose DFT rows are the Theorem 1 amplitudes,
@@ -188,7 +190,13 @@ class FourierState:
         t, n = self.time, len(self.values)
         if abs(x) > t or (x + t) % 2:
             return 0.0
-        row = _kept(self.dft_rows, x, _KEPT_DFT_ROWS, self._phase_row)
+        row = self.dft_rows.pop(x, None)
+        if row is None:
+            if len(self.dft_rows) == _KEPT_DFT_ROWS:
+                del self.dft_rows[next(iter(self.dft_rows))]  # the least recently used
+            row = self._phase_row(x)
+            row.flags.writeable = False
+        self.dft_rows[x] = row
         a0, a1 = np.abs(row @ self.values / n).tolist()
         return a0 * a0 + a1 * a1
 
@@ -198,18 +206,6 @@ class FourierState:
         d, r = np.divmod(np.arange(-len(self.values), 0) * x, len(self.values))
         row = self.eik[r]
         return np.negative(row, out=row, where=d % 2 == 0)
-
-
-def _kept(cache: dict, key, limit: int, build) -> np.ndarray:
-    """``cache[key]``, built read-only on a miss; the ``limit`` last used keys stay."""
-    value = cache.pop(key, None)
-    if value is None:
-        if len(cache) == limit:
-            del cache[next(iter(cache))]  # the least recently used
-        value = build(key)
-        value.flags.writeable = False
-    cache[key] = value
-    return value
 
 
 def grid_size(t: int) -> int:
@@ -260,11 +256,6 @@ def spectral_evolve(
 #: ``i**m`` by ``m % 4``, exact.
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
-#: Chebyshev row pairs that :meth:`Propagator.state` keeps: both stretches
-#: of an odd half-time state are ``tau`` long, and a multi sweep's
-#: stretches before its swaps recur from state to state.
-_KEPT_ROWS = 2
-
 #: Taus per block of a half-time sweep: :meth:`Propagator.sweep` builds
 #: ``e^{iMw}`` afresh at a block's first tau and turns it by ``e^{2iw}``
 #: for each later one, at most 15 multiplies, each off by about ``eps``.
@@ -284,17 +275,19 @@ class Propagator:
     application of the swap coin, so a :meth:`state` costs
     ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
     Computed once here and shared by every state: the row ``T = e^{ik}``,
-    ``-i c cos k``, ``sin w`` and the folded ``w``; from the first
+    ``-i c cos k``, ``sin w`` and the folded ``w``; and, from the first
     :meth:`state` on, the ``(V - x I) psi0`` that starts every first
-    stretch; and the rows ``U_{j-1}`` and ``T_j`` of the last two ``j``
-    that :meth:`state` used.  A half-time sweep (:meth:`sweep`) skips the
-    stretches: it builds the track's :meth:`split` once and carries the
-    phase ``e^{iMw}``, which a ``sin`` and ``cos`` row starts afresh every
-    ``_PHASE_BLOCK`` taus, so an extra state costs one complex multiply,
-    one divide and three multiply-adds.  The states share ``T`` and one
-    ``dft_rows`` dict, so :meth:`FourierState.mass` builds the row of an
-    ``x`` once per sweep.  The kept arrays are read-only, and a state is
-    the same, bit for bit, whichever states came before it.
+    stretch.  A :meth:`state` builds the Chebyshev rows of each stretch
+    and keeps only its last stretch's, so the two equal stretches of an
+    odd half-time state share theirs.  A half-time sweep (:meth:`sweep`)
+    skips the stretches: it builds the track's :meth:`split` once and
+    carries the phase ``e^{iMw}``, which a ``sin`` and ``cos`` row starts
+    afresh every ``_PHASE_BLOCK`` taus, so an extra state costs one
+    complex multiply, one divide and three multiply-adds.  The states
+    share ``T`` and one ``dft_rows`` dict, so :meth:`FourierState.mass`
+    builds the row of an ``x`` once per sweep.  The kept arrays are
+    read-only, and a state is the same, bit for bit, whichever states
+    came before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
     n_grid``, so it holds every time ``t < n_grid`` exactly.  ``T`` is one
@@ -327,7 +320,6 @@ class Propagator:
         self._folded = self._sin_w > x  # w > pi/4: w is kept as w - pi/2
         self._w = np.arctan2(np.minimum(self._sin_w, x), np.maximum(self._sin_w, x))
         np.negative(self._w, out=self._w, where=self._folded)
-        self._rows: dict[int, np.ndarray] = {}  # j -> Chebyshev rows, least recently used first
         self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
         self._first_traceless = None  # (V - x I) psi0, built by the first state()
         for kept in (self._eik, self._sin_w, self._d, self._folded, self._w):
@@ -369,27 +361,14 @@ class Propagator:
         u1 += tmp
         return u
 
-    def _chebyshev_rows(self, j):
-        # U_{j-1}(|x|) = sin(j w) / sin w and T_j(|x|) = cos(j w)
-        rows = self._sin_cos(j)
-        rows[0] /= self._sin_w
-        return rows
-
     def _phase(self, j):
-        # e^{ijw} as one complex row, into a new array
-        u, t = self._sin_cos(j)
-        z = np.empty(t.shape, dtype=np.complex128)
-        z.real, z.imag = t, u
-        return z
-
-    def _sin_cos(self, j):
-        # sin(j w) and cos(j w) as the rows of a new (2, n) array; where w is
-        # kept as w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
+        # e^{ijw} as one complex row, into a new array; where w is kept as
+        # w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
         angle = np.multiply(j, self._w)
-        rows = np.empty((2, angle.shape[0]))
-        u, t = rows
-        np.sin(angle, out=u)
+        z = np.empty(angle.shape, dtype=np.complex128)
+        t, u = z.real, z.imag
         np.cos(angle, out=t)
+        np.sin(angle, out=u)
         folded, q = self._folded, j % 4
         if q % 2:  # i^j (cos + i sin) is -sin + i cos for q = 1, sin - i cos for 3
             np.copyto(angle, u)
@@ -398,21 +377,27 @@ class Propagator:
             flip = t if q == 1 else u
             np.negative(flip, out=flip, where=folded)
         elif q:
-            np.negative(rows, out=rows, where=folded)
-        return rows
+            np.negative(z, out=z, where=folded)
+        return z
 
-    def _power(self, g, m, vg=None):
+    def _power(self, g, m, rows, vg=None):
         # U^m g / (i sgn(x))^m = U_{m-1}(|x|) sgn(x) (V - x I) g + T_m(|x|) g,
-        # written over g.  ``vg`` is a kept sgn(x) (V - x I) g, never written;
-        # without it a scratch one is made after the rows, for the peak memory.
+        # written over g.  ``rows`` is the state's {m: T_m + i U_{m-1}} of its
+        # last stretch, dropped before a new one is built.  ``vg`` is a kept
+        # sgn(x) (V - x I) g, never written; without it a scratch one is made
+        # after the rows, for the peak memory.
         if m:
-            u_row, t_row = _kept(self._rows, m, _KEPT_ROWS, self._chebyshev_rows)
+            z = rows.get(m)
+            if z is None:
+                rows.clear()
+                rows[m] = z = self._phase(m)
+                np.divide(z.imag, self._sin_w, out=z.imag)
             if vg is None:
                 first = self._traceless(g)
-                first *= u_row
+                first *= z.imag
             else:
-                first = u_row * vg
-            g *= t_row
+                first = z.imag * vg
+            g *= z.real
             g += first
         return g
 
@@ -425,18 +410,21 @@ class Propagator:
         exactly (to roundoff).  :class:`FourierState` refuses a
         ``t_final`` outside ``0..n-1`` of the ``n``-point grid.  The spinor
         components are the rows of one ``(2, n)`` array, updated in place,
-        whose transpose is the returned values.
+        whose transpose is the returned values.  A negative ``tau`` is
+        refused before anything is allocated.
         """
+        if tau < 0:
+            raise ValueError(f"tau must be non-negative, got {tau}")
         p = self.params
         if self._first_traceless is None:
             self._first_traceless = self._traceless(self._initial())
             self._first_traceless.flags.writeable = False
-        g, vg = self._initial(), self._first_traceless
+        g, vg, rows = self._initial(), self._first_traceless, {}
         done = swaps = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g = self._coin(self._power(g, swap - done, vg), p.c1, p.s1)
+            g = self._coin(self._power(g, swap - done, rows, vg), p.c1, p.s1)
             vg, done, swaps = None, swap + 1, swaps + 1
-        g = self._power(g, t_final - done, vg)
+        g = self._power(g, t_final - done, rows, vg)
         phase = self._sign * (t_final - swaps) % 4  # all the powers' (i sgn(x))^m
         if phase:
             g *= _I_POWERS[phase]
@@ -494,13 +482,16 @@ class Propagator:
         - tau % _PHASE_BLOCK``, and carries on only to a later tau of the
         same block; so a state's bits depend on its tau and the grid alone,
         not on the taus before it.  This agrees with :meth:`state` to about
-        ``t * eps``, not bit for bit.
+        ``t * eps``, not bit for bit.  A negative tau is refused when its
+        state is asked for.
         """
         offset = parity_offset(parity)
         stationary, x_half, y_half = self.split(parity)
         turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
         done = None  # the tau that z is at
         for tau in taus:
+            if tau < 0:
+                raise ValueError(f"tau must be non-negative, got {tau}")
             if done is None or tau < done or tau // _PHASE_BLOCK != done // _PHASE_BLOCK:
                 done = tau - tau % _PHASE_BLOCK
                 z = self._phase(2 * done + offset - 1)

@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import mpmath as mp
@@ -416,15 +417,80 @@ def test_reused_propagator_matches_fresh_ones_bit_for_bit(schedule):
         assert np.array_equal(got, Propagator(p, n).state(schedule, t, tau).values), (t, tau)
 
 
-def test_propagator_keeps_read_only_arrays_and_its_row_pairs(example_params):
-    propagator = Propagator(example_params, grid_size(602))
-    for tau in range(301):
+def held_arrays(obj):
+    """The arrays among ``obj``'s attributes and in its dict attributes."""
+    values = list(vars(obj).values())
+    values += [v for held in values if isinstance(held, dict) for v in held.values()]
+    return [value for value in values if isinstance(value, np.ndarray)]
+
+
+def test_propagator_keeps_the_arrays_of_its_first_state_read_only(example_params):
+    # what a state builds for itself, its Chebyshev rows among them, is not kept
+    propagator = Propagator(example_params, grid_size(202))
+    propagator.state(Schedule.half_time(), 1, 0)
+    kept = held_arrays(propagator)
+    for tau in range(100):
         for offset in (1, 2):
-            propagator.state(Schedule.half_time(), 2 * tau + offset, tau)
-    assert len(propagator._rows) == qwalk.spectral._KEPT_ROWS
-    kept = [value for value in vars(propagator).values() if isinstance(value, np.ndarray)]
-    kept += propagator._rows.values()
+            for schedule in SCHEDULES:
+                propagator.state(schedule, 2 * tau + offset, tau)
+    assert [id(array) for array in held_arrays(propagator)] == [id(array) for array in kept]
     assert kept and not any(array.flags.writeable for array in kept)
+
+
+def test_state_builds_the_rows_of_each_distinct_stretch_once(example_params, monkeypatch):
+    # the two tau-long stretches of an odd half-time state share one row build
+    built = []
+    phase = Propagator._phase
+    monkeypatch.setattr(Propagator, "_phase", lambda self, j: built.append(j) or phase(self, j))
+    propagator = Propagator(example_params, grid_size(62))
+    for schedule, t, tau, want in ((Schedule.half_time(), 61, 30, [30]),
+                                   (Schedule.half_time(), 62, 30, [30, 31]),
+                                   (Schedule.usual(), 61, 30, [61])):
+        built.clear()
+        propagator.state(schedule, t, tau)
+        assert built == want, schedule.kind
+
+
+def first_state_peak(params, n, schedule, t, tau):
+    propagator = Propagator(params, n)
+    tracemalloc.start()
+    try:
+        propagator.state(schedule, t, tau)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_stretches_hold_one_row_at_a_time():
+    # A state holds one stretch's row at a time, so 201 stretches peak no
+    # higher than the half-time state's two; the slack is the list of swaps
+    # (2968 B measured at n = 20480, where one more row is 320 KB).
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    steps = [g * (g + 3) // 2 - 1 for g in range(1, 201)]  # gaps 1..200 between swaps
+    t = 20_401
+    n = grid_size(t)
+    multi = first_state_peak(p, n, Schedule.multi(steps), t, 0)
+    half_time = first_state_peak(p, n, Schedule.half_time(), t, (t - 1) // 2)
+    assert multi <= half_time + 64 * len(steps), (multi / n, half_time / n)
+
+
+def test_state_refuses_a_negative_tau_before_it_allocates(example_params):
+    propagator = Propagator(example_params, grid_size(200_001))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tau"):
+            propagator.state(Schedule.half_time(), 5, -3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_size(200_001), peak
+
+
+def test_sweep_refuses_a_negative_tau_at_that_tau(example_params):
+    states = Propagator(example_params, 16).sweep("even", [1, -1])
+    assert next(states).time == 4
+    with pytest.raises(ValueError, match="tau"):
+        next(states)
 
 
 def row_wavenumber(n, m, dps=40):
