@@ -14,11 +14,12 @@ The public API is the names below: the walk (``WalkParams``,
 momentum-space route (``spectral_evolve``, ``Propagator``,
 ``eigensystem``), the two limit theorems (``theorem1_limit``,
 ``delta_mass``, ``LimitDensity``) and the diagnostics that compare them
-(``tau_sweep``, ``rescaled_cdf_distance``, ``localized_mass``,
-``moment``).  ``qwalk.cli`` is the command line.
+(``tau_sweep``, ``trace_masses``, ``trace_moments``,
+``rescaled_cdf_distance``, ``localized_mass``, ``moment``).  ``qwalk.cli`` is the command line.
 """
 
-from .analysis import localized_mass, moment, rescaled_cdf_distance, tau_sweep
+from .analysis import (localized_mass, moment, rescaled_cdf_distance, tau_sweep,
+                       trace_masses, trace_moments)
 from .coin import ExcludedAngleError, NormalizationError, Schedule, ScheduleKind, WalkParams
 from .dynamics import Distribution, StateVector, distribution, evolve, initial_state, step
 from .limits import LimitDensity, delta_mass, theorem1_limit
@@ -48,6 +49,8 @@ __all__ = [
     "step",
     "tau_sweep",
     "theorem1_limit",
+    "trace_masses",
+    "trace_moments",
 ]
 
 __version__ = "0.1.0"

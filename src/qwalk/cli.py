@@ -24,11 +24,12 @@ import numpy as np
 
 from .analysis import (
     check_measurement_time,
-    check_moment_order,
     localized_mass,
     moment,
     rescaled_cdf_distance,
     tau_sweep,
+    trace_masses,
+    trace_moments,
 )
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import (StateVector, check_time, distribution, evolve, max_time_cap,
@@ -453,17 +454,14 @@ def _cmd_trace(args) -> int:
     offset = parity_offset(args.parity)
     if args.observable == "ks":
         _require_half_time(schedule, "trace --observable ks")
-    if args.observable == "moment":
-        check_moment_order(args.r)
-    states = tau_sweep(params, schedule, args.parity, args.taus)
-    if args.observable == "ks":
+        states = tau_sweep(params, schedule, args.parity, args.taus)
         values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
                                         distribution(state.sublattice()))
                   for tau, state in zip(args.taus, states)]
     elif args.observable == "mass":
-        values = [state.mass(args.x) for state in states]
+        values = trace_masses(params, schedule, args.parity, args.taus, (args.x,))[:, 0]
     else:
-        values = [moment(distribution(state.sublattice()), args.r) for state in states]
+        values = trace_moments(params, schedule, args.parity, args.taus, args.r)
     table = Table(tau=args.taus, t=[2 * tau + offset for tau in args.taus], value=values)
     emit(table, args.format, args.out, meta={"observable": args.observable})
     return 0
@@ -509,11 +507,10 @@ def _fig_spacetime(init: str, theta1: float, tau: int, schedule: Schedule):
 
 
 def _fig_mass_trace(positions: Sequence[int], parity: str):
-    # every position is read off the same state, so each tau propagates once
+    # every position is read off the same block of phases, so each tau propagates once
     sweep = np.arange(251)
-    states = tau_sweep(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
-                       parity, sweep)
-    probs = [state.mass(x) for state in states for x in positions]
+    probs = trace_masses(_figure_params("symmetric", 0.0, 0), Schedule.half_time(),
+                         parity, sweep, positions).ravel()
     taus = np.repeat(sweep, len(positions))
     return Table(tau=taus, t=2 * taus + parity_offset(parity),
                  x=np.tile(positions, len(sweep)), prob=probs), None

@@ -52,18 +52,26 @@ A half-time state splits exactly into a stationary part, the same for
 every tau of a parity track, whose DFT rows are the Theorem 1 amplitudes,
 and a dispersive part (:meth:`Propagator.split`) whose phase ``e^{iMw}``,
 ``M = t - 1``, a sweep turns by ``e^{2iw}`` from tau to tau, one complex
-multiply each, from an anchor every 16 taus (:meth:`Propagator.sweep`).
+multiply each, from an anchor every 16 taus.  The phases of a block of
+taus are written as the rows of one ``(B, n)`` array, and the sweep's
+states (:meth:`Propagator.sweep`) and its two block readers, the masses
+at fixed sites (:meth:`Propagator.sweep_masses`, a matrix product with
+row products formed once) and the position distributions
+(:meth:`Propagator.sweep_probabilities`, one inverse FFT a block), all
+read those rows.
 
 It also evaluates the large-time amplitude limits at fixed positions,
-whose squared norms are a second, independent route to the stationary
-point masses of :func:`qwalk.limits.theorem1_limit`.
+with their phase (:func:`asymptotic_amplitude`): the DFT rows of the
+stationary part, and, squared, a second, independent route to the
+stationary point masses of :func:`qwalk.limits.theorem1_limit`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,8 +170,7 @@ class FourierState:
         n = len(self.values)
         if self.values.shape != (n, 2) or self.eik.shape != (n,):
             raise ValueError("values must be one 2-spinor per entry of eik")
-        if not 0 <= self.time < n:
-            raise ValueError(f"t={self.time} is outside 0..{n - 1} of a {n}-point grid")
+        _check_grid_time(self.time, n)
         self.values.flags.writeable = False
         self.eik.flags.writeable = False
 
@@ -194,18 +201,35 @@ class FourierState:
         if row is None:
             if len(self.dft_rows) == _KEPT_DFT_ROWS:
                 del self.dft_rows[next(iter(self.dft_rows))]  # the least recently used
-            row = self._phase_row(x)
+            row = _dft_row(self.eik, x)
             row.flags.writeable = False
         self.dft_rows[x] = row
         a0, a1 = np.abs(row @ self.values / n).tolist()
         return a0 * a0 + a1 * a1
 
-    def _phase_row(self, x: int) -> np.ndarray:
-        # e^{i k_m x} = e^{i pi (m - n) x / n}: with (m - n) x = d n + r,
-        # 0 <= r < n, that is (-1)^d e^{i pi r / n} = -(-1)^d T_r, exactly
-        d, r = np.divmod(np.arange(-len(self.values), 0) * x, len(self.values))
-        row = self.eik[r]
-        return np.negative(row, out=row, where=d % 2 == 0)
+def _dft_row(eik: np.ndarray, x: int) -> np.ndarray:
+    """The DFT row ``e^{i k_m x}`` of site ``x`` on the grid of the row ``eik = T``, new."""
+    # e^{i k_m x} = e^{i pi (m - n) x / n}: with (m - n) x = d n + r,
+    # 0 <= r < n, that is (-1)^d e^{i pi r / n} = -(-1)^d T_r, exactly
+    d, r = np.divmod(np.arange(-len(eik), 0) * x, len(eik))
+    row = eik[r]
+    return np.negative(row, out=row, where=d % 2 == 0)
+
+
+def _check_grid_time(t: int, n: int) -> None:
+    """Refuse a time ``t`` outside ``0..n-1``, the times an ``n``-point grid holds."""
+    if not 0 <= t < n:
+        raise ValueError(f"t={t} is outside 0..{n - 1} of a {n}-point grid")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, a bool, float or str is refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def grid_size(t: int) -> int:
@@ -214,9 +238,10 @@ def grid_size(t: int) -> int:
     The ``t + 1`` occupied sites need distinct slots of the DFT; of the
     sizes ``n >= t + 1`` this is the smallest ``2^a 3^b 5^c``, whose FFT
     numpy does in O(n log n) without Bluestein's algorithm.  This is the
-    one place the Fourier route's grid size is written down.
+    one place the Fourier route's grid size is written down.  ``t`` may
+    be a Python or numpy integer; a bool, float or str is refused.
     """
-    target = t + 1
+    target = _integer(t, "t") + 1
     best = 1 << (target - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -246,8 +271,10 @@ def spectral_evolve(
     params.tau).sublattice()``: on a half-circle grid of ``n_grid >=
     t_final + 1`` points (default :func:`grid_size`) the read-back recovers the position
     amplitudes exactly (to roundoff).  ``t_final`` is checked by
-    :func:`qwalk.dynamics.check_time`, and the grid against the same cap.
+    :func:`qwalk.dynamics.check_time`, and the grid against the same cap;
+    a numpy integer ``t_final`` is accepted and a bool refused.
     """
+    t_final = _integer(t_final, "t_final")
     check_time(t_final)
     n = grid_size(t_final) if n_grid is None else n_grid
     return Propagator(params, n).state(schedule, t_final, params.tau).sublattice()
@@ -256,14 +283,20 @@ def spectral_evolve(
 #: ``i**m`` by ``m % 4``, exact.
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
-#: Taus per block of a half-time sweep: :meth:`Propagator.sweep` builds
-#: ``e^{iMw}`` afresh at a block's first tau and turns it by ``e^{2iw}``
-#: for each later one, at most 15 multiplies, each off by about ``eps``.
+#: Taus per anchor block of a half-time sweep: ``e^{iMw}`` is built afresh
+#: at a block's first tau and turned by ``e^{2iw}`` for each later one, at
+#: most 15 multiplies, each off by about ``eps``.
 _PHASE_BLOCK = 16
 
+#: Bytes a sweep block's ``(B, 2, n)`` complex state array may take: ``B =
+#: min(_PHASE_BLOCK, _BLOCK_BYTES // (32 n))`` taus, at least 1, so a
+#: block of the figures' 512-point grid holds a whole anchor block and a
+#: large grid is read one tau at a time, in O(n) memory.
+_BLOCK_BYTES = 256 * 1024
+
 #: DFT rows the states of one :class:`Propagator` keep for
-#: :meth:`FourierState.mass`: a trace reads one ``x`` per tau, figures 5a
-#: and 5c two.
+#: :meth:`FourierState.mass`: a usual or multi trace reads one ``x`` per
+#: tau.
 _KEPT_DFT_ROWS = 2
 
 
@@ -283,10 +316,13 @@ class Propagator:
     skips the stretches: it builds the track's :meth:`split` once and
     carries the phase ``e^{iMw}``, which a ``sin`` and ``cos`` row starts
     afresh every ``_PHASE_BLOCK`` taus, so an extra state costs one
-    complex multiply, one divide and three multiply-adds.  The states
+    complex multiply, one divide and three multiply-adds.  The phases of
+    a block of up to ``B`` taus (``_BLOCK_BYTES``) are the rows of one
+    array, which :meth:`sweep_masses` and :meth:`sweep_probabilities`
+    read with a few array calls a block, forming no state.  The states
     share ``T`` and one ``dft_rows`` dict, so :meth:`FourierState.mass`
     builds the row of an ``x`` once per sweep.  The kept arrays are
-    read-only, and a state is the same, bit for bit, whichever states
+    read-only, and a state or a block is the same, bit for bit, whichever
     came before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
@@ -321,6 +357,7 @@ class Propagator:
         self._w = np.arctan2(np.minimum(self._sin_w, x), np.maximum(self._sin_w, x))
         np.negative(self._w, out=self._w, where=self._folded)
         self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
+        self._rows = max(1, min(_PHASE_BLOCK, _BLOCK_BYTES // (32 * n_grid)))  # B
         self._first_traceless = None  # (V - x I) psi0, built by the first state()
         for kept in (self._eik, self._sin_w, self._d, self._folded, self._w):
             kept.flags.writeable = False
@@ -361,11 +398,11 @@ class Propagator:
         u1 += tmp
         return u
 
-    def _phase(self, j):
-        # e^{ijw} as one complex row, into a new array; where w is kept as
-        # w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
+    def _phase(self, j, out=None):
+        # e^{ijw} as one complex row, into ``out`` or a new array; where w is
+        # kept as w - pi/2, e^{ijw} = i^j e^{ij(w - pi/2)}, exactly
         angle = np.multiply(j, self._w)
-        z = np.empty(angle.shape, dtype=np.complex128)
+        z = np.empty(angle.shape, dtype=np.complex128) if out is None else out
         t, u = z.real, z.imag
         np.cos(angle, out=t)
         np.sin(angle, out=u)
@@ -408,11 +445,13 @@ class Propagator:
         :func:`qwalk.dynamics.evolve` steps to, and the state's ``time`` is
         ``t_final``; :meth:`FourierState.sublattice` recovers ``psi``
         exactly (to roundoff).  :class:`FourierState` refuses a
-        ``t_final`` outside ``0..n-1`` of the ``n``-point grid.  The spinor
-        components are the rows of one ``(2, n)`` array, updated in place,
-        whose transpose is the returned values.  A negative ``tau`` is
-        refused before anything is allocated.
+        ``t_final`` outside ``0..n-1`` of the ``n``-point grid, and so does
+        this method, by the same rule, before anything is allocated, as it
+        does a negative ``tau``.  The spinor components are the rows of one
+        ``(2, n)`` array, updated in place, whose transpose is the returned
+        values.
         """
+        _check_grid_time(t_final, len(self._eik))
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
         p = self.params
@@ -470,6 +509,44 @@ class Propagator:
             half.flags.writeable = False
         return stationary, x_half, y_half
 
+    def _block_start(self, tau):
+        # the first tau of the block that holds tau (an int or an array):
+        # blocks of B taus, from each anchor tau - tau % _PHASE_BLOCK
+        anchor = tau - tau % _PHASE_BLOCK
+        return anchor + (tau - anchor) // self._rows * self._rows
+
+    def _phase_block(self, offset, start, turn, prev=None):
+        # z[j] = e^{iMw} at tau = start + j, M = 2 tau + offset - 1, for the
+        # block from ``start``: row 0 is turned on from the anchor's e^{iMw},
+        # or from the last row of ``prev``, the block made before as (start,
+        # z), when that ends earlier in the same anchor block; each later row
+        # is the one before times ``turn``.  The same multiplies in the same
+        # order, whichever blocks came before.  ``prev``'s array is written
+        # over when it has the rows.
+        anchor = start - start % _PHASE_BLOCK
+        rows = min(self._rows, anchor + _PHASE_BLOCK - start)
+        if prev is not None and anchor <= prev[0] < start:
+            done, last = prev[0] + len(prev[1]), prev[1][-1]
+            z = prev[1] if len(prev[1]) == rows else np.empty((rows, len(self._eik)), complex)
+            np.multiply(last, turn, out=z[0])
+        else:
+            done, z = anchor, np.empty((rows, len(self._eik)), complex)
+            self._phase(2 * anchor + offset - 1, out=z[0])
+        for _ in range(start - done):
+            z[0] *= turn
+        for j in range(1, rows):
+            np.multiply(z[j - 1], turn, out=z[j])
+        return z
+
+    def _phase_blocks(self, offset, taus):
+        # (start, z) of each block that holds one of the sorted taus, in turn
+        turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
+        block = None
+        starts = self._block_start(np.asarray(taus, dtype=np.int64))  # sorted, as the taus
+        for start in starts[np.diff(starts, prepend=-1) != 0].tolist():
+            block = start, self._phase_block(offset, start, turn, block)
+            yield block
+
     def sweep(self, parity: str, taus: Iterable[int]) -> Iterator[FourierState]:
         """Half-time states at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau, off one :meth:`split`.
 
@@ -479,25 +556,24 @@ class Propagator:
         as ``T_M = Re z`` and ``U_{M-1} = Im z / sin w``.  ``M`` grows by 2
         per tau, so ``z`` turns by one multiply by ``e^{2iw}`` a step.  It
         starts afresh, from one ``sin`` and ``cos`` row, at the anchor ``tau
-        - tau % _PHASE_BLOCK``, and carries on only to a later tau of the
-        same block; so a state's bits depend on its tau and the grid alone,
-        not on the taus before it.  This agrees with :meth:`state` to about
-        ``t * eps``, not bit for bit.  A negative tau is refused when its
-        state is asked for.
+        - tau % _PHASE_BLOCK``, and the rows of a block of up to ``B`` taus
+        from there are written as one ``(B, n)`` array, made again only
+        when a tau leaves it; so a state's bits depend on its tau and the
+        grid alone, not on the taus before it.  This agrees with
+        :meth:`state` to about ``t * eps``, not bit for bit.  A negative tau
+        is refused when its state is asked for.
         """
         offset = parity_offset(parity)
         stationary, x_half, y_half = self.split(parity)
         turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
-        done = None  # the tau that z is at
+        block = None  # (start, z) of the block that holds the last tau
         for tau in taus:
             if tau < 0:
                 raise ValueError(f"tau must be non-negative, got {tau}")
-            if done is None or tau < done or tau // _PHASE_BLOCK != done // _PHASE_BLOCK:
-                done = tau - tau % _PHASE_BLOCK
-                z = self._phase(2 * done + offset - 1)
-            for _ in range(tau - done):
-                z *= turn
-            done, m = tau, 2 * tau + offset - 1
+            start = self._block_start(tau)
+            if block is None or block[0] != start:
+                block = start, self._phase_block(offset, start, turn, block)
+            z, m = block[1][tau - start], 2 * tau + offset - 1
             u_row = z.imag / self._sin_w
             g = x_half * z.real
             for g_part, y_part in zip(g, y_half):  # a (2, n) product peaks 48 B/point higher
@@ -508,26 +584,113 @@ class Propagator:
                 g *= _I_POWERS[phase]
             yield FourierState(m + 1, g.T, self._eik, self._mass_rows)
 
+    def sweep_masses(self, parity: str, taus: Sequence[int],
+                     xs: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``P(X_t = x)`` of the half-time states, per block of taus and per ``x`` of ``xs``.
+
+        ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
+        masses)`` for each block of :meth:`sweep` that holds one of them:
+        the times ``t = 2*tau + 1`` or ``2*tau + 2`` of all its rows, and
+        their masses, one column per ``x``.  No state is formed: with the
+        DFT row ``r = e^{ikx}``, the amplitude is ``r.S/n + Re Z (r X/2)/n
+        + Im Z (r Y/2 / sin w)/n`` for the block's phase rows ``Z``, one
+        matrix product, after the row products are formed once; the
+        global phase ``(i sgn x)^M`` drops out of the mass.  A wrong-parity
+        ``x`` or one beyond a row's light cone reads exactly 0.0.  The
+        split is freed once the row products are made, so the memory
+        stays O(n) for a few ``xs``.
+        """
+        offset = parity_offset(parity)
+        n = len(self._eik)
+        stationary, x_half, y_half = self.split(parity)
+        t_last = 2 * taus[-1] + offset if len(taus) else -1
+        reads = []  # (column, x, S row, (2n, 4) products) of each x some state holds
+        for column, x in enumerate(xs):
+            if (x + offset) % 2 or abs(x) > t_last:
+                continue
+            row = _dft_row(self._eik, x)
+            row /= n
+            # rows 2m and 2m + 1 multiply Re z_m and Im z_m; the columns are
+            # the real and imaginary parts of the two spinor entries
+            products = np.empty((n, 2, 2), dtype=np.complex128)
+            np.multiply(x_half, row, out=products[:, 0].T)
+            base = stationary @ row
+            row /= self._sin_w
+            np.multiply(y_half, row, out=products[:, 1].T)
+            reads.append((column, x, base.view(np.float64),
+                          products.view(np.float64).reshape(2 * n, 4)))
+        del stationary, x_half, y_half
+        for start, z in self._phase_blocks(offset, taus):
+            times = 2 * (start + np.arange(len(z))) + offset
+            masses = np.zeros((len(z), len(xs)))
+            for column, x, base, products in reads:
+                amps = z.view(np.float64) @ products
+                amps += base
+                np.square(amps, out=amps)
+                masses[:, column] = np.where(abs(x) <= times, amps.sum(axis=1), 0.0)
+            yield times, masses
+
+    def sweep_probabilities(self, parity: str, taus: Sequence[int]
+                            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Position distributions of the half-time states, one block of taus at a time.
+
+        ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
+        xs, ps)`` for each block of :meth:`sweep` that holds one of them:
+        the times of all its rows, the site ``xs[s]`` of each DFT slot
+        ``s``, and ``ps[j, s] = P(X_t = xs[s])`` at ``times[j]``.  The
+        block's ``S + T_M X/2 + U_{M-1} Y/2`` is formed as one ``(B, 2, n)``
+        array and read back by one inverse FFT, as
+        :meth:`FourierState.sublattice` reads one state: slot ``s`` holds
+        ``x = 2s - (t mod 2)``, taken into ``[-n, n)``, for every tau of a
+        track.  The global phase ``(i sgn x)^M`` drops out of the masses.
+        A slot beyond a row's light cone, ``|x| > t``, reads exactly 0.0.
+        """
+        offset = parity_offset(parity)
+        n, odd = len(self._eik), offset % 2
+        stationary, x_half, y_half = self.split(parity)
+        xs = (2 * np.arange(n) - odd + n) % (2 * n) - n
+        for start, z in self._phase_blocks(offset, taus):
+            times = 2 * (start + np.arange(len(z))) + offset
+            u_rows = z.imag / self._sin_w
+            g = np.empty((len(z), 2, n), dtype=np.complex128)
+            for g_part, x_part, y_part in zip(g.transpose(1, 0, 2), x_half, y_half):
+                np.multiply(x_part, z.real, out=g_part)
+                g_part += y_part * u_rows
+            g += stationary
+            if odd:
+                g *= np.conjugate(self._eik)
+            np.fft.ifft(g, axis=-1, out=g)
+            sq = np.abs(g)
+            sq *= sq
+            ps = sq[:, 0] + sq[:, 1]
+            del u_rows, g, sq  # before the caller weighs ps: the peak of a large grid
+            ps[np.abs(xs) > times[:, None]] = 0.0
+            yield times, xs, ps
+
 
 def asymptotic_amplitude(params: WalkParams, x: int, parity: str) -> np.ndarray:
-    """Large-time amplitude limit at position ``x``, up to a global phase.
+    """The stationary amplitude ``S_x`` at position ``x``, phase and all.
 
     ``parity`` selects the measurement subsequence: ``"odd"`` for times
     ``2*tau + 1`` and ``"even"`` for ``2*tau + 2``.  The returned spinor
-    is the tau-independent representative (an alternating global sign is
-    dropped), so only its squared norm is meaningful; that squared norm
-    equals the stationary point mass at ``x``.  ``1 - |s|`` is taken as
-    ``m = c^2 p`` with ``p = 1/(1 + |s|)``, and the geometric factor as
-    powers of ``q = |c| p``, so nothing cancels or divides by ``c`` near
-    ``theta = pi/2``.  Not public API: kept only because ``perfbench``
-    imports it, until ROADMAP item 1(a) gives the benchmark its own
-    references.
+    is the DFT row ``x`` of the stationary part ``S_e`` of
+    :meth:`Propagator.split`, in closed form, with no grid: the
+    tau-independent part of the half-time state at ``x`` once the global
+    phase ``(i sgn x)^M``, ``M = t - 1``, is taken out.  That is the
+    branch formulas below times ``phi = 1`` on the odd track and ``i
+    sgn(c)`` on the even track, a factor of ``g``.  Its squared norm is the
+    stationary point mass at ``x``.  ``1 - |s|`` is taken as ``m = c^2
+    p`` with ``p = 1/(1 + |s|)``, and the geometric factor as powers of
+    ``q = |c| p``, so nothing cancels or divides by ``c`` near ``theta =
+    pi/2``.  Not in ``__all__``.
     """
     offset = parity_offset(parity)
     c, s = params.c, params.s
     c1, s1 = params.c1, params.s1
     alpha, beta = params.alpha, params.beta
     g = c1 * s - s1 * c
+    if offset == 2:
+        g *= 1j * math.copysign(1.0, c)  # phi, a factor of every branch below
     sa = abs(s)
     p = 1.0 / (1.0 + sa)
     q = abs(c) * p

@@ -24,6 +24,8 @@ from qwalk import (
     rescaled_cdf_distance,
     tau_sweep,
     theorem1_limit,
+    trace_masses,
+    trace_moments,
 )
 from qwalk.analysis import mass_trace
 from qwalk.coin import parity_offset
@@ -316,14 +318,99 @@ def test_half_time_sweep_memory_per_grid_point():
     assert peak <= 300 * n, peak / n
 
 
-def test_sweep_keeps_order_and_repeats(example_params):
+@pytest.mark.parametrize("reader", ("masses", "moments"))
+def test_trace_readers_memory_per_grid_point(reader):
+    # The propagator keeps 49 B a grid point and the split 96 B while the
+    # mass reader forms its 64 B of row products (then frees the split) or
+    # the moment reader its (B, 2, n) block, B = 1 on this grid.
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    n = grid_size(2 * 100_000 + 1)
+    tracemalloc.start()
+    try:
+        if reader == "masses":
+            trace_masses(p, Schedule.half_time(), "odd", [0, 5, 100_000], (1,))
+        else:
+            trace_moments(p, Schedule.half_time(), "odd", [0, 5, 100_000], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * n, peak / n
+
+
+#: Half-time taus whose largest t has a grid of exactly t + 1 points (t =
+#: 161, n = 162; t = 80, n = 81), unsorted and repeated, across anchor blocks.
+EDGE_TAUS = {"odd": (80, 3, 17, 17, 0, 79, 64, 3), "even": (39, 5, 5, 0, 16, 33, 39)}
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_trace_readers_match_the_states(parity, example_params):
+    # The block readers against FourierState.mass and the moment of the
+    # read-back, at every x with |x| <= t + 2 and r = 0..8.  On the track's
+    # t = n - 1 grid the DFT slot n/2 (odd) or (n - 1)/2 (even) holds x = +t.
+    taus = EDGE_TAUS[parity]
+    t_max = 2 * max(taus) + parity_offset(parity)
+    assert grid_size(t_max) == t_max + 1
+    xs = range(-t_max - 2, t_max + 3)
+    # near theta = 0 and pi the walk is ballistic: most mass sits at x = +-t
+    ballistic = [WalkParams(theta=theta, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+                 for theta in (0.01, math.pi - 0.01)]
+    for params in (example_params, *sample_params(seed=57, n=2), *ballistic):
+        masses = trace_masses(params, Schedule.half_time(), parity, taus, xs)
+        moments = np.array([trace_moments(params, Schedule.half_time(), parity, taus, r)
+                            for r in range(9)])
+        states = tau_sweep(params, Schedule.half_time(), parity, taus)
+        for row, state in enumerate(states):
+            t = state.time
+            for column, x in enumerate(xs):
+                want = state.mass(x)
+                if abs(x) > t or (x + t) % 2:
+                    assert masses[row, column] == 0.0, (t, x)
+                assert abs(masses[row, column] - want) <= 1e-14, (t, x)
+            for r in range(9):
+                assert abs(moments[r, row] - sweep_moment(state, r)) <= 1e-14, (t, r)
+
+
+def test_trace_moments_weigh_nothing_beyond_the_light_cone(example_params):
+    # Short taus on a long trace's grid (n = 1440 here): the slots beyond
+    # |x| = t hold roundoff, which (x/t)^8 would lift far above 1e-14 at t = 1.
+    taus = (0, 1, 700)
+    for parity in ("odd", "even"):
+        moments = trace_moments(example_params, Schedule.half_time(), parity, taus, 8)
+        states = tau_sweep(example_params, Schedule.half_time(), parity, taus)
+        for got, state in zip(moments, states):
+            assert abs(got - sweep_moment(state, 8)) <= 1e-14, state.time
+
+
+@pytest.mark.parametrize("schedule", (Schedule.usual(), Schedule.multi({5, 17})),
+                         ids=lambda s: s.kind.value)
+def test_trace_readers_read_each_state_off_other_schedules(schedule, example_params):
     taus = (9, 2, 9, 0)
-    swept = [state.mass(1)
-             for state in tau_sweep(example_params, Schedule.half_time(), "odd", taus)]
-    assert swept[0] == swept[2]
-    trace = mass_trace(example_params, 1, "odd", (0, 2, 9))
-    assert swept[1] == trace.values[1] and swept[3] == trace.values[0]
-    assert mass_trace(example_params, 1, "odd", taus) == (taus, tuple(swept))
+    states = list(tau_sweep(example_params, schedule, "even", taus))
+    masses = trace_masses(example_params, schedule, "even", taus, (0, 2, 3))
+    assert masses.tolist() == [[s.mass(0), s.mass(2), s.mass(3)] for s in states]
+    assert trace_moments(example_params, schedule, "even", taus, 3).tolist() == [
+        sweep_moment(state, 3) for state in states]
+    assert trace_masses(example_params, schedule, "even", (), (0,)).shape == (0, 1)
+
+
+def test_sweep_keeps_order_and_repeats(example_params):
+    # Within each reader, a value's bits depend on its tau and the grid
+    # alone; the state's DFT row and the block's matrix product add their
+    # terms in different orders, so the two readers agree to roundoff.
+    def swept(taus):
+        states = tau_sweep(example_params, Schedule.half_time(), "odd", taus)
+        return [state.mass(1) for state in states]
+
+    taus = (9, 2, 9, 0)
+    states, ordered = swept(taus), swept((0, 2, 9))
+    assert states[0] == states[2]
+    assert states[1] == ordered[1] and states[3] == ordered[0]
+    trace = mass_trace(example_params, 1, "odd", taus)
+    ordered = mass_trace(example_params, 1, "odd", (0, 2, 9))
+    assert trace.taus == taus and trace.values[0] == trace.values[2]
+    assert trace.values[1] == ordered.values[1] and trace.values[3] == ordered.values[0]
+    assert max(abs(a - b) for a, b in zip(trace.values, states)) <= 1e-15
+    assert mass_trace(example_params, 1, "odd", ()) == ((), ())
     assert list(tau_sweep(example_params, Schedule.half_time(), "odd", ())) == []
 
 

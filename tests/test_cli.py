@@ -265,7 +265,7 @@ PINNED_OUTPUTS = (
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
       "--taus", "0,7,100"], "17292b93f61f"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
-     "949985f04142"),
+     "8ef8c8cecb6d"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "e189f022cb67"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
      "c690016f6fdb"),
@@ -282,8 +282,8 @@ PINNED_OUTPUTS = (
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
         ("1a", "e726b2d24721"), ("1b", "e27b9d867076"), ("2a", "5f2c489af38d"),
         ("2b", "cecc65dffeff"), ("3a", "a6a692bbd92f"), ("3b", "59b4bdd1e68a"),
-        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "59660078b336"),
-        ("5b", "89cff181f6eb"), ("5c", "3e717f8ec92d"), ("7a", "9a03ec421e88"),
+        ("4a", "0b7f2ef5d849"), ("4b", "80dd38422442"), ("5a", "c8a6e5a43f65"),
+        ("5b", "82cc9add68ca"), ("5c", "1515e7aa0117"), ("7a", "9a03ec421e88"),
         ("7b", "ae82e593effc"))),
 )
 PINNED_TIMES = {"sim_t3.csv": "d5c9b5238eae", "sim_t101.csv": "31f9ffd4e749",
@@ -1281,7 +1281,7 @@ def test_tracer_targets_resolve(monkeypatch, tmp_path):
         for module, path, _ in tracer.TARGETS:
             assert recorder.bindings[tracer.layer_name(module, path)] >= 1
         assert qwalk.cli.emit is not original
-        assert qwalk.cli.main(["trace", *WALK, "--observable", "moment", "--taus", "1,4",
+        assert qwalk.cli.main(["trace", *WALK, "--observable", "ks", "--taus", "1,4",
                                "--out", str(tmp_path / "trace.csv")]) == 0
         assert qwalk.cli.main(["compare", *WALK, "--tau", "2", "--t", "5",
                                "--out", str(tmp_path / "report.json")]) == 0

@@ -355,6 +355,23 @@ def test_stationary_part_is_theorem_1():
             assert abs(stationary.norm_sq() - delta_mass(p)) <= 1e-15, (p, parity)
 
 
+def test_asymptotic_amplitude_is_the_stationary_dft_row():
+    # S_x with its phase: the split's S read back as a state of its track,
+    # componentwise, on grids with n|s| >= 40
+    near_edges = [WalkParams(theta=theta, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+                  for theta in (1e-3, 0.01, math.pi / 2 - 1e-3, math.pi - 0.01)]
+    for p in sample_params(seed=40, n=8) + near_edges:
+        n = grid_size(max(64, math.ceil(40 / abs(p.s))))
+        propagator = Propagator(p, n)
+        for parity in ("odd", "even"):
+            t = n - 1 - (n - 1 - parity_offset(parity)) % 2
+            sites = FourierState(t, propagator.split(parity)[0].T, propagator._eik).sublattice()
+            for x in range(-9, 10):
+                want = sites.sites[(x + t) // 2] if (x + t) % 2 == 0 else np.zeros(2)
+                got = asymptotic_amplitude(p, x, parity)
+                assert np.max(np.abs(got - want)) <= 1e-14, (p, parity, x)
+
+
 def positions_of(state):
     """The window ``-t..t`` of a transformed state, zeros at the other parity."""
     t = state.time
@@ -484,6 +501,44 @@ def test_state_refuses_a_negative_tau_before_it_allocates(example_params):
     finally:
         tracemalloc.stop()
     assert peak < grid_size(200_001), peak
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind.value)
+def test_state_refuses_an_off_grid_time_before_it_allocates(example_params, schedule):
+    # the rule FourierState applies, checked before the first array is built
+    n = grid_size(200_001)
+    assert n == 202_500
+    propagator = Propagator(example_params, n)
+    for t in (n, -5):
+        tracemalloc.start()
+        try:
+            match = f"t={t} is outside 0..{n - 1} of a {n}-point grid"
+            with pytest.raises(ValueError, match=match):
+                propagator.state(schedule, t, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n, peak
+
+
+def test_grid_size_takes_numpy_integers_and_refuses_bool():
+    for t in (np.int64(9), np.int32(9), np.uint16(9)):
+        assert grid_size(t) == grid_size(9) == 10
+        assert type(grid_size(t)) is int
+    for bad in (True, False, np.True_, 9.0, "9"):
+        with pytest.raises(ValueError, match="integer"):
+            grid_size(bad)
+
+
+def test_spectral_evolve_takes_numpy_integers_and_refuses_bool(example_params):
+    p = dataclasses.replace(example_params, tau=3)
+    want = spectral_evolve(p, Schedule.half_time(), 9)
+    for t in (np.int64(9), np.int32(9)):
+        got = spectral_evolve(p, Schedule.half_time(), t)
+        assert got.time == 9 and np.array_equal(got.sites, want.sites)
+    for bad in (True, np.True_, 9.0):
+        with pytest.raises(ValueError, match="integer"):
+            spectral_evolve(p, Schedule.half_time(), bad, n_grid=16)
 
 
 def test_sweep_refuses_a_negative_tau_at_that_tau(example_params):
