@@ -30,7 +30,7 @@ import numpy as np
 from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import Distribution, check_time, distribution
 from .limits import LimitDensity
-from .spectral import FourierState, Propagator, grid_size
+from .spectral import FourierState, Propagator, _integer, grid_size
 
 __all__ = [
     "tau_sweep",
@@ -75,8 +75,9 @@ def tau_sweep(
     Raises
     ------
     ValueError
-        For an unknown parity, a negative tau, or a largest ``t`` that
-        :func:`qwalk.dynamics.check_time` rejects.
+        For an unknown parity, a tau that is not a non-negative integer
+        (a bool, float or str is refused, not truncated), or a largest
+        ``t`` that :func:`qwalk.dynamics.check_time` rejects.
     """
     offset, taus, propagator = _trace_propagator(params, parity, taus)
     if schedule.kind is ScheduleKind.HALF_TIME:
@@ -133,7 +134,7 @@ def _trace_propagator(params: WalkParams, parity: str,
                       taus: Iterable[int]) -> tuple[int, list[int], Propagator]:
     """The parity offset, the checked taus and the propagator of a trace."""
     offset = parity_offset(parity)
-    taus = [int(tau) for tau in taus]
+    taus = [_integer(tau, "tau") for tau in taus]
     if any(tau < 0 for tau in taus):
         raise ValueError(f"taus must be non-negative, got {min(taus)}")
     t_max = 2 * max(taus) + offset if taus else 0
@@ -168,7 +169,7 @@ def mass_trace(params: WalkParams, x: int, parity: str,
     may come in any order and repeat.  Not public API: kept only because
     ``perfbench`` traces it, until ROADMAP item 1(a) retargets its tracer.
     """
-    taus = tuple(int(tau) for tau in taus)
+    taus = tuple(_integer(tau, "tau") for tau in taus)
     masses = trace_masses(params, Schedule.half_time(), parity, taus, (x,))
     return ConvergenceTrace(taus, tuple(masses[:, 0].tolist()))
 
@@ -223,9 +224,17 @@ def _moment_sum(xs: np.ndarray, t, ps: np.ndarray, r: int):
     """``sum (x/t)^r P(x)`` over the last axis: the one moment formula.
 
     ``t`` may be a column of times, one per row of ``ps``; a site with no
-    mass, beyond a row's light cone, adds exactly 0.
+    mass, beyond a row's light cone, adds exactly 0.  The power is taken
+    of ``|x/t|`` clipped to 1, and an odd ``r`` puts the sign back: numpy's
+    ``pow`` is many times slower on a negative base, and beyond the cone,
+    where ``|x/t|`` exceeds 1, a high order would overflow to ``inf * 0``.
+    Inside the cone ``|x| <= t``, so the clip changes nothing there, and
+    ``r <= 2`` gives the bits of ``(x/t)**r``.
     """
-    return np.sum((xs / t) ** r * ps, axis=-1)
+    scaled = np.minimum(np.abs(xs / t), 1.0) ** r
+    if r % 2:
+        np.copysign(scaled, xs, out=scaled)
+    return np.sum(scaled * ps, axis=-1)
 
 
 def _window(dist: Distribution) -> slice:

@@ -47,6 +47,12 @@ __all__ = [
 #: order 48 and passes 1e-12 from order 49 on.
 MAX_MOMENT_ORDER = 40
 
+#: :func:`theorem1_limit` writes 0.0 for the tail factor ``q**e`` where
+#: ``e log2 q < -_UNDERFLOW_BITS``.  The true value is then far below half
+#: the least subnormal, ``2**-1075``, so ``pow`` rounds it to 0.0 as well;
+#: the 25 bits of margin absorb the rounding of ``log2 q`` and of the cut.
+_UNDERFLOW_BITS = 1100
+
 #: Taylor coefficients of ``(z - atan z) / z**3`` in ``z**2``, highest first;
 #: eight terms reach roundoff for ``z < 0.1``.
 _ATAN_SERIES = [(-1) ** k / (2 * k + 3) for k in reversed(range(8))]
@@ -76,7 +82,11 @@ def theorem1_limit(params: WalkParams, x, parity: str):
     parity carry no mass and give 0.  The values are nonnegative and,
     for ``theta1 == theta``, identically zero (no localization).  A
     scalar ``x`` gives a float, an array an array of its shape; both are
-    the same elementwise expression.
+    the same elementwise expression.  From ``|x| = 3`` on, the masses
+    follow ``q**(2|x| - 4)`` with ``q = |c|/(1 + |s|) < 1``, a positive
+    base; where that power underflows past ``2**-1100`` it is written as
+    the 0.0 that ``pow`` would return, without calling ``pow``, which is
+    many times slower there.
     """
     offset = parity_offset(parity)
     # a scalar runs as a 1-element array, through the same ufunc loops
@@ -90,8 +100,14 @@ def theorem1_limit(params: WalkParams, x, parity: str):
     ax, sgn = np.abs(xs), np.sign(xs)
     a = np.where(xs > 0, params.alpha, params.beta)
     b = np.where(xs > 0, params.beta, params.alpha)
-    # |x| >= 3 on either track: one geometric law in q**2
-    far = (2.0 * g2 * s * s * p ** 3 * (abs(c) * p) ** (2 * ax - 4)
+    # |x| >= 3 on either track: one geometric law in q**2.  The kept
+    # exponents go through one unmasked pow: numpy may run a masked pow
+    # (where=) through another loop, with other last bits.
+    q, e = abs(c) * p, 2 * ax - 4
+    kept = e < _UNDERFLOW_BITS / -math.log2(q)
+    tail = np.zeros(e.shape)
+    tail[kept] = q ** e[kept]
+    far = (2.0 * g2 * s * s * p ** 3 * tail
            * np.abs(a - sgn * math.copysign(1.0, s) * c * p * b) ** 2)
     if offset == 1:
         near = g2 * p * p * (np.abs(a + sgn * c * s * p * b) ** 2 + s * s * np.abs(b) ** 2)

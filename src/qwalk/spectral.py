@@ -128,21 +128,29 @@ def _eigenvector(c: float, s: float, cos_k: np.ndarray, sin_k: np.ndarray,
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _eigenvalues(params: WalkParams, k) -> tuple[np.ndarray, np.ndarray]:
+    """``(lambda1, lambda2) = (+-sqrt(1 - c^2 sin^2 k) + i c sin k)`` at the wavenumbers ``k``."""
+    k = np.asarray(k, dtype=float)
+    c, s = params.c, params.s
+    x = c * np.sin(k)
+    r_a = np.hypot(s, c * np.cos(k))  # sqrt(1 - x^2) cancels near |x| = 1
+    return r_a + 1j * x, -r_a + 1j * x
+
+
 def eigensystem(params: WalkParams, k) -> SpectralPair:
     """Closed-form eigen-decomposition of the momentum-space coin.
 
     ``k`` is a scalar or an array of wavenumbers.  The eigenvalues are
-    ``+-sqrt(1 - c^2 sin^2 k) + i c sin k``; their product is exactly -1.
+    those of :func:`_eigenvalues`; their product is exactly -1.
     """
     k = np.array(k, dtype=float)  # a copy: the pair's arrays are read-only
     c, s = params.c, params.s
-    cos_k, sin_k = np.cos(k), np.sin(k)
-    x = c * sin_k
-    r_a = np.hypot(s, c * cos_k)  # sqrt(1 - x^2) cancels near |x| = 1
+    lambda1, lambda2 = _eigenvalues(params, k)
+    cos_k, sin_k, r_a = np.cos(k), np.sin(k), lambda1.real
     return SpectralPair(
         k=k,
-        lambda1=r_a + 1j * x,
-        lambda2=-r_a + 1j * x,
+        lambda1=lambda1,
+        lambda2=lambda2,
         v1=_eigenvector(c, s, cos_k, sin_k, r_a, +1.0),
         v2=_eigenvector(c, s, cos_k, sin_k, r_a, -1.0),
     )

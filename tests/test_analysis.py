@@ -22,6 +22,7 @@ from qwalk import (
     localized_mass,
     moment,
     rescaled_cdf_distance,
+    spectral_evolve,
     tau_sweep,
     theorem1_limit,
     trace_masses,
@@ -381,6 +382,23 @@ def test_trace_moments_weigh_nothing_beyond_the_light_cone(example_params):
             assert abs(got - sweep_moment(state, 8)) <= 1e-14, state.time
 
 
+@pytest.mark.parametrize("r", (3, 4, 7, 200))
+def test_high_order_trace_moments_are_finite(r):
+    # Beyond the cone of a short tau on a long trace's grid |x/t| reaches
+    # 161 here, where an unclipped (x/t)^200 overflows to inf * 0 = NaN.
+    taus = (*range(6), 80)
+    eps = np.finfo(float).eps
+    for params in sample_params(seed=58, n=4):
+        for parity in ("odd", "even"):
+            got = trace_moments(params, Schedule.half_time(), parity, taus, r)
+            assert np.all(np.isfinite(got))
+            for tau, value in zip(taus, got):
+                t = 2 * tau + parity_offset(parity)
+                walk = dataclasses.replace(params, tau=tau)
+                want = moment(distribution(spectral_evolve(walk, Schedule.half_time(), t)), r)
+                assert abs(value - want) <= 4 * t * eps, (parity, t)
+
+
 @pytest.mark.parametrize("schedule", (Schedule.usual(), Schedule.multi({5, 17})),
                          ids=lambda s: s.kind.value)
 def test_trace_readers_read_each_state_off_other_schedules(schedule, example_params):
@@ -420,6 +438,16 @@ def test_sweep_validation(example_params, monkeypatch):
         tau_sweep(example_params, schedule, "both", (1,))
     with pytest.raises(ValueError):
         tau_sweep(example_params, schedule, "odd", (3, -1))
+    readers = (lambda taus: [state.mass(1) for state in
+                             tau_sweep(example_params, schedule, "odd", taus)],
+               lambda taus: trace_masses(example_params, schedule, "odd", taus, (1,)),
+               lambda taus: trace_moments(example_params, schedule, "odd", taus, 2))
+    for reader in readers:
+        # a tau is an integer, not something int() would truncate
+        for bad in (2.9, 2.0, True, np.bool_(False), np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="tau must be an integer"):
+                reader((1, bad))
+        assert np.array_equal(reader((np.int64(2), 3)), reader((2, 3)))
     monkeypatch.setenv("QWALK_MAX_T", "10")
     with pytest.raises(ValueError, match="cap"):
         tau_sweep(example_params, schedule, "odd", (1, 5))

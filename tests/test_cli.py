@@ -264,6 +264,11 @@ PINNED_OUTPUTS = (
     (["trace", *PINNED_W, "--observable", "ks", "--taus", "5,50,10,200"], "73a2ce598611"),
     (["trace", *PINNED_W, "--observable", "moment", "--r", "2", "--parity", "even",
       "--taus", "0,7,100"], "17292b93f61f"),
+    # odd order: exactly 0 for the symmetric spinor, signed for "up"
+    (["trace", *PINNED_W, "--observable", "moment", "--r", "3", "--parity", "odd",
+      "--taus", "0,7,100"], "b8418ee16765"),
+    (["trace", *PINNED_W, "--preset", "up", "--observable", "moment", "--r", "3",
+      "--parity", "odd", "--taus", "0,7,100"], "d91f8d356622"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
      "8ef8c8cecb6d"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "e189f022cb67"),

@@ -13,7 +13,8 @@ from qwalk import (
     delta_mass,
     theorem1_limit,
 )
-from qwalk.limits import MAX_MOMENT_ORDER, limit_mass_total, limit_masses
+from qwalk.coin import parity_offset
+from qwalk.limits import _UNDERFLOW_BITS, MAX_MOMENT_ORDER, limit_mass_total, limit_masses
 from qwalk.spectral import asymptotic_amplitude
 
 ROOT2 = math.sqrt(2.0)
@@ -93,6 +94,39 @@ def test_dark_tail_has_no_cancellation():
         p = WalkParams(theta=theta, theta1=1.1, tau=0, alpha=ratio * beta, beta=beta)
         masses = theorem1_limit(p, np.arange(3, 40, 2), "odd")
         assert np.all((masses >= 0.0) & (masses <= 1e-28 * theorem1_limit(p, 1, "odd")))
+
+
+def test_tail_matches_plain_pow_bit_for_bit():
+    # The tail formula with a plain q**(2|x| - 4) everywhere, against
+    # theorem1_limit, which skips pow past the underflow cut: on |x| <= 3000
+    # and where q**(2|x| - 4) leaves the normals (2**-1022), where it
+    # rounds to 0 (2**-1075) and at the cut.
+    walks = [*sample_params(seed=43, n=30),
+             *(WalkParams(theta=theta, theta1=1.3, tau=0, alpha=0.6, beta=0.8j)
+               for theta in (*EDGE_THETAS, 1e-4, math.pi - 1e-3))]
+    for params in walks:
+        c, s = params.c, params.s
+        p = 1.0 / (1.0 + abs(s))
+        q = abs(c) * p
+        g2 = (params.c1 * s - params.s1 * c) ** 2
+        edges = [int(bits / -math.log2(q)) // 2 + 2 for bits in (1022, 1075, _UNDERFLOW_BITS)]
+        band = np.concatenate([np.arange(edge - 20, edge + 21) for edge in edges])
+        xs = np.concatenate((np.arange(3, 3001), band[band >= 3]))
+        xs = np.concatenate((xs, -xs))
+        ax, sgn = np.abs(xs), np.sign(xs)
+        a = np.where(xs > 0, params.alpha, params.beta)
+        b = np.where(xs > 0, params.beta, params.alpha)
+        plain = (2.0 * g2 * s * s * p ** 3 * q ** (2 * ax - 4)
+                 * np.abs(a - sgn * math.copysign(1.0, s) * c * p * b) ** 2)
+        for parity in ("odd", "even"):
+            want = np.where(ax % 2 == parity_offset(parity) % 2, plain, 0.0)
+            got = theorem1_limit(params, xs, parity)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), params
+            # a scalar runs as a 1-element array, through the same loops
+            near = np.concatenate((np.arange(-40, 41), band))
+            scalars = [theorem1_limit(params, int(x), parity) for x in near]
+            assert np.array_equal(np.array(scalars).view(np.int64),
+                                  theorem1_limit(params, near, parity).view(np.int64))
 
 
 def test_limit_masses_table(example_params):
