@@ -7,17 +7,17 @@ against the limit moments.  No sampling is involved anywhere.
 
 Traces over tau run on one closed-form momentum-space propagator, which
 jumps to each measurement time instead of re-stepping the walk from ``t =
-0`` for every tau, on the grid of :func:`qwalk.spectral.grid_size`.
-:func:`tau_sweep` yields one state per tau, each carrying its own time,
-so :meth:`qwalk.spectral.FourierState.mass` and the read-back
+0`` for every tau, on the grid of :func:`qwalk.spectral.grid_size`, by
+one carried-phase sweep whatever the schedule.  :func:`tau_sweep` yields
+one state per tau, each carrying its own time, so
+:meth:`qwalk.spectral.FourierState.mass` and the read-back
 :meth:`qwalk.spectral.FourierState.sublattice` take no ``t``.  The trace
-readers :func:`trace_masses` and :func:`trace_moments` read a half-time
-trace a block of taus at a time
-(:meth:`qwalk.spectral.Propagator.sweep_masses` and
-:meth:`~qwalk.spectral.Propagator.sweep_probabilities`), with no state
-per tau, and the usual and multi schedules state by state.  A moment is
-``sum (x/t)^r P(x)`` of one helper, whether it reads a
-:class:`~qwalk.dynamics.Distribution` (:func:`moment`) or a block.
+readers :func:`trace_masses` and :func:`trace_moments` read a trace a
+block of taus at a time (:meth:`qwalk.spectral.Propagator.sweep_masses`
+and :meth:`~qwalk.spectral.Propagator.sweep_probabilities`), with no
+state per tau.  A moment is ``sum (x/t)^r P(x)`` of one helper, whether
+it reads a :class:`~qwalk.dynamics.Distribution` (:func:`moment`) or a
+block.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
-from .dynamics import Distribution, check_time, distribution
+from .coin import Schedule, WalkParams, parity_offset
+from .dynamics import Distribution, check_time
 from .limits import LimitDensity
 from .spectral import FourierState, Propagator, _integer, grid_size
 
@@ -67,10 +67,9 @@ def tau_sweep(
     order (repeats allowed), and each state carries its own ``time``.  One
     :class:`qwalk.spectral.Propagator`, whose grid is sized for the largest
     ``t`` (so a tau's last digits can depend on it), serves every tau at
-    O(n) each: :meth:`~qwalk.spectral.Propagator.sweep` on the half-time
-    schedule, :meth:`~qwalk.spectral.Propagator.state` on the others.  The
-    arguments are checked at once; the states are computed one at a time
-    as they are iterated, so memory stays O(n).
+    O(n) each, by :meth:`~qwalk.spectral.Propagator.sweep` on every
+    schedule.  The arguments are checked at once; the states are computed
+    one at a time as they are iterated, so memory stays O(n).
 
     Raises
     ------
@@ -79,10 +78,8 @@ def tau_sweep(
         (a bool, float or str is refused, not truncated), or a largest
         ``t`` that :func:`qwalk.dynamics.check_time` rejects.
     """
-    offset, taus, propagator = _trace_propagator(params, parity, taus)
-    if schedule.kind is ScheduleKind.HALF_TIME:
-        return propagator.sweep(parity, taus)
-    return (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
+    _, taus, propagator = _trace_propagator(params, parity, taus)
+    return propagator.sweep(schedule, parity, taus)
 
 
 def trace_masses(params: WalkParams, schedule: Schedule, parity: str,
@@ -90,20 +87,14 @@ def trace_masses(params: WalkParams, schedule: Schedule, parity: str,
     """``P(X_t = x)`` at ``t = 2*tau + 1`` or ``2*tau + 2``: one row per tau, one column per x.
 
     The taus and the grid are those of :func:`tau_sweep`, checked the same
-    way.  On the half-time schedule the masses are read a block of taus at
-    a time, with no state formed
-    (:meth:`qwalk.spectral.Propagator.sweep_masses`); on the others, by
-    :meth:`qwalk.spectral.FourierState.mass` of each state.  Either way a
-    value's bits depend on its tau, x and the grid alone, so ``taus`` may
-    come in any order and repeat.  A wrong-parity ``x``, or one beyond the
-    light cone, reads exactly 0.0.
+    way.  The masses are read a block of taus at a time, with no state
+    formed (:meth:`qwalk.spectral.Propagator.sweep_masses`), so a value's
+    bits depend on its tau, x and the grid alone, and ``taus`` may come in
+    any order and repeat.  A wrong-parity ``x``, or one beyond the light
+    cone, reads exactly 0.0.
     """
     offset, taus, propagator = _trace_propagator(params, parity, taus)
-    if schedule.kind is not ScheduleKind.HALF_TIME:
-        states = (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
-        return np.array([[state.mass(x) for x in xs] for state in states],
-                        dtype=float).reshape(len(taus), len(xs))
-    blocks = propagator.sweep_masses(parity, sorted(set(taus)), xs)
+    blocks = propagator.sweep_masses(schedule, parity, sorted(set(taus)), xs)
     return _per_tau(taus, offset, blocks, (0, len(xs)))
 
 
@@ -112,21 +103,16 @@ def trace_moments(params: WalkParams, schedule: Schedule, parity: str,
     """r-th moment of ``X_t/t`` at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau.
 
     The taus and the grid are those of :func:`tau_sweep`, checked the same
-    way, after the order ``r``.  On the half-time schedule the
-    distributions come a block of taus at a time, each block from one
-    inverse FFT (:meth:`qwalk.spectral.Propagator.sweep_probabilities`),
-    and the moment is one weighted row sum over the block's DFT slots; on
-    the others, :func:`moment` of each state's read-back.  A value's bits
-    depend on its tau, r and the grid alone.
+    way, after the order ``r``.  The distributions come a block of taus at
+    a time, each block from one inverse FFT
+    (:meth:`qwalk.spectral.Propagator.sweep_probabilities`), and the
+    moment is one weighted row sum over the block's DFT slots.  A value's
+    bits depend on its tau, r and the grid alone.
     """
     check_moment_order(r)
     offset, taus, propagator = _trace_propagator(params, parity, taus)
-    if schedule.kind is not ScheduleKind.HALF_TIME:
-        states = (propagator.state(schedule, 2 * tau + offset, tau) for tau in taus)
-        return np.array([moment(distribution(state.sublattice()), r) for state in states],
-                        dtype=float)
-    blocks = ((times, _moment_sum(xs, times[:, None], ps, r))
-              for times, xs, ps in propagator.sweep_probabilities(parity, sorted(set(taus))))
+    blocks = ((times, _moment_sum(xs, times[:, None], ps, r)) for times, xs, ps
+              in propagator.sweep_probabilities(schedule, parity, sorted(set(taus))))
     return _per_tau(taus, offset, blocks, (0,))
 
 
@@ -192,8 +178,13 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     supremum sits at an end: the left and right limits at the jump points
     give the exact supremum.
     """
+    check_measurement_time(params.tau, dist.time)
+    return _limit_distance(LimitDensity.from_params(params), dist)
+
+
+def _limit_distance(dens: LimitDensity, dist: Distribution) -> float:
+    """The distance of :func:`rescaled_cdf_distance` to the limit law ``dens``, built by the caller."""
     t = dist.time
-    check_measurement_time(params.tau, t)
     xs, ps = dist.as_arrays()
     inside = _window(dist)
     # the sites are sorted, so the atom goes between the two outer runs
@@ -201,7 +192,6 @@ def rescaled_cdf_distance(params: WalkParams, dist: Distribution) -> float:
     masses = np.concatenate((ps[:inside.start], [np.sum(ps[inside])], ps[inside.stop:]))
     lattice_right = np.cumsum(masses)
     lattice_left = lattice_right - masses
-    dens = LimitDensity.from_params(params)
     limit_right = dens.cdf(points)
     limit_left = limit_right - dens.delta * (points == 0.0)
     return max(

@@ -9,7 +9,6 @@ error, 2 tolerance failure in check-style commands.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -23,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
+    _limit_distance,
     check_measurement_time,
     localized_mass,
     moment,
@@ -452,10 +452,9 @@ def _cmd_trace(args) -> int:
     offset = parity_offset(args.parity)
     if args.observable == "ks":
         _require_half_time(schedule, "trace --observable ks")
+        dens = LimitDensity.from_params(params)  # the same law for every tau
         states = tau_sweep(params, schedule, args.parity, args.taus)
-        values = [rescaled_cdf_distance(dataclasses.replace(params, tau=tau),
-                                        distribution(state.sublattice()))
-                  for tau, state in zip(args.taus, states)]
+        values = [_limit_distance(dens, distribution(state.sublattice())) for state in states]
     elif args.observable == "mass":
         values = trace_masses(params, schedule, args.parity, args.taus, (args.x,))[:, 0]
     else:

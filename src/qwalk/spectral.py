@@ -48,15 +48,20 @@ choices matter near the excluded angles: ``sqrt(1 - x^2)`` cancels when
 near pi carries an absolute rounding error that the ratio ``sin(m w) / sin
 w`` magnifies.
 
-A half-time state splits exactly into a stationary part, the same for
-every tau of a parity track, whose DFT rows are the Theorem 1 amplitudes,
-and a dispersive part (:meth:`Propagator.split`) whose phase ``e^{iMw}``,
-``M = t - 1``, a sweep turns by ``e^{2iw}`` from tau to tau, one complex
-multiply each, from an anchor every 16 taus.  The phases of a block of
-taus are written as the rows of one ``(B, n)`` array, and the sweep's
-states (:meth:`Propagator.sweep`) and its two block readers, the masses
-at fixed sites (:meth:`Propagator.sweep_masses`, a matrix product with
-row products formed once) and the position distributions
+Between two swaps a state of any schedule is ``(i sgn x)^M [S + T_M A +
+U_{M-1} B]``, ``M = t - d``, with parts fixed while ``t`` stays in one
+stretch from time ``d``.  A half-time state splits exactly into a
+stationary part ``S``, the same for every tau of a parity track, whose
+DFT rows are the Theorem 1 amplitudes, and a dispersive part
+(:meth:`Propagator.split`), from ``d = 1``; a usual or multi state is
+``U^M`` of the state ``A`` right after its last swap, with ``B = W A`` and
+no ``S``.  One sweep serves all three: it turns the phase ``e^{iMw}`` by
+``e^{2iw}`` from tau to tau, one complex multiply each, from an anchor
+every 16 taus.  The phases of a block of taus, never across a swap, are
+written as the rows of one ``(B, n)`` array, and the sweep's states
+(:meth:`Propagator.sweep`) and its two block readers, the masses at fixed
+sites (:meth:`Propagator.sweep_masses`, a matrix product with row
+products formed once a stretch) and the position distributions
 (:meth:`Propagator.sweep_probabilities`, one inverse FFT a block), all
 read those rows.
 
@@ -68,14 +73,17 @@ stationary point masses of :func:`qwalk.limits.theorem1_limit`.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .coin import Schedule, WalkParams, parity_offset
+from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
 from .dynamics import StateVector, check_time, max_time_cap
 
 __all__ = [
@@ -163,16 +171,12 @@ class FourierState:
     ``values[m]`` is the spinor at ``k_m = -pi + pi m / n``, ``m < n``, and
     ``eik`` the row ``e^{i k_m}`` that every read-back phase comes from.  An
     ``n``-point grid holds the times ``0 <= time < n``; any other time is
-    refused here, the one place that rule is checked.  ``dft_rows`` keeps
-    the last ``_KEPT_DFT_ROWS`` rows that :meth:`mass` read, by ``x``; the
-    states of one :class:`Propagator` share it and ``eik``, so a sweep
-    builds each row once and frees it with its states.
+    refused here, the one place that rule is checked.
     """
 
     time: int
     values: np.ndarray
     eik: np.ndarray
-    dft_rows: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.values)
@@ -201,18 +205,15 @@ class FourierState:
         return StateVector(t, np.concatenate((full[n - q:], full[:q + odd + 1])))
 
     def mass(self, x: int) -> float:
-        """``P(X_t = x)`` at :attr:`time`: one DFT row ``mean(e^{ikx} values)``, O(n)."""
+        """``P(X_t = x)`` at :attr:`time`: one DFT row ``mean(e^{ikx} values)``, built afresh, O(n).
+
+        ``x`` may be a Python or numpy integer; a bool, float or str is refused.
+        """
+        x = _integer(x, "x")
         t, n = self.time, len(self.values)
         if abs(x) > t or (x + t) % 2:
             return 0.0
-        row = self.dft_rows.pop(x, None)
-        if row is None:
-            if len(self.dft_rows) == _KEPT_DFT_ROWS:
-                del self.dft_rows[next(iter(self.dft_rows))]  # the least recently used
-            row = _dft_row(self.eik, x)
-            row.flags.writeable = False
-        self.dft_rows[x] = row
-        a0, a1 = np.abs(row @ self.values / n).tolist()
+        a0, a1 = np.abs(_dft_row(self.eik, x) @ self.values / n).tolist()
         return a0 * a0 + a1 * a1
 
 def _dft_row(eik: np.ndarray, x: int) -> np.ndarray:
@@ -302,11 +303,6 @@ _PHASE_BLOCK = 16
 #: large grid is read one tau at a time, in O(n) memory.
 _BLOCK_BYTES = 256 * 1024
 
-#: DFT rows the states of one :class:`Propagator` keep for
-#: :meth:`FourierState.mass`: a usual or multi trace reads one ``x`` per
-#: tau.
-_KEPT_DFT_ROWS = 2
-
 
 class Propagator:
     """Closed-form momentum-space evolution for one walk on one grid.
@@ -316,34 +312,35 @@ class Propagator:
     application of the swap coin, so a :meth:`state` costs
     ``O(n * (#swaps + 1))`` on the ``n``-point grid, whatever its time.
     Computed once here and shared by every state: the row ``T = e^{ik}``,
-    ``-i c cos k``, ``sin w`` and the folded ``w``; and, from the first
-    :meth:`state` on, the ``(V - x I) psi0`` that starts every first
-    stretch.  A :meth:`state` builds the Chebyshev rows of each stretch
-    and keeps only its last stretch's, so the two equal stretches of an
-    odd half-time state share theirs.  A half-time sweep (:meth:`sweep`)
-    skips the stretches: it builds the track's :meth:`split` once and
-    carries the phase ``e^{iMw}``, which a ``sin`` and ``cos`` row starts
-    afresh every ``_PHASE_BLOCK`` taus, so an extra state costs one
-    complex multiply, one divide and three multiply-adds.  The phases of
-    a block of up to ``B`` taus (``_BLOCK_BYTES``) are the rows of one
-    array, which :meth:`sweep_masses` and :meth:`sweep_probabilities`
-    read with a few array calls a block, forming no state.  The states
-    share ``T`` and one ``dft_rows`` dict, so :meth:`FourierState.mass`
-    builds the row of an ``x`` once per sweep.  The kept arrays are
-    read-only, and a state or a block is the same, bit for bit, whichever
-    came before it.
+    ``-i c cos k``, ``sin w`` and the folded ``w``; nothing else is kept.
+    A :meth:`state` builds the Chebyshev rows of each stretch and holds
+    only its last stretch's, so the two equal stretches of an odd
+    half-time state share theirs.  A sweep (:meth:`sweep`) skips the
+    stretches on every schedule: it builds the parts ``S``, ``A`` and
+    ``B`` of each stretch between swaps once (see the module docstring)
+    and carries the phase ``e^{iMw}``, which a ``sin`` and ``cos`` row
+    starts afresh every ``_PHASE_BLOCK`` taus, so an extra state costs one
+    complex multiply, one divide and three multiply-adds.  The phases of a block of up to
+    ``B`` taus (``_BLOCK_BYTES``), never across a swap, are the rows of
+    one array, which :meth:`sweep_masses` and :meth:`sweep_probabilities`
+    read with a few array calls a block, forming no state.  The kept
+    arrays are read-only, and a state or a block is the same, bit for
+    bit, whichever came before it.
 
     The grid is the half circle ``k_m = -pi + pi m / n_grid``, ``m <
     n_grid``, so it holds every time ``t < n_grid`` exactly.  ``T`` is one
     ``exp`` of an angle of at most ``pi/2``: ``T_m = -e^{i pi m / n_grid}``
     below ``m = ceil(n_grid / 2)``, ``e^{i pi (m - n_grid) / n_grid}`` from
     there, so the values are at ``k_m = fl(pi / n_grid * m) - pi`` and
-    ``fl(pi / n_grid * (m - n_grid))``.  A grid above ``grid_size(cap)``
-    points, more than any time that :func:`qwalk.dynamics.check_time`
-    accepts needs, is refused before anything is allocated.
+    ``fl(pi / n_grid * (m - n_grid))``.  ``n_grid`` may be a Python or
+    numpy integer; a bool, float or str is refused, and so is a grid
+    above ``grid_size(cap)`` points, more than any time that
+    :func:`qwalk.dynamics.check_time` accepts needs, before anything is
+    allocated.
     """
 
     def __init__(self, params: WalkParams, n_grid: int) -> None:
+        n_grid = _integer(n_grid, "n_grid")
         if n_grid < 1:
             raise ValueError(f"the grid needs at least 1 point, got {n_grid}")
         cap = max_time_cap()
@@ -364,9 +361,7 @@ class Propagator:
         self._folded = self._sin_w > x  # w > pi/4: w is kept as w - pi/2
         self._w = np.arctan2(np.minimum(self._sin_w, x), np.maximum(self._sin_w, x))
         np.negative(self._w, out=self._w, where=self._folded)
-        self._mass_rows: dict[int, np.ndarray] = {}  # x -> e^{ikx}, shared by the states
         self._rows = max(1, min(_PHASE_BLOCK, _BLOCK_BYTES // (32 * n_grid)))  # B
-        self._first_traceless = None  # (V - x I) psi0, built by the first state()
         for kept in (self._eik, self._sin_w, self._d, self._folded, self._w):
             kept.flags.writeable = False
 
@@ -425,23 +420,19 @@ class Propagator:
             np.negative(z, out=z, where=folded)
         return z
 
-    def _power(self, g, m, rows, vg=None):
+    def _power(self, g, m, rows):
         # U^m g / (i sgn(x))^m = U_{m-1}(|x|) sgn(x) (V - x I) g + T_m(|x|) g,
         # written over g.  ``rows`` is the state's {m: T_m + i U_{m-1}} of its
-        # last stretch, dropped before a new one is built.  ``vg`` is a kept
-        # sgn(x) (V - x I) g, never written; without it a scratch one is made
-        # after the rows, for the peak memory.
+        # last stretch, dropped before a new one is built; the traceless
+        # part is made after the rows, for the peak memory.
         if m:
             z = rows.get(m)
             if z is None:
                 rows.clear()
                 rows[m] = z = self._phase(m)
                 np.divide(z.imag, self._sin_w, out=z.imag)
-            if vg is None:
-                first = self._traceless(g)
-                first *= z.imag
-            else:
-                first = z.imag * vg
+            first = self._traceless(g)
+            first *= z.imag
             g *= z.real
             g += first
         return g
@@ -452,30 +443,30 @@ class Propagator:
         The values are ``sum_x e^{-ikx} psi(x)`` for the state that
         :func:`qwalk.dynamics.evolve` steps to, and the state's ``time`` is
         ``t_final``; :meth:`FourierState.sublattice` recovers ``psi``
-        exactly (to roundoff).  :class:`FourierState` refuses a
-        ``t_final`` outside ``0..n-1`` of the ``n``-point grid, and so does
-        this method, by the same rule, before anything is allocated, as it
-        does a negative ``tau``.  The spinor components are the rows of one
-        ``(2, n)`` array, updated in place, whose transpose is the returned
-        values.
+        exactly (to roundoff).  ``t_final`` and ``tau`` may be Python or
+        numpy integers; a bool, float or str is refused.
+        :class:`FourierState` refuses a ``t_final`` outside ``0..n-1`` of
+        the ``n``-point grid, and so does this method, by the same rule,
+        before anything is allocated, as it does a negative ``tau``.  The
+        spinor components are the rows of one ``(2, n)`` array, updated in
+        place, whose transpose is the returned values; the propagator
+        keeps nothing of it.
         """
+        t_final, tau = _integer(t_final, "t_final"), _integer(tau, "tau")
         _check_grid_time(t_final, len(self._eik))
         if tau < 0:
             raise ValueError(f"tau must be non-negative, got {tau}")
         p = self.params
-        if self._first_traceless is None:
-            self._first_traceless = self._traceless(self._initial())
-            self._first_traceless.flags.writeable = False
-        g, vg, rows = self._initial(), self._first_traceless, {}
+        g, rows = self._initial(), {}
         done = swaps = 0
         for swap in schedule.swaps_before(t_final, tau):
-            g = self._coin(self._power(g, swap - done, rows, vg), p.c1, p.s1)
-            vg, done, swaps = None, swap + 1, swaps + 1
-        g = self._power(g, t_final - done, rows, vg)
+            g = self._coin(self._power(g, swap - done, rows), p.c1, p.s1)
+            done, swaps = swap + 1, swaps + 1
+        g = self._power(g, t_final - done, rows)
         phase = self._sign * (t_final - swaps) % 4  # all the powers' (i sgn(x))^m
         if phase:
             g *= _I_POWERS[phase]
-        return FourierState(t_final, g.T, self._eik, self._mass_rows)
+        return FourierState(t_final, g.T, self._eik)
 
     def split(self, parity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``S``, ``X / 2`` and ``Y / 2`` of a half-time track, as read-only ``(2, n)`` rows.
@@ -517,120 +508,170 @@ class Propagator:
             half.flags.writeable = False
         return stationary, x_half, y_half
 
-    def _block_start(self, tau):
-        # the first tau of the block that holds tau (an int or an array):
-        # blocks of B taus, from each anchor tau - tau % _PHASE_BLOCK
-        anchor = tau - tau % _PHASE_BLOCK
-        return anchor + (tau - anchor) // self._rows * self._rows
+    def _stretches(self, schedule: Schedule, parity: str):
+        # (locate, parts) of a track.  locate(tau) is (d, lo, hi): the state
+        # at t = 2 tau + offset is (i sgn x)^M [S + T_M A + U_{M-1} B], M = t
+        # - d, with (S, A, B) = parts(d) the same for the track's taus
+        # lo..hi.  On the half-time schedule that is the split, from d = 1,
+        # for every tau; on the others d is the time right after the last
+        # swap below t (0 if none), A the state at d, by one single-shot
+        # state(), so its bits depend on d alone, B = W A, and S is None.
+        offset = parity_offset(parity)
+        if schedule.kind is ScheduleKind.HALF_TIME:
+            return (lambda tau: (1, 0, math.inf)), (lambda d: self.split(parity))
+        swaps = schedule.swaps_before(len(self._eik), 0)
 
-    def _phase_block(self, offset, start, turn, prev=None):
-        # z[j] = e^{iMw} at tau = start + j, M = 2 tau + offset - 1, for the
-        # block from ``start``: row 0 is turned on from the anchor's e^{iMw},
-        # or from the last row of ``prev``, the block made before as (start,
-        # z), when that ends earlier in the same anchor block; each later row
-        # is the one before times ``turn``.  The same multiplies in the same
-        # order, whichever blocks came before.  ``prev``'s array is written
-        # over when it has the rows.
-        anchor = start - start % _PHASE_BLOCK
-        rows = min(self._rows, anchor + _PHASE_BLOCK - start)
+        def locate(tau):
+            i = bisect.bisect_left(swaps, 2 * tau + offset)
+            d = swaps[i - 1] + 1 if i else 0
+            return d, (d - offset + 1) // 2, (swaps[i] - offset) // 2 if i < len(swaps) else math.inf
+
+        def parts(d):
+            a = self._initial() if d == 0 else self.state(schedule, d, 0).values.T
+            return None, a, self._traceless(a)
+
+        return locate, parts
+
+    def _phase_block(self, m0, tau, lo, hi, turn, prev=None):
+        # (start, z) of the block that holds tau, B taus from each anchor tau
+        # - tau % _PHASE_BLOCK on, cut to the stretch's taus lo..hi: z[j] =
+        # e^{iMw} at start + j, M = 2 tau + m0.  Row 0 is turned on from the
+        # anchor's e^{iMw}, which M < 0 does not harm, or from the last row
+        # of ``prev``, the block made before, when that ends earlier in the
+        # same anchor block; each later row is the one before times
+        # ``turn``.  The same multiplies in the same order, whichever blocks
+        # came before.  ``prev``'s array is written over when it has the rows.
+        anchor = tau - tau % _PHASE_BLOCK
+        first = anchor + (tau - anchor) // self._rows * self._rows
+        start = max(first, lo)
+        rows = min(first + self._rows, anchor + _PHASE_BLOCK, hi + 1) - start
         if prev is not None and anchor <= prev[0] < start:
             done, last = prev[0] + len(prev[1]), prev[1][-1]
             z = prev[1] if len(prev[1]) == rows else np.empty((rows, len(self._eik)), complex)
             np.multiply(last, turn, out=z[0])
         else:
             done, z = anchor, np.empty((rows, len(self._eik)), complex)
-            self._phase(2 * anchor + offset - 1, out=z[0])
+            self._phase(2 * anchor + m0, out=z[0])
         for _ in range(start - done):
             z[0] *= turn
         for j in range(1, rows):
             np.multiply(z[j - 1], turn, out=z[j])
-        return z
+        return start, z
 
-    def _phase_blocks(self, offset, taus):
-        # (start, z) of each block that holds one of the sorted taus, in turn
+    def _phase_blocks(self, offset, d, taus, lo, hi, turn):
+        # (times, z) of each block that holds one of the taus, all of the
+        # stretch lo..hi from time d: a block is made again when a tau leaves it
+        block, start, stop = None, 0, 0
+        for tau in taus:
+            if not start <= tau < stop:
+                block = start, z = self._phase_block(offset - d, tau, lo, hi, turn, block)
+                stop = start + len(z)
+                yield 2 * (start + np.arange(len(z))) + offset, z
+
+    def _stretch_blocks(self, schedule, parity, taus):
+        # (parts, blocks) of each run of taus in one stretch, in turn: parts()
+        # builds its (S, A, B), and blocks yields (times, z) of each of its
+        # phase blocks that holds one of the run's taus
+        offset = parity_offset(parity)
+        locate, parts = self._stretches(schedule, parity)
         turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
-        block = None
-        starts = self._block_start(np.asarray(taus, dtype=np.int64))  # sorted, as the taus
-        for start in starts[np.diff(starts, prepend=-1) != 0].tolist():
-            block = start, self._phase_block(offset, start, turn, block)
-            yield block
+        for (d, lo, hi), stretch in itertools.groupby(taus, locate):
+            yield functools.partial(parts, d), self._phase_blocks(offset, d, stretch, lo, hi, turn)
 
-    def sweep(self, parity: str, taus: Iterable[int]) -> Iterator[FourierState]:
-        """Half-time states at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau, off one :meth:`split`.
+    def _swept(self, z, m, d, stationary, a, b):
+        # (i sgn x)^M [S + T_M A + U_{M-1} B] at t = M + d off the phase row
+        # z = e^{iMw}, as a new state
+        u_row = z.imag / self._sin_w
+        g = a * z.real
+        for g_part, b_part in zip(g, b):  # a (2, n) product peaks 48 B/point higher
+            g_part += b_part * u_row
+        if stationary is not None:
+            g += stationary
+        phase = self._sign * m % 4
+        if phase:
+            g *= _I_POWERS[phase]
+        return FourierState(m + d, g.T, self._eik)
 
-        The split is built when the first state is asked for.  Each state
-        forms ``S + T_M X/2 + U_{M-1} Y/2`` times ``(i sgn x)^M``, ``M = t -
-        1``, reading the Chebyshev rows off one complex row ``z = e^{iMw}``
-        as ``T_M = Re z`` and ``U_{M-1} = Im z / sin w``.  ``M`` grows by 2
-        per tau, so ``z`` turns by one multiply by ``e^{2iw}`` a step.  It
-        starts afresh, from one ``sin`` and ``cos`` row, at the anchor ``tau
-        - tau % _PHASE_BLOCK``, and the rows of a block of up to ``B`` taus
-        from there are written as one ``(B, n)`` array, made again only
-        when a tau leaves it; so a state's bits depend on its tau and the
-        grid alone, not on the taus before it.  This agrees with
-        :meth:`state` to about ``t * eps``, not bit for bit.  A negative tau
-        is refused when its state is asked for.
+    def sweep(self, schedule: Schedule, parity: str, taus: Iterable[int]) -> Iterator[FourierState]:
+        """States at ``t = 2*tau + 1`` or ``2*tau + 2``, per tau, with the phase carried.
+
+        Each state forms ``S + T_M A + U_{M-1} B`` times ``(i sgn x)^M``,
+        ``M = t - d``, for the parts of its stretch (see the class
+        docstring), built when the first state of that stretch is asked
+        for and dropped when a tau leaves it.  The Chebyshev rows are read
+        off one complex row ``z = e^{iMw}`` as ``T_M = Re z`` and ``U_{M-1}
+        = Im z / sin w``.  ``M`` grows by 2 per tau, so ``z`` turns by one
+        multiply by ``e^{2iw}`` a step.  It starts afresh, from one ``sin``
+        and ``cos`` row, at the anchor ``tau - tau % _PHASE_BLOCK``, and the
+        rows of a block of up to ``B`` taus from there, cut at a swap, are
+        written as one ``(B, n)`` array, made again only when a tau leaves
+        it; so a state's bits depend on its schedule, tau and the grid
+        alone, not on the taus before it.  This agrees with :meth:`state`
+        to about ``t * eps``, not bit for bit.  A tau that is not a
+        non-negative integer (a bool, float or str) is refused when its
+        state is asked for.
         """
         offset = parity_offset(parity)
-        stationary, x_half, y_half = self.split(parity)
+        locate, parts = self._stretches(schedule, parity)
         turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
-        block = None  # (start, z) of the block that holds the last tau
+        stretch = block = None  # (d, parts) and (start, z) of the last tau
         for tau in taus:
+            tau = _integer(tau, "tau")
             if tau < 0:
                 raise ValueError(f"tau must be non-negative, got {tau}")
-            start = self._block_start(tau)
-            if block is None or block[0] != start:
-                block = start, self._phase_block(offset, start, turn, block)
-            z, m = block[1][tau - start], 2 * tau + offset - 1
-            u_row = z.imag / self._sin_w
-            g = x_half * z.real
-            for g_part, y_part in zip(g, y_half):  # a (2, n) product peaks 48 B/point higher
-                g_part += y_part * u_row
-            g += stationary
-            phase = self._sign * m % 4
-            if phase:
-                g *= _I_POWERS[phase]
-            yield FourierState(m + 1, g.T, self._eik, self._mass_rows)
+            d, lo, hi = locate(tau)
+            if stretch is None or stretch[0] != d:
+                stretch = block = None  # the last stretch's arrays go before the next's are built
+                stretch = d, parts(d)
+            if block is None or not block[0] <= tau < block[0] + len(block[1]):
+                block = self._phase_block(offset - d, tau, lo, hi, turn, block)
+            yield self._swept(block[1][tau - block[0]], 2 * tau + offset - d, d, *stretch[1])
 
-    def sweep_masses(self, parity: str, taus: Sequence[int],
+    def sweep_masses(self, schedule: Schedule, parity: str, taus: Sequence[int],
                      xs: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``P(X_t = x)`` of the half-time states, per block of taus and per ``x`` of ``xs``.
+        """``P(X_t = x)`` of the swept states, per block of taus and per ``x`` of ``xs``.
 
         ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
         masses)`` for each block of :meth:`sweep` that holds one of them:
         the times ``t = 2*tau + 1`` or ``2*tau + 2`` of all its rows, and
         their masses, one column per ``x``.  No state is formed: with the
-        DFT row ``r = e^{ikx}``, the amplitude is ``r.S/n + Re Z (r X/2)/n
-        + Im Z (r Y/2 / sin w)/n`` for the block's phase rows ``Z``, one
-        matrix product, after the row products are formed once; the
+        DFT row ``r = e^{ikx}``, the amplitude is ``r.S/n + Re Z (r A)/n +
+        Im Z (r B / sin w)/n`` for the block's phase rows ``Z``, one matrix
+        product, after the row products of a stretch are formed once; the
         global phase ``(i sgn x)^M`` drops out of the mass.  A wrong-parity
-        ``x`` or one beyond a row's light cone reads exactly 0.0.  The
-        split is freed once the row products are made, so the memory
-        stays O(n) for a few ``xs``.
+        ``x`` or one beyond a row's light cone reads exactly 0.0.  A
+        stretch's parts are freed once its row products are made, so the
+        memory stays O(n) for a few ``xs``.
         """
         offset = parity_offset(parity)
+        for parts, blocks in self._stretch_blocks(schedule, parity, taus):
+            yield from self._masses(blocks, len(xs), self._row_products(offset, xs, *parts()))
+
+    def _row_products(self, offset, xs, stationary, a, b):
+        # (column, x, S row, (2n, 4) products) of each x of the track that the grid holds
         n = len(self._eik)
-        stationary, x_half, y_half = self.split(parity)
-        t_last = 2 * taus[-1] + offset if len(taus) else -1
-        reads = []  # (column, x, S row, (2n, 4) products) of each x some state holds
+        reads = []
         for column, x in enumerate(xs):
-            if (x + offset) % 2 or abs(x) > t_last:
+            if (x + offset) % 2 or abs(x) >= n:
                 continue
             row = _dft_row(self._eik, x)
             row /= n
             # rows 2m and 2m + 1 multiply Re z_m and Im z_m; the columns are
             # the real and imaginary parts of the two spinor entries
             products = np.empty((n, 2, 2), dtype=np.complex128)
-            np.multiply(x_half, row, out=products[:, 0].T)
-            base = stationary @ row
+            np.multiply(a, row, out=products[:, 0].T)
+            base = np.zeros(2, complex) if stationary is None else stationary @ row
             row /= self._sin_w
-            np.multiply(y_half, row, out=products[:, 1].T)
+            np.multiply(b, row, out=products[:, 1].T)
             reads.append((column, x, base.view(np.float64),
                           products.view(np.float64).reshape(2 * n, 4)))
-        del stationary, x_half, y_half
-        for start, z in self._phase_blocks(offset, taus):
-            times = 2 * (start + np.arange(len(z))) + offset
-            masses = np.zeros((len(z), len(xs)))
+        return reads
+
+    @staticmethod
+    def _masses(blocks, columns, reads):
+        # (times, masses) of each block of one stretch, off its row products
+        for times, z in blocks:
+            masses = np.zeros((len(z), columns))
             for column, x, base, products in reads:
                 amps = z.view(np.float64) @ products
                 amps += base
@@ -638,33 +679,37 @@ class Propagator:
                 masses[:, column] = np.where(abs(x) <= times, amps.sum(axis=1), 0.0)
             yield times, masses
 
-    def sweep_probabilities(self, parity: str, taus: Sequence[int]
+    def sweep_probabilities(self, schedule: Schedule, parity: str, taus: Sequence[int]
                             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Position distributions of the half-time states, one block of taus at a time.
+        """Position distributions of the swept states, one block of taus at a time.
 
         ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
         xs, ps)`` for each block of :meth:`sweep` that holds one of them:
         the times of all its rows, the site ``xs[s]`` of each DFT slot
         ``s``, and ``ps[j, s] = P(X_t = xs[s])`` at ``times[j]``.  The
-        block's ``S + T_M X/2 + U_{M-1} Y/2`` is formed as one ``(B, 2, n)``
+        block's ``S + T_M A + U_{M-1} B`` is formed as one ``(B, 2, n)``
         array and read back by one inverse FFT, as
         :meth:`FourierState.sublattice` reads one state: slot ``s`` holds
         ``x = 2s - (t mod 2)``, taken into ``[-n, n)``, for every tau of a
         track.  The global phase ``(i sgn x)^M`` drops out of the masses.
         A slot beyond a row's light cone, ``|x| > t``, reads exactly 0.0.
         """
-        offset = parity_offset(parity)
-        n, odd = len(self._eik), offset % 2
-        stationary, x_half, y_half = self.split(parity)
+        odd = parity_offset(parity) % 2
+        for parts, blocks in self._stretch_blocks(schedule, parity, taus):
+            yield from self._probabilities(blocks, odd, *parts())
+
+    def _probabilities(self, blocks, odd, stationary, a, b):
+        # (times, xs, ps) of each block of one stretch
+        n = len(self._eik)
         xs = (2 * np.arange(n) - odd + n) % (2 * n) - n
-        for start, z in self._phase_blocks(offset, taus):
-            times = 2 * (start + np.arange(len(z))) + offset
+        for times, z in blocks:
             u_rows = z.imag / self._sin_w
             g = np.empty((len(z), 2, n), dtype=np.complex128)
-            for g_part, x_part, y_part in zip(g.transpose(1, 0, 2), x_half, y_half):
-                np.multiply(x_part, z.real, out=g_part)
-                g_part += y_part * u_rows
-            g += stationary
+            for g_part, a_part, b_part in zip(g.transpose(1, 0, 2), a, b):
+                np.multiply(a_part, z.real, out=g_part)
+                g_part += b_part * u_rows
+            if stationary is not None:
+                g += stationary
             if odd:
                 g *= np.conjugate(self._eik)
             np.fft.ifft(g, axis=-1, out=g)

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here reuses the package's stepping or spectral code paths; the
-oracles share only the parameter container, so agreement between an
+oracles share only the parameter containers, so agreement between an
 oracle and the package is evidence against bugs in either route.
 """
 
@@ -11,13 +11,24 @@ import mpmath as mp
 import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
 
-from qwalk import WalkParams
+from qwalk import Schedule, WalkParams
 
 
 #: Angles within 1e-6..1e-8 of the excluded multiples of pi/2, where the
 #: closed forms in momentum space and in the limit laws are most delicate.
 EDGE_THETAS = (1e-8, 1e-6, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6,
                math.pi / 2 - 1e-8, math.pi - 1e-8, 3 * math.pi / 2 + 1e-8)
+
+
+#: (parity, schedule) by test id, for the sweep tests that take every
+#: schedule: the half-time ones under their parity alone.  The last multi
+#: schedule has back-to-back swaps, and stretches that start inside a
+#: 16-tau anchor block.
+SWEPT = {(parity if name == "half-time" else f"{name}-{parity}"): (parity, schedule)
+         for name, schedule in (("half-time", Schedule.half_time()), ("usual", Schedule.usual()),
+                                ("multi", Schedule.multi({5, 17})),
+                                ("multi-adjacent", Schedule.multi({5, 6, 40, 41, 200, 201})))
+         for parity in ("odd", "even")}
 
 
 def sample_params(seed, n, tau=0, margin=0.1):

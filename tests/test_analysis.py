@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (EDGE_THETAS, brute_force_probability, dft_rows,
+from oracles import (EDGE_THETAS, SWEPT, brute_force_probability, dft_rows,
                      origin_mass_even_trace, sample_params)
 from qwalk import (
     Distribution,
@@ -30,7 +30,7 @@ from qwalk import (
 )
 from qwalk.analysis import mass_trace
 from qwalk.coin import parity_offset
-from qwalk.spectral import grid_size
+from qwalk.spectral import Propagator, grid_size
 
 # frozen regression values for the showcase walk (theta=pi/4, theta1=0,
 # symmetric spinor); recorded from a calibration run of this code
@@ -319,23 +319,44 @@ def test_half_time_sweep_memory_per_grid_point():
     assert peak <= 300 * n, peak / n
 
 
-@pytest.mark.parametrize("reader", ("masses", "moments"))
-def test_trace_readers_memory_per_grid_point(reader):
-    # The propagator keeps 49 B a grid point and the split 96 B while the
-    # mass reader forms its 64 B of row products (then frees the split) or
-    # the moment reader its (B, 2, n) block, B = 1 on this grid.
+@pytest.mark.parametrize("schedule", (Schedule.usual(), Schedule.multi({150_000})),
+                         ids=lambda s: s.kind.value)
+def test_usual_and_multi_sweep_memory_per_grid_point(schedule):
+    # The propagator keeps 49 B a grid point and the stretch's A and B 64
+    # B.  The multi sweep builds A at t = 150 001 by one state(), which
+    # peaks at 128 B a grid point, after it frees the stretch of taus 0
+    # and 5: 234 B measured on both schedules, under the half-time bound.
     p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
     n = grid_size(2 * 100_000 + 1)
     tracemalloc.start()
     try:
-        if reader == "masses":
-            trace_masses(p, Schedule.half_time(), "odd", [0, 5, 100_000], (1,))
-        else:
-            trace_moments(p, Schedule.half_time(), "odd", [0, 5, 100_000], 2)
+        for state in tau_sweep(p, schedule, "odd", [0, 5, 100_000]):
+            state.mass(1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 300 * n, peak / n
+
+
+@pytest.mark.parametrize("reader", ("masses", "moments"))
+def test_trace_readers_memory_per_grid_point(reader):
+    # The propagator keeps 49 B a grid point and the split 96 B while the
+    # mass reader forms its 64 B of row products (then frees the split) or
+    # the moment reader its (B, 2, n) block, B = 1 on this grid; a usual or
+    # multi stretch holds 64 B where the split holds 96.
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    n = grid_size(2 * 100_000 + 1)
+    for schedule in (Schedule.half_time(), Schedule.usual(), Schedule.multi({150_000})):
+        tracemalloc.start()
+        try:
+            if reader == "masses":
+                trace_masses(p, schedule, "odd", [0, 5, 100_000], (1,))
+            else:
+                trace_moments(p, schedule, "odd", [0, 5, 100_000], 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * n, (schedule.kind, peak / n)
 
 
 #: Half-time taus whose largest t has a grid of exactly t + 1 points (t =
@@ -343,11 +364,12 @@ def test_trace_readers_memory_per_grid_point(reader):
 EDGE_TAUS = {"odd": (80, 3, 17, 17, 0, 79, 64, 3), "even": (39, 5, 5, 0, 16, 33, 39)}
 
 
-@pytest.mark.parametrize("parity", ("odd", "even"))
-def test_trace_readers_match_the_states(parity, example_params):
+@pytest.mark.parametrize("parity, schedule", list(SWEPT.values()), ids=list(SWEPT))
+def test_trace_readers_match_the_states(parity, schedule, example_params):
     # The block readers against FourierState.mass and the moment of the
-    # read-back, at every x with |x| <= t + 2 and r = 0..8.  On the track's
-    # t = n - 1 grid the DFT slot n/2 (odd) or (n - 1)/2 (even) holds x = +t.
+    # read-back of the swept states, at every x with |x| <= t + 2 and r =
+    # 0..8.  On the track's t = n - 1 grid the DFT slot n/2 (odd) or (n -
+    # 1)/2 (even) holds x = +t.
     taus = EDGE_TAUS[parity]
     t_max = 2 * max(taus) + parity_offset(parity)
     assert grid_size(t_max) == t_max + 1
@@ -356,10 +378,10 @@ def test_trace_readers_match_the_states(parity, example_params):
     ballistic = [WalkParams(theta=theta, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
                  for theta in (0.01, math.pi - 0.01)]
     for params in (example_params, *sample_params(seed=57, n=2), *ballistic):
-        masses = trace_masses(params, Schedule.half_time(), parity, taus, xs)
-        moments = np.array([trace_moments(params, Schedule.half_time(), parity, taus, r)
+        masses = trace_masses(params, schedule, parity, taus, xs)
+        moments = np.array([trace_moments(params, schedule, parity, taus, r)
                             for r in range(9)])
-        states = tau_sweep(params, Schedule.half_time(), parity, taus)
+        states = tau_sweep(params, schedule, parity, taus)
         for row, state in enumerate(states):
             t = state.time
             for column, x in enumerate(xs):
@@ -367,8 +389,34 @@ def test_trace_readers_match_the_states(parity, example_params):
                 if abs(x) > t or (x + t) % 2:
                     assert masses[row, column] == 0.0, (t, x)
                 assert abs(masses[row, column] - want) <= 1e-14, (t, x)
+            dist = distribution(state.sublattice())  # what sweep_moment reads, once
             for r in range(9):
-                assert abs(moments[r, row] - sweep_moment(state, r)) <= 1e-14, (t, r)
+                assert abs(moments[r, row] - moment(dist, r)) <= 1e-14, (t, r)
+    assert trace_masses(example_params, schedule, parity, (), (0,)).shape == (0, 1)
+    assert trace_moments(example_params, schedule, parity, (), 2).shape == (0,)
+
+
+def test_traces_build_one_state_per_stretch_after_a_swap(example_params, monkeypatch):
+    # A usual trace forms no state() at all; a multi trace one single-shot
+    # state() per stretch after a swap that its taus touch, whatever the
+    # number of taus.  With swaps at 3, 10 and 40 the odd track's taus 0..80
+    # (t = 1..161) touch all three stretches; taus 0..4 (t <= 9) only the
+    # one after 3; taus 0 and 1 (t <= 3) none.
+    calls = []
+    state = Propagator.state
+    monkeypatch.setattr(Propagator, "state",
+                        lambda self, *args: calls.append(args[1]) or state(self, *args))
+    multi = Schedule.multi({3, 10, 40})
+    readers = (lambda s, taus: list(tau_sweep(example_params, s, "odd", taus)),
+               lambda s, taus: trace_masses(example_params, s, "odd", taus, (1,)),
+               lambda s, taus: trace_moments(example_params, s, "odd", taus, 2))
+    for reader in readers:
+        for schedule, taus, want in ((Schedule.usual(), range(81), []),
+                                     (multi, range(81), [4, 11, 41]),
+                                     (multi, range(5), [4]), (multi, (1, 0), [])):
+            calls.clear()
+            reader(schedule, taus)
+            assert calls == want, (schedule.kind, taus)
 
 
 def test_trace_moments_weigh_nothing_beyond_the_light_cone(example_params):
@@ -397,18 +445,6 @@ def test_high_order_trace_moments_are_finite(r):
                 walk = dataclasses.replace(params, tau=tau)
                 want = moment(distribution(spectral_evolve(walk, Schedule.half_time(), t)), r)
                 assert abs(value - want) <= 4 * t * eps, (parity, t)
-
-
-@pytest.mark.parametrize("schedule", (Schedule.usual(), Schedule.multi({5, 17})),
-                         ids=lambda s: s.kind.value)
-def test_trace_readers_read_each_state_off_other_schedules(schedule, example_params):
-    taus = (9, 2, 9, 0)
-    states = list(tau_sweep(example_params, schedule, "even", taus))
-    masses = trace_masses(example_params, schedule, "even", taus, (0, 2, 3))
-    assert masses.tolist() == [[s.mass(0), s.mass(2), s.mass(3)] for s in states]
-    assert trace_moments(example_params, schedule, "even", taus, 3).tolist() == [
-        sweep_moment(state, 3) for state in states]
-    assert trace_masses(example_params, schedule, "even", (), (0,)).shape == (0, 1)
 
 
 def test_sweep_keeps_order_and_repeats(example_params):

@@ -271,6 +271,11 @@ PINNED_OUTPUTS = (
       "--parity", "odd", "--taus", "0,7,100"], "d91f8d356622"),
     (["trace", *PINNED_W, "--observable", "mass", "--x", "1", "--taus", "0,3,30,300"],
      "8ef8c8cecb6d"),
+    (["trace", *PINNED_W, "--schedule", "usual", "--observable", "mass", "--x", "1",
+      "--taus", "0,3,30,300"], "243d7d14cca0"),
+    # taus 19, 20 and 21 (t = 39..43) straddle the swap at 40
+    (["trace", *PINNED_W, "--schedule", "multi", "--swap-steps", "3,10,40", "--observable",
+      "moment", "--r", "2", "--taus", "0,3,19,20,21,300"], "7da89c26191e"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81"], "e189f022cb67"),
     (["spectral-check", *PINNED_W, "--tau", "40", "--t", "81", "--n-grid", "500"],
      "c690016f6fdb"),

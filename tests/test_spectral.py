@@ -1,9 +1,7 @@
 import bisect
 import dataclasses
-import gc
 import math
 import tracemalloc
-import weakref
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EDGE_THETAS, dft_rows, exact_fourier_amplitudes, sample_params
+from oracles import EDGE_THETAS, SWEPT, dft_rows, exact_fourier_amplitudes, sample_params
 from qwalk import (
     Schedule,
     WalkParams,
@@ -441,15 +439,23 @@ def held_arrays(obj):
     return [value for value in values if isinstance(value, np.ndarray)]
 
 
-def test_propagator_keeps_the_arrays_of_its_first_state_read_only(example_params):
-    # what a state builds for itself, its Chebyshev rows among them, is not kept
+def test_state_keeps_nothing(example_params):
+    # what a state, a sweep or a trace block builds for itself, Chebyshev
+    # rows, split, stretch parts and DFT rows among them, is not kept: the
+    # propagator holds the read-only arrays it made at construction, no more
     propagator = Propagator(example_params, grid_size(202))
-    propagator.state(Schedule.half_time(), 1, 0)
     kept = held_arrays(propagator)
-    for tau in range(100):
-        for offset in (1, 2):
-            for schedule in SCHEDULES:
-                propagator.state(schedule, 2 * tau + offset, tau)
+    names = set(vars(propagator))
+    for schedule in SCHEDULES:
+        for tau in range(100):
+            for offset in (1, 2):
+                propagator.state(schedule, 2 * tau + offset, tau).mass(1)
+        for parity in ("odd", "even"):
+            for state in propagator.sweep(schedule, parity, range(0, 100, 7)):
+                state.mass(2)
+            list(propagator.sweep_masses(schedule, parity, [0, 5, 99], (0, 1)))
+            list(propagator.sweep_probabilities(schedule, parity, [0, 5, 99]))
+    assert set(vars(propagator)) == names
     assert [id(array) for array in held_arrays(propagator)] == [id(array) for array in kept]
     assert kept and not any(array.flags.writeable for array in kept)
 
@@ -541,11 +547,32 @@ def test_spectral_evolve_takes_numpy_integers_and_refuses_bool(example_params):
             spectral_evolve(p, Schedule.half_time(), bad, n_grid=16)
 
 
+def test_propagator_takes_integers_by_one_rule(example_params):
+    # the grid size, the time and tau of a state and the site of a mass take
+    # Python and numpy integers alike; a bool, float or str is refused
+    p = dataclasses.replace(example_params, tau=2)
+    propagator = Propagator(p, 16)
+    want = propagator.state(Schedule.half_time(), 5, 2)
+    for n in (np.int64(16), np.int32(16)):
+        assert np.array_equal(Propagator(p, n).state(Schedule.half_time(), 5, 2).values,
+                              want.values)
+    got = propagator.state(Schedule.half_time(), np.int64(5), np.int64(2))
+    assert type(got.time) is int and np.array_equal(got.values, want.values)
+    assert want.mass(np.int64(1)) == want.mass(1)
+    calls = (lambda bad: Propagator(p, bad), lambda bad: propagator.state(Schedule.half_time(), bad, 2),
+             lambda bad: propagator.state(Schedule.half_time(), 5, bad), want.mass)
+    for call, good in zip(calls, (16, 5, 2, 1)):
+        for bad in (True, np.True_, float(good), np.float64(good), str(good)):
+            with pytest.raises(ValueError, match="integer"):
+                call(bad)
+
+
 def test_sweep_refuses_a_negative_tau_at_that_tau(example_params):
-    states = Propagator(example_params, 16).sweep("even", [1, -1])
-    assert next(states).time == 4
-    with pytest.raises(ValueError, match="tau"):
-        next(states)
+    for bad in (-1, True, 2.0, "2"):
+        states = Propagator(example_params, 16).sweep(Schedule.half_time(), "even", [1, bad])
+        assert next(states).time == 4
+        with pytest.raises(ValueError, match="tau"):
+            next(states)
 
 
 def row_wavenumber(n, m, dps=40):
@@ -591,25 +618,27 @@ def test_long_time_states_match_exact_matrix_powers(t):
 
 @pytest.mark.parametrize("t", [10**4 + 1, 10**4 + 2, 2 * 10**5 + 1, 2 * 10**5 + 2])
 def test_long_time_sweep_states_match_exact_matrix_powers(t):
-    # A half-time sweep forms S + T_M X/2 + U_{M-1} Y/2 (Propagator.split),
-    # not the two powers of Propagator.state: within t*eps of the exact
-    # state, not bit for bit.  Usual and multi sweeps take Propagator.state,
-    # bit for bit; at 2*10^5 the angles take turns between the two.
+    # A sweep forms (i sgn x)^M [S + T_M A + U_{M-1} B] on every schedule
+    # (Propagator.sweep), not the powers of Propagator.state: within t*eps
+    # of the exact state, not bit for bit.  The multi schedule's last
+    # stretch, 37 steps, starts from a single-shot state at t - 37.  Every
+    # angle runs the half-time sweep; at 2*10^5 the angles take turns over
+    # the usual and multi ones.
     n, tau = grid_size(t), (t - 1) // 2
     parity = "odd" if t % 2 else "even"
     bound = t * np.finfo(float).eps
-    others = (Schedule.usual(), Schedule.multi({2, 9}))
+    schedules = (Schedule.half_time(), Schedule.usual(), Schedule.multi({2, 9, t - 38}))
     for i, theta in enumerate((0.7,) + EDGE_THETAS):
         p = WalkParams(theta=theta, theta1=2.1, tau=tau, alpha=0.6, beta=0.8j)
-        (state,) = tau_sweep(p, Schedule.half_time(), parity, [tau])
-        assert state.time == t and len(state.values) == n
+        tested = schedules if t < 10**5 else (schedules[0], schedules[1 + i % 2])
+        states = [next(tau_sweep(p, schedule, parity, [tau])) for schedule in tested]
+        assert all(state.time == t and len(state.values) == n for state in states)
         for m in exactness_ms(t, n):
-            (want,) = exact_fourier_amplitudes(p, t, row_wavenumber(n, m), [{tau}])
-            err = float(np.max(np.abs(state.values[m] - want)))
-            assert err <= bound, (theta, m, err / bound)
-        for schedule in others if t < 10**5 else others[i % 2:i % 2 + 1]:
-            (swept,) = tau_sweep(p, schedule, parity, [tau])
-            assert np.array_equal(swept.values, Propagator(p, n).state(schedule, t, tau).values)
+            exact = exact_fourier_amplitudes(
+                p, t, row_wavenumber(n, m), [s.swaps_before(t, tau) for s in tested])
+            for schedule, state, want in zip(tested, states, exact):
+                err = float(np.max(np.abs(state.values[m] - want)))
+                assert err <= bound, (theta, schedule.kind, m, err / bound)
 
 
 @pytest.mark.parametrize("parity", ("odd", "even"))
@@ -645,15 +674,16 @@ def test_long_time_sweep_states_far_from_their_anchor():
             assert err <= 1, (theta, tau, m, err)
 
 
-@pytest.mark.parametrize("parity", ("odd", "even"))
-def test_sweep_state_does_not_depend_on_the_taus_before_it(parity):
+@pytest.mark.parametrize("parity, schedule", list(SWEPT.values()), ids=list(SWEPT))
+def test_sweep_state_does_not_depend_on_the_taus_before_it(parity, schedule):
     # a tau 15 steps into its block, one before the running tau, one after
-    # a jump back, a repeat: each gives the bits of a consecutive sweep
+    # a jump back, a repeat, and jumps across swaps: each gives the bits of
+    # a consecutive sweep
     p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
     n = grid_size(2 * 250 + 2)
-    taus = [250, 17, 3, 249, 17]
-    consecutive = list(Propagator(p, n).sweep(parity, range(251)))
-    for tau, state in zip(taus, Propagator(p, n).sweep(parity, taus)):
+    taus = [250, 17, 3, 249, 17, 100, 2, 21, 99, 20]
+    consecutive = list(Propagator(p, n).sweep(schedule, parity, range(251)))
+    for tau, state in zip(taus, Propagator(p, n).sweep(schedule, parity, taus)):
         assert state.time == consecutive[tau].time
         assert np.array_equal(state.values, consecutive[tau].values), tau
 
@@ -698,14 +728,13 @@ def test_read_back_matches_direct_dft_rows(t, n):
 
 @pytest.mark.parametrize("parity", ("odd", "even"))
 def test_sweep_mass_equals_a_fresh_dft_row_bit_for_bit(parity):
-    # the states of one sweep share their DFT rows; a kept row must give
-    # the bits of a row built afresh, also after it was evicted and rebuilt
+    # FourierState.mass builds its row e^{ikx} off T by index, exactly
     p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
     states = list(tau_sweep(p, Schedule.half_time(), parity, [0, 1, 2, 9, 30, 9, 61]))
     xs = (1, -1, 2, -2, 0, 1, 1, -2)
     for state in states:
         n = len(state.values)
-        assert state.dft_rows is states[0].dft_rows and state.eik is states[0].eik
+        assert state.eik is states[0].eik
         for x in xs:
             got = state.mass(x)
             if abs(x) > state.time or (x + state.time) % 2:
@@ -715,27 +744,6 @@ def test_sweep_mass_equals_a_fresh_dft_row_bit_for_bit(parity):
             r = np.arange(-n, 0) * x % (2 * n)
             fresh = np.where(r < n, -state.eik[r % n], state.eik[r % n]) @ state.values / n
             assert got == float(np.sum(np.abs(fresh) ** 2)), (state.time, x)
-            assert len(state.dft_rows) <= 2
-            assert not any(row.flags.writeable for row in state.dft_rows.values())
-    # a sweep that reads one x builds its row once
-    x, rows = (1 if parity == "odd" else 2), set()
-    for state in tau_sweep(p, Schedule.half_time(), parity, range(1, 20)):
-        state.mass(x)
-        rows.add(id(state.dft_rows[x]))
-    assert len(rows) == 1
-
-
-def test_sweep_frees_its_dft_rows():
-    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
-    states = list(tau_sweep(p, Schedule.half_time(), "odd", range(40)))
-    for state in states:
-        state.mass(1)
-        state.mass(-3)
-    refs = [weakref.ref(row) for row in states[0].dft_rows.values()]
-    assert len(refs) == 2
-    del states, state
-    gc.collect()
-    assert all(ref() is None for ref in refs)
     # no module-level cache holds a row or a table of phases
     cached = [name for name, value in vars(qwalk.spectral).items() if hasattr(value, "cache_info")]
     assert cached == []
