@@ -1,7 +1,9 @@
 import bisect
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -724,6 +726,25 @@ def test_read_back_matches_direct_dft_rows(t, n):
     assert sites.shape == (t + 1, 2)
     err = float(np.max(np.abs(sites[js] - dft_rows(state, [2 * j - t for j in js]))))
     assert err < 5e-14
+
+
+def test_sweep_frees_its_dft_rows():
+    # mass builds its DFT row afresh and keeps it nowhere: after reads a
+    # swept state holds its time, values and eik only, and dropping the
+    # states frees their values
+    p = WalkParams(theta=0.7, theta1=2.1, tau=0, alpha=0.6, beta=0.8j)
+    states = list(tau_sweep(p, Schedule.half_time(), "odd", range(40)))
+    for state in states:
+        state.mass(1)
+        state.mass(-3)
+        assert set(vars(state)) == {"time", "values", "eik"}
+    refs = [weakref.ref(state.values) for state in states]
+    del states, state
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # no module-level cache holds a row or a table of phases
+    cached = [name for name, value in vars(qwalk.spectral).items() if hasattr(value, "cache_info")]
+    assert cached == []
 
 
 @pytest.mark.parametrize("parity", ("odd", "even"))
