@@ -2,12 +2,17 @@
 
 :func:`csv_text` writes every CSV table of :mod:`qwalk.cli`: a float
 prints exactly as ``'%.17g' % v`` (C's ``%.17g``: 17 significant digits,
-correctly rounded) and an integer as ``str(i)``.  :func:`qwalk.cli.emit`
-imports this module on the first CSV table it writes.  Where no bytecode
-cache is written, Python compiles each module from source when it is
-imported: kept apart, this module costs nothing to commands that write no
-CSV, and the two modules compile with a lower memory peak than one module
-holding both (about 0.5 MB less).
+correctly rounded) and an integer as ``str(i)``.  Each cell is a slot of
+fixed width; a float slot is one sign byte and the text of ``|v|``.  In a
+block, a float column of ``+0.0`` only prints as a one-byte ``0`` filler
+and is not formatted, and a float column whose magnitudes are bitwise
+those of an earlier one reuses its slots under its own sign bytes.
+
+:func:`qwalk.cli.emit` imports this module on the first CSV table it
+writes.  Where no bytecode cache is written, Python compiles each module
+from source when it is imported: kept apart, this module costs nothing to
+commands that write no CSV, and the two modules compile with a lower
+memory peak than one module holding both (about 0.5 MB less).
 """
 
 from __future__ import annotations
@@ -180,8 +185,13 @@ def float_slots(a: np.ndarray) -> np.ndarray:
     Python formats the rest: non-finite values, ``|v|`` outside that
     range and what :func:`_significands` leaves undecided.
 
-    Slot bytes: 0 sign, 1-5 "0." and leading zeros, 7-24 the digits and
-    point, 25-29 the exponent.  They are made as four 64-bit words.
+    Every slot is one sign byte and the text of ``|v|``: byte 0 is ``-``
+    for a negative ``v`` or ``-0.0`` and NUL otherwise, a NaN included
+    (Python prints ``nan`` whatever its sign bit).  The text of ``|v|``
+    fills bytes 1-29: from the table, 1-5 "0." and leading zeros, 7-24 the
+    digits and point, 25-29 the exponent, made as four 64-bit words; from
+    Python, bytes 1 on.  So two columns whose magnitudes are bitwise equal
+    have the same slots but for byte 0.
     """
     _, prefix, suffix, point, least, masks = _float_tables()
     a = a.astype(np.float64, copy=False)
@@ -220,7 +230,8 @@ def float_slots(a: np.ndarray) -> np.ndarray:
 
     rest = np.concatenate([np.flatnonzero(~table & (mag != 0)), idx[undecided]])
     if len(rest):
-        out[rest] = _padded([b"%.17g" % v for v in a[rest].tolist()], 32).view(_U8)
+        out[rest] = _padded([(b"-" if v < 0 else b"\0") + b"%.17g" % abs(v)
+                             for v in a[rest].tolist()], 32).view(_U8)
     return out.view(np.uint8)[:, :30]
 
 
@@ -251,6 +262,37 @@ def int_slots(v: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
+def _block_slots(columns):
+    """Per column of a block: its slots, and the sign bytes that replace their byte 0.
+
+    A float column of ``+0.0`` only (by its bits, since ``-0.0`` prints as
+    ``-0``), or of no rows, has no slots (None): it prints as the ``0``
+    filler.  A float column whose magnitudes are bitwise those of an
+    earlier float column of the same length takes that column's slots
+    and its own sign bytes; any other column has its own slots and no sign
+    bytes (None).  The first cells are compared before the columns.
+    """
+    formatted = {}  # (length, bits dtype, |first cell|) -> (bits, slots) of each column
+    for col in columns:
+        if col.dtype.kind != "f":
+            yield int_slots(col), None
+            continue
+        bits = col.view(f"u{col.itemsize}")
+        # a first cell other than +0.0 settles it; count_nonzero beats any()
+        if not (len(bits) and bits[0]) and not np.count_nonzero(bits):
+            yield None, None
+            continue
+        key = len(col), bits.dtype, int(bits[0]) & ~(1 << 8 * col.itemsize - 1)
+        for earlier, slots in formatted.get(key, ()):
+            if not ((earlier ^ bits) << 1).any():  # equal but for the sign bits
+                yield slots, (np.signbit(col) & ~np.isnan(col)).view(np.uint8) * ord("-")
+                break
+        else:
+            slots = float_slots(col)
+            formatted.setdefault(key, []).append((bits, slots))
+            yield slots, None
+
+
 def csv_text(table, meta: dict | None):
     """The CSV text of a :class:`qwalk.cli.Table`, in parts of UTF-8 bytes.
 
@@ -259,7 +301,15 @@ def csv_text(table, meta: dict | None):
     (``table.blocks``), with LF newlines, each column formatted by
     :func:`float_slots` or :func:`int_slots` by its dtype and the cells
     joined into rows as slots.  A column of occupied rows only starts as a
-    ``0`` slot on every row of the block, and its cells overwrite it.
+    ``0`` filler on every row of the block, and its cells overwrite it.
+
+    A block formats each distinct float magnitude column once
+    (:func:`_block_slots`).  A float column that holds only ``+0.0`` in
+    the block is the ``0`` filler alone, one byte wide, with no slots.  A
+    float column whose magnitudes are bitwise those of an earlier one
+    writes that column's slots and then its own sign bytes over their
+    byte 0, which every slot keeps for the sign.  A block that mixes
+    zeros and other values is formatted whole.
 
     Memory: the slots of a block are joined in one buffer, reused by later
     blocks (a block of wider rows takes a larger one); each slice of at
@@ -271,23 +321,28 @@ def csv_text(table, meta: dict | None):
     yield ("\n".join([*lines, ",".join(table.keys)]) + "\n").encode()
     buffer = np.empty(0, np.uint8)
     for n, on, columns in table.blocks(BLOCK_ROWS):
-        parts = [float_slots(col) if col.dtype.kind == "f" else int_slots(col)
-                 for col in columns]
+        parts = list(_block_slots(columns))
+        widths = [1 if slots is None else slots.shape[1] for slots, _ in parts]
         seps = [ord(",")] * (len(parts) - 1) + [ord("\n")]
-        starts = list(itertools.accumulate([part.shape[1] + 1 for part in parts], initial=0))
+        starts = list(itertools.accumulate([w + 1 for w in widths], initial=0))
         width = starts[-1]
         if len(buffer) < n * width:
             buffer = np.empty(n * width, np.uint8)
         # reused as it is: every byte of the block is written below
         block = buffer[:n * width].reshape(n, width)
-        zeros = [at for at, part in zip(starts, parts) if len(part) < n]
-        if zeros:  # a 0 slot on every row of each column of occupied rows
+        zeros = [at for at, col, (slots, _) in zip(starts, columns, parts)
+                 if slots is None or len(col) < n]
+        if zeros:  # a 0 on every row of each filler column and column of occupied rows
             unoccupied = np.zeros(width, np.uint8)
             unoccupied[zeros] = ord("0")
             block[:, zeros[0]:] = unoccupied[zeros[0]:]
-        for part, at, sep in zip(parts, starts, seps):
-            block[on if len(part) < n else slice(None), at:at + part.shape[1]] = part
-            block[:, at + part.shape[1]] = sep
+        for col, (slots, signs), at, w, sep in zip(columns, parts, starts, widths, seps):
+            if slots is not None:
+                rows = on if len(col) < n else slice(None)
+                block[rows, at:at + w] = slots
+                if signs is not None:
+                    block[rows, at] = signs
+            block[:, at + w] = sep
         step = max(1, _SLICE_BYTES // width)
         for r in range(0, n, step):
             yield block[r:r + step].tobytes().translate(None, b"\0")

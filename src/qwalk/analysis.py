@@ -27,10 +27,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coin import Schedule, WalkParams, parity_offset
+from .coin import Schedule, WalkParams, _integer, parity_offset
 from .dynamics import Distribution, check_time
 from .limits import LimitDensity
-from .spectral import FourierState, Propagator, _integer, grid_size
+from .spectral import FourierState, Propagator, grid_size
 
 __all__ = [
     "tau_sweep",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,22 @@ def _distance_to_quarter_turn(theta: float) -> float:
     return min(r, math.pi / 2 - r)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, a bool, float or str is refused.
+
+    The one integer rule of the package: every time, tau, grid size and
+    site that a public function takes goes through it.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Complete description of one walk instance.
@@ -86,8 +103,7 @@ class WalkParams:
     beta: complex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tau, (int, np.integer)) or isinstance(self.tau, bool):
-            raise ValueError(f"tau must be an integer, got {self.tau!r}")
+        object.__setattr__(self, "tau", _integer(self.tau, "tau"))
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         for name, kind in (("theta", numbers.Real), ("theta1", numbers.Real),
@@ -108,7 +124,6 @@ class WalkParams:
                 f"|alpha|^2 + |beta|^2 = {norm**2!r}; initial spinor must be "
                 f"unit norm within {SPINOR_NORM_TOL}"
             )
-        object.__setattr__(self, "tau", int(self.tau))
         object.__setattr__(self, "alpha", complex(self.alpha) / norm)
         object.__setattr__(self, "beta", complex(self.beta) / norm)
 

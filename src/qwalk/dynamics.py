@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .coin import Schedule, WalkParams
+from .coin import Schedule, WalkParams, _integer
 
 __all__ = [
     "StateVector",
@@ -138,13 +138,19 @@ def initial_state(params: WalkParams) -> StateVector:
     return StateVector(0, params.spinor[np.newaxis])
 
 
-def check_time(t: int) -> None:
-    """Reject an evolution time that is negative or above :func:`max_time_cap`."""
+def check_time(t: int) -> int:
+    """``t`` as an int, refused unless it is an evolution time.
+
+    A time is a Python or numpy integer (a bool, float or str is refused,
+    not truncated) from 0 to :func:`max_time_cap`.
+    """
+    t = _integer(t, "t")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     cap = max_time_cap()
     if t > cap:
         raise ValueError(f"t={t} exceeds the configured cap {cap}")
+    return t
 
 
 def _stepper(start: StateVector, params: WalkParams, schedule: Schedule,
@@ -193,7 +199,7 @@ def snapshots(params: WalkParams, schedule: Schedule,
     Repeated times yield once.  Every time is checked by :func:`check_time`
     before any buffer is allocated or the first state is yielded.
     """
-    want = sorted(set(times))
+    want = sorted({_integer(t, "t") for t in times})
     if want:
         check_time(want[0])
         check_time(want[-1])
@@ -206,8 +212,8 @@ def evolve(params: WalkParams, schedule: Schedule, t_final: int) -> StateVector:
     Raises
     ------
     ValueError
-        If ``t_final`` is negative or exceeds the resource cap
-        (``QWALK_MAX_T``, else 10**6).
+        If ``t_final`` is not an integer (a bool, float or str), is
+        negative or exceeds the resource cap (``QWALK_MAX_T``, else 10**6).
     """
     return next(snapshots(params, schedule, (t_final,)))
 

@@ -86,7 +86,9 @@ def theorem1_limit(params: WalkParams, x, parity: str):
     follow ``q**(2|x| - 4)`` with ``q = |c|/(1 + |s|) < 1``, a positive
     base; where that power underflows past ``2**-1100`` it is written as
     the 0.0 that ``pow`` would return, without calling ``pow``, which is
-    many times slower there.
+    many times slower there.  Those positions and the ones off the track
+    are not evaluated at all, so the cost grows with the live positions,
+    not with the positions asked for.
     """
     offset = parity_offset(parity)
     # a scalar runs as a 1-element array, through the same ufunc loops
@@ -97,26 +99,27 @@ def theorem1_limit(params: WalkParams, x, parity: str):
     sa = abs(s)
     p = 1.0 / (1.0 + sa)
     g2 = _coupling(params) ** 2
-    ax, sgn = np.abs(xs), np.sign(xs)
+    # |x| >= 3 on either track: one geometric law in q**2.  Only the live
+    # positions are evaluated: those on the track, near the origin or with
+    # the tail above the underflow cut; the rest read 0.0.
+    q, ax = abs(c) * p, np.abs(xs)
+    live = (ax % 2 == offset % 2) & ((ax < 3) | (2 * ax - 4 < _UNDERFLOW_BITS / -math.log2(q)))
+    val = np.zeros(xs.shape)
+    xs, ax = xs[live], ax[live]
+    sgn = np.sign(xs)
     a = np.where(xs > 0, params.alpha, params.beta)
     b = np.where(xs > 0, params.beta, params.alpha)
-    # |x| >= 3 on either track: one geometric law in q**2.  The kept
-    # exponents go through one unmasked pow: numpy may run a masked pow
-    # (where=) through another loop, with other last bits.
-    q, e = abs(c) * p, 2 * ax - 4
-    kept = e < _UNDERFLOW_BITS / -math.log2(q)
-    tail = np.zeros(e.shape)
-    tail[kept] = q ** e[kept]
-    far = (2.0 * g2 * s * s * p ** 3 * tail
+    # the exponents go through one unmasked pow: numpy may run a masked
+    # pow (where=) through another loop, with other last bits
+    far = (2.0 * g2 * s * s * p ** 3 * q ** (2 * ax - 4)
            * np.abs(a - sgn * math.copysign(1.0, s) * c * p * b) ** 2)
     if offset == 1:
         near = g2 * p * p * (np.abs(a + sgn * c * s * p * b) ** 2 + s * s * np.abs(b) ** 2)
-        val = np.where(ax == 1, near, far)
+        val[live] = np.where(ax == 1, near, far)
     else:
         mixed = (1.0 + s * s) * a + 2.0 * sgn * s * c * p * b
         near = 0.5 * g2 * p ** 3 * (np.abs(mixed) ** 2 + (c * (1.0 + sa) * np.abs(a)) ** 2)
-        val = np.where(ax == 0, g2 * s * s * p * p, np.where(ax == 2, near, far))
-    val = np.where(ax % 2 == offset % 2, val, 0.0)
+        val[live] = np.where(ax == 0, g2 * s * s * p * p, np.where(ax == 2, near, far))
     return float(val[0]) if np.ndim(x) == 0 else val
 
 

@@ -83,7 +83,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .coin import Schedule, ScheduleKind, WalkParams, parity_offset
+from .coin import Schedule, ScheduleKind, WalkParams, _integer, parity_offset
 from .dynamics import StateVector, check_time, max_time_cap
 
 __all__ = [
@@ -231,14 +231,19 @@ def _check_grid_time(t: int, n: int) -> None:
         raise ValueError(f"t={t} is outside 0..{n - 1} of a {n}-point grid")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass, a bool, float or str is refused."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _sweep_taus(taus: Iterable[int]) -> list[int]:
+    """The taus of a block sweep as ints, refused unless sorted, distinct and non-negative."""
+    taus = list(taus)
+    # loops that run in C: a trace hands over sorted ints, and pays about
+    # 50 ns a tau for the check
+    if not set(map(type, taus)) <= {int}:
+        taus = [_integer(tau, "tau") for tau in taus]
+    if taus and taus[0] < 0:
+        raise ValueError(f"tau must be non-negative, got {taus[0]}")
+    if not all(map(operator.lt, taus, taus[1:])):
+        a, b = next(pair for pair in itertools.pairwise(taus) if pair[0] >= pair[1])
+        raise ValueError(f"taus must be sorted and distinct, got {a} before {b}")
+    return taus
 
 
 def grid_size(t: int) -> int:
@@ -283,8 +288,7 @@ def spectral_evolve(
     :func:`qwalk.dynamics.check_time`, and the grid against the same cap;
     a numpy integer ``t_final`` is accepted and a bool refused.
     """
-    t_final = _integer(t_final, "t_final")
-    check_time(t_final)
+    t_final = check_time(t_final)
     n = grid_size(t_final) if n_grid is None else n_grid
     return Propagator(params, n).state(schedule, t_final, params.tau).sublattice()
 
@@ -571,7 +575,8 @@ class Propagator:
     def _stretch_blocks(self, schedule, parity, taus):
         # (parts, blocks) of each run of taus in one stretch, in turn: parts()
         # builds its (S, A, B), and blocks yields (times, z) of each of its
-        # phase blocks that holds one of the run's taus
+        # phase blocks that holds one of the run's taus, checked first
+        taus = _sweep_taus(taus)
         offset = parity_offset(parity)
         locate, parts = self._stretches(schedule, parity)
         turn = self._phase(2)  # e^{2iw}: -e^{2i(w - pi/2)} where w is kept folded
@@ -631,10 +636,12 @@ class Propagator:
                      xs: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """``P(X_t = x)`` of the swept states, per block of taus and per ``x`` of ``xs``.
 
-        ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
-        masses)`` for each block of :meth:`sweep` that holds one of them:
-        the times ``t = 2*tau + 1`` or ``2*tau + 2`` of all its rows, and
-        their masses, one column per ``x``.  No state is formed: with the
+        ``taus`` must be sorted, distinct, non-negative integers (Python or
+        numpy); anything else is refused with ``ValueError`` when the first
+        block is asked for.  Yields ``(times, masses)`` for each block of
+        :meth:`sweep` that holds one of them: the times ``t = 2*tau + 1``
+        or ``2*tau + 2`` of all its rows, and their masses, one column per
+        ``x``.  No state is formed: with the
         DFT row ``r = e^{ikx}``, the amplitude is ``r.S/n + Re Z (r A)/n +
         Im Z (r B / sin w)/n`` for the block's phase rows ``Z``, one matrix
         product, after the row products of a stretch are formed once; the
@@ -683,9 +690,9 @@ class Propagator:
                             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Position distributions of the swept states, one block of taus at a time.
 
-        ``taus`` are sorted, distinct and non-negative.  Yields ``(times,
-        xs, ps)`` for each block of :meth:`sweep` that holds one of them:
-        the times of all its rows, the site ``xs[s]`` of each DFT slot
+        ``taus`` are checked as those of :meth:`sweep_masses`.  Yields
+        ``(times, xs, ps)`` for each block of :meth:`sweep` that holds one
+        of them: the times of all its rows, the site ``xs[s]`` of each DFT slot
         ``s``, and ``ps[j, s] = P(X_t = xs[s])`` at ``times[j]``.  The
         block's ``S + T_M A + U_{M-1} B`` is formed as one ``(B, 2, n)``
         array and read back by one inverse FFT, as

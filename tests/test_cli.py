@@ -289,6 +289,9 @@ PINNED_OUTPUTS = (
     (["density", *PINNED_W, "--points", "2001"], "c817f4d7776a"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000"], "28452ef5ba72"),
     (["eigen", "--theta", "0.7", "--k-samples", "1000", "--format", "json"], "addee8a7ef80"),
+    # rows 575 and 786 of re_l1 are near a rounding tie, so Python formats
+    # them; re_l2, their negation, reuses those slots under a '-'
+    (["eigen", "--theta", "0.7", "--k-samples", "1361"], "3367fa06cdee"),
     *((["figures", "--paper-fig", fig], digest) for fig, digest in (
         ("1a", "e726b2d24721"), ("1b", "e27b9d867076"), ("2a", "5f2c489af38d"),
         ("2b", "cecc65dffeff"), ("3a", "a6a692bbd92f"), ("3b", "59b4bdd1e68a"),
@@ -1051,6 +1054,74 @@ def test_csv_float_cells_for_any_bit_pattern(bits):
     assert emitted_cells(column) == expected_cells(column)
     # a list of Python floats prints as its array does
     assert emitted_cells(column.tolist()) == expected_cells(column)
+
+
+#: Bits of a NaN with a payload and one with its sign set, +-0, +-inf, the
+#: least subnormal of each sign, and the tie 1234567890123456.75, which
+#: Python formats: every kind of slot a reused column can take.
+EDGE_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0, 0x8000000000000000,
+             0x7FF0000000000000, 0xFFF0000000000000, 1, 0x8000000000000001,
+             int(np.array(1234567890123456.75).view(np.uint64))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=32))
+@example(EDGE_BITS)
+@example([0])
+def test_csv_reused_and_filler_float_columns_for_any_bit_pattern(bits):
+    # over two blocks: the drawn column, its negation, itself again and its
+    # abs share their magnitudes; the next column shares only its first cell;
+    # then a column of +0.0 only and a column of occupied rows that is all
+    # +0.0 after the first block
+    drawn = np.array(bits, dtype=np.uint64).view(np.float64)
+    n = qwalk._csvtext.BLOCK_ROWS + 2 * len(drawn) + 1
+    v = np.resize(drawn, n)
+    occupied = np.arange(n) % 3 != 1
+    sparse = np.zeros(np.count_nonzero(occupied))
+    sparse[:len(drawn)] = drawn
+    columns = {"x": np.arange(n), "v": v, "neg": -v, "again": v.copy(), "abs": np.abs(v),
+               "head": np.concatenate([v[:1], v[:0:-1]]), "zero": np.zeros(n),
+               "sparse": sparse}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(Table(occupied=occupied, **columns), "csv")
+    got = out.getvalue().splitlines(keepends=True)
+    want = row_formatter_text(dense_rows(columns, occupied), "csv").splitlines(keepends=True)
+    # the differing lines only: a diff of the whole text, at every shrink
+    # step of a failure, would take minutes
+    assert len(got) == len(want)
+    assert not [(a, b) for a, b in zip(got, want) if a != b][:3]
+
+
+def slot_calls(monkeypatch) -> list[int]:
+    """The lengths of the columns that ``float_slots`` formats from now on."""
+    calls, slots = [], qwalk._csvtext.float_slots
+    monkeypatch.setattr(qwalk._csvtext, "float_slots",
+                        lambda a: calls.append(len(a)) or slots(a))
+    return calls
+
+
+def test_csv_formats_each_distinct_float_column_of_a_block_once(monkeypatch, capsys,
+                                                                example_params):
+    # limits: a block whose masses all underflow to +0.0 is the 0 filler,
+    # not formatted; eigen: re_l2 and im_l2 reuse the slots of re_l1 and
+    # im_l1, as lambda_2 = -conj(lambda_1)
+    calls = slot_calls(monkeypatch)
+    assert main(["limits", *PINNED_W, "--parity", "odd", "--xmax", "20000"]) == 0
+    params = dataclasses.replace(example_params, theta=0.7, theta1=2.1)
+    xs = np.arange(-20000, 20001)
+    occupied = xs % 2 == 1
+    masses = theorem1_limit(params, xs[occupied], "odd")
+    blocks = [part for _, _, (_, part) in Table(occupied=occupied, x=xs, limit_mass=masses)
+              .blocks(qwalk._csvtext.BLOCK_ROWS)]
+    assert calls == [len(part) for part in blocks if part.any()]
+    assert 0 < len(calls) < len(blocks)
+    calls.clear()
+    assert main(["eigen", "--theta", "0.7", "--k-samples", "10000"]) == 0
+    sizes = [min(qwalk._csvtext.BLOCK_ROWS, 10000 - lo)
+             for lo in range(0, 10000, qwalk._csvtext.BLOCK_ROWS)]
+    assert calls == [size for size in sizes for _ in range(3)]
+    capsys.readouterr()
 
 
 @settings(max_examples=200, deadline=None)

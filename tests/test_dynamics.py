@@ -217,6 +217,21 @@ def test_evolve_rejects_bad_times(example_params, monkeypatch):
     evolve(example_params, Schedule.usual(), 100)
 
 
+def test_times_follow_the_integer_rule(example_params):
+    # a bool, float or str time is refused with ValueError, not truncated,
+    # passed through as the state's time or left to numpy's TypeError
+    want = evolve(example_params, Schedule.usual(), 3)
+    for t in (np.int64(3), np.int32(3), np.uint8(3)):
+        got = evolve(example_params, Schedule.usual(), t)
+        assert type(got.time) is int and np.array_equal(got.sites, want.sites)
+    assert [s.time for s in snapshots(example_params, Schedule.usual(), [np.int64(2), 1, 2])] == [1, 2]
+    for bad in (True, np.True_, 2.0, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match="integer"):
+            evolve(example_params, Schedule.usual(), bad)
+        with pytest.raises(ValueError, match="integer"):
+            next(snapshots(example_params, Schedule.usual(), [1, bad]))
+
+
 def test_time_cap_env_override(example_params, monkeypatch):
     monkeypatch.setenv("QWALK_MAX_T", "50")
     assert max_time_cap() == 50

@@ -577,6 +577,24 @@ def test_sweep_refuses_a_negative_tau_at_that_tau(example_params):
             next(states)
 
 
+@pytest.mark.parametrize("schedule", (Schedule.half_time(), Schedule.usual()))
+def test_block_sweeps_refuse_taus_out_of_their_rule(schedule, example_params):
+    # sorted, distinct, non-negative integers, numpy ones included; the
+    # rest is refused with ValueError, not read as tau 1 or left to a
+    # TypeError or an IndexError
+    propagator = Propagator(example_params, 64)
+    masses = [m for _, m in propagator.sweep_masses(schedule, "odd", [0, 2, 5], (1,))]
+    for taus in ([np.int64(0), np.int32(2), np.uint8(5)], (0, 2, 5)):
+        got = [m for _, m in propagator.sweep_masses(schedule, "odd", taus, (1,))]
+        assert all(np.array_equal(a, b) for a, b in zip(got, masses))
+        assert len(list(propagator.sweep_probabilities(schedule, "odd", taus))) == len(masses)
+    for taus in ([1.5], [-3], [True], [np.True_], ["2"], [3, 1], [2, 2], [0, 4, 4]):
+        with pytest.raises(ValueError, match="tau"):
+            next(propagator.sweep_masses(schedule, "odd", taus, (1,)))
+        with pytest.raises(ValueError, match="tau"):
+            next(propagator.sweep_probabilities(schedule, "odd", taus))
+
+
 def row_wavenumber(n, m, dps=40):
     """The ``k_m`` that the row ``T_m = e^{i k_m}`` of an ``n``-point grid is built from.
 
