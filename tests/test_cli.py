@@ -1093,20 +1093,14 @@ def test_csv_reused_and_filler_float_columns_for_any_bit_pattern(bits):
     assert not [(a, b) for a, b in zip(got, want) if a != b][:3]
 
 
-def slot_calls(monkeypatch) -> list[int]:
-    """The lengths of the columns that ``float_slots`` formats from now on."""
-    calls, slots = [], qwalk._csvtext.float_slots
-    monkeypatch.setattr(qwalk._csvtext, "float_slots",
-                        lambda a: calls.append(len(a)) or slots(a))
-    return calls
-
-
 def test_csv_formats_each_distinct_float_column_of_a_block_once(monkeypatch, capsys,
                                                                 example_params):
     # limits: a block whose masses all underflow to +0.0 is the 0 filler,
     # not formatted; eigen: re_l2 and im_l2 reuse the slots of re_l1 and
     # im_l1, as lambda_2 = -conj(lambda_1)
-    calls = slot_calls(monkeypatch)
+    calls, slots = [], qwalk._csvtext.float_slots  # the lengths of the columns it formats
+    monkeypatch.setattr(qwalk._csvtext, "float_slots",
+                        lambda a: calls.append(len(a)) or slots(a))
     assert main(["limits", *PINNED_W, "--parity", "odd", "--xmax", "20000"]) == 0
     params = dataclasses.replace(example_params, theta=0.7, theta1=2.1)
     xs = np.arange(-20000, 20001)

@@ -224,7 +224,8 @@ def test_times_follow_the_integer_rule(example_params):
     for t in (np.int64(3), np.int32(3), np.uint8(3)):
         got = evolve(example_params, Schedule.usual(), t)
         assert type(got.time) is int and np.array_equal(got.sites, want.sites)
-    assert [s.time for s in snapshots(example_params, Schedule.usual(), [np.int64(2), 1, 2])] == [1, 2]
+    states = snapshots(example_params, Schedule.usual(), [np.int64(2), 1, 2])
+    assert [state.time for state in states] == [1, 2]
     for bad in (True, np.True_, 2.0, np.float64(2.0), "3"):
         with pytest.raises(ValueError, match="integer"):
             evolve(example_params, Schedule.usual(), bad)
